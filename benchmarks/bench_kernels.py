@@ -71,16 +71,17 @@ def main():
         print("compiled kernels unavailable; benchmarking the fallback only")
 
     print(f"{'kernel':<34}{'backend':<10}{'time':>10}{'throughput':>18}")
-    n_single = 1_000_000
-    for name, mod in backends:
-        n = n_single if name == "cython" else n_single // 5
-        secs, rate = bench_single_stream(mod, n)
-        print(f"{'single stream fill (' + str(n) + ')':<34}{name:<10}"
-              f"{secs * 1e3:>8.1f}ms{rate / 1e6:>12.1f} Mword/s")
+    # a short request runs the python backend's serial loop, a long one its
+    # jump-ahead lanes (see _kernels_py.LANE_CUTOFF)
+    for n in (512, 1_000_000):
+        for name, mod in backends:
+            secs, rate = bench_single_stream(mod, n)
+            print(f"{'single stream fill (' + str(n) + ')':<34}{name:<10}"
+                  f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mword/s")
     for name, mod in backends:
         secs, rate = bench_multi_stream(mod, 8192, 32)
         print(f"{'multi stream fill (8192x32)':<34}{name:<10}"
-              f"{secs * 1e3:>8.1f}ms{rate / 1e6:>12.1f} Mword/s")
+              f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mword/s")
     secs, rate = bench_estimator(100_000)
     print(f"{'consistency estimator (1e5 draws)':<34}{'active':<10}"
           f"{secs:>9.2f}s{rate / 1e3:>12.1f} kdraw/s")

@@ -68,6 +68,14 @@ class SigmaSearchFailed(FragAuditError):
     pass
 
 
+class PathNormUndefined(FragAuditError):
+    """The squared-weight pass gave a negative or NaN logit sum."""
+
+
+class PredictionMismatch(FragAuditError):
+    """Verified-equivalent checkpoints disagree on a test prediction."""
+
+
 class ComplexEndpoints(FragAuditError):
     pass
 

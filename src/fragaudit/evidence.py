@@ -137,6 +137,10 @@ def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
         raise InvalidDataset("consistency mass estimation is binary-only")
     if draws < 1:
         raise ConfigError("need at least one draw")
+    if ds.dim != spec.layer_dims[0]:
+        raise ConfigError(
+            f"dataset dim {ds.dim} does not match the net's input width "
+            f"{spec.layer_dims[0]}")
     ro = _resolve_fixed_readout(spec, seed, prior, fixed_readout)
     hits = 0
     y = ds.labels
@@ -246,6 +250,10 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
     Per-repetition failures (zero hits, rejection exhausted) are recorded and
     skipped in the violation count, never fatal.
     """
+    if task.dim != spec.layer_dims[0]:
+        raise ConfigError(
+            f"evidence task dim {task.dim} does not match the net's input width "
+            f"{spec.layer_dims[0]}")
     rows = []
     root = Rng(seed)
     for p in task.corruptions:

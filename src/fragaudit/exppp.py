@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComplexEndpoints, ConfigError, InadmissibleAlpha, \
-    NumericalDivergence
+    NumericalDivergence, PredictionMismatch
 from .measures import MeasureConfig, compute_all
 from .net import NetSpec, backward_batch, flatten_params, forward_batch, \
     init_checkpoint, unflatten_params
@@ -279,9 +279,8 @@ def inflation_demo(spec: NetSpec, ds_train, ds_test, params: ExpPPParams, T: int
                            report.checkpoint_b.biases, ds_test.features).argmax(axis=1)
     err_a = float((pred_a != ds_test.labels).mean())
     err_b = float((pred_b != ds_test.labels).mean())
-    if report.passed:
-        assert np.array_equal(pred_a, pred_b), \
-            "equivalence verified but predictions differ"
+    if report.passed and not np.array_equal(pred_a, pred_b):
+        raise PredictionMismatch("equivalence verified but predictions differ")
     return {
         "verify": report.to_dict(),
         "alpha_to_minus_T": params.alpha ** (-T),

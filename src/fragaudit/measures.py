@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLayer, MarginNotPositive, SigmaSearchFailed
+from .errors import DegenerateLayer, MarginNotPositive, PathNormUndefined, \
+    SigmaSearchFailed
 from .net import Checkpoint, NetSpec, flatten_params, forward_batch, margins, \
     unflatten_params
 from .rng import Rng
@@ -212,7 +213,9 @@ def path_norm(spec: NetSpec, ckpt: Checkpoint, n: int) -> float:
     ones = np.ones((1, spec.layer_dims[0]))
     logits = forward_batch(plain, weights, biases, ones)[0]
     total = float(logits.sum())
-    assert total >= 0.0, "squared-weight pass produced a negative logit sum"
+    if not total >= 0.0:
+        raise PathNormUndefined(
+            f"squared-weight pass produced a negative or NaN logit sum ({total!r})")
     return float(np.sqrt(total / n))
 
 

@@ -10,9 +10,16 @@ Stream derivation rules (documented so audits can be replayed elsewhere):
 - spawn_key(name) derives a child seed from sha256(seed || '/' || name)
 - spawn_index(i) derives child seed mix64(s + (i+1)*GOLDEN) (counter chain,
   vectorizable; used for per-draw Monte Carlo streams)
-- bounded integers use the 128-bit multiply-shift reduction of one uint64
+- bounded integers use the 128-bit multiply-shift reduction of one uint64;
+  shuffle/permutation/choose draw all their words in one block, in the order
+  the per-index loop consumes them
 - gaussians use Box-Muller on consecutive uint64 pairs; each call consumes
   2*ceil(n/2) words (odd tails discard the trailing partner variate)
+- a single-stream request is one contiguous run of the stream however it is
+  computed: the numpy backend splits a long request into lockstep lanes of B
+  words, lane j starting from the state jB steps ahead (reached by GF(2)
+  jump-ahead), and writes the tail of fewer than B words serially from the
+  last lane's end state. The lane count and length never change a word.
 """
 
 import hashlib
@@ -127,8 +134,11 @@ class Rng:
         return (self.next_u64() * m) >> 64
 
     def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.below(i + 1)
+        """Fisher-Yates from the back; index i takes below(i + 1)."""
+        n = len(seq)
+        words = self.u64_block(max(n - 1, 0)).tolist()
+        for i, w in zip(range(n - 1, 0, -1), words):
+            j = (w * (i + 1)) >> 64
             seq[i], seq[j] = seq[j], seq[i]
 
     def permutation(self, n: int) -> np.ndarray:
@@ -141,8 +151,8 @@ class Rng:
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         arr = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
+        for i, w in enumerate(self.u64_block(k).tolist()):
+            j = i + ((w * (n - i)) >> 64)
             arr[i], arr[j] = arr[j], arr[i]
         return arr[:k]
 

@@ -247,6 +247,16 @@ def test_evidence_experiment_command(tmp_path):
     assert (tmp_path / "out" / "reports" / "evidence" / "experiment.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["experiment", "bound"])
+def test_evidence_net_width_mismatch_is_config_error(tmp_path, capsys, mode):
+    cfg = base_config(tmp_path)
+    cfg["evidence"]["net"] = {"layer_dims": [3, 6, 2]}  # task and data dim stay 2
+    cp = write_config(tmp_path, cfg)
+    assert main(["evidence", "--config", cp, "--mode", mode]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+
+
 def test_transform_command(tmp_path):
     cfg = base_config(tmp_path)
     cfg["transform"] = {

@@ -196,6 +196,18 @@ def test_experiment_structure_and_determinism():
             assert row["violation"] in (True, False)
 
 
+def test_experiment_rejects_net_wider_than_task():
+    task = EvidenceTask(n_train=8, n_heldout=50, draws=10, repetitions=1, dim=2)
+    with pytest.raises(ConfigError):
+        bound_vs_error_experiment(NetSpec((3, 6, 2)), task, seed=1)
+
+
+def test_consistency_mass_rejects_dataset_of_other_width():
+    ds = synth_blobs(20, 2, 2, 4.0, seed=1)
+    with pytest.raises(ConfigError):
+        estimate_consistency_mass(NetSpec((3, 6, 2)), ds, draws=10, seed=1)
+
+
 def test_experiment_skips_failures_without_aborting():
     spec = NetSpec((2, 4, 2))
     # one Monte Carlo draw: zero hits are common, rows must still be recorded

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fragaudit.data import split_train_test, synth_blobs
-from fragaudit.errors import ConfigError, InadmissibleAlpha
+from fragaudit.errors import ConfigError, InadmissibleAlpha, PredictionMismatch
 from fragaudit.exppp import ExpPPParams, demo_alphas, derive, inflation_demo, \
     schedule, verify_equivalence
-from fragaudit.measures import MeasureConfig
+from fragaudit.measures import MeasureConfig, MeasureSet
 from fragaudit.net import NetSpec
 
 
@@ -166,3 +166,24 @@ def test_inflation_demo_param_norm_ratio():
     # acceptance suite checks that scale, this short run checks the direction)
     assert demo["ratios"]["PACBAYES_ORIG"] > 10.0
     assert demo["ratios"]["PATH_NORM"] > 100.0
+
+
+def test_inflation_demo_prediction_mismatch_is_typed(monkeypatch):
+    from fragaudit import exppp
+
+    tr, te = blob_split()
+    real_forward = exppp.forward_batch
+    test_calls = []
+
+    def forward_flipping_second_test_pass(spec, weights, biases, x):
+        logits = real_forward(spec, weights, biases, x)
+        if x is te.features:
+            test_calls.append(1)
+            if len(test_calls) == 2:
+                return -logits
+        return logits
+
+    monkeypatch.setattr(exppp, "forward_batch", forward_flipping_second_test_pass)
+    monkeypatch.setattr(exppp, "compute_all", lambda *a, **k: MeasureSet())
+    with pytest.raises(PredictionMismatch):
+        inflation_demo(si_spec(), tr, te, ExpPPParams(0.01, 0.9, 0.0, 0.9), 2, seed=0)

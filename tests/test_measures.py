@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fragaudit.data import split_train_test, synth_blobs
-from fragaudit.errors import DegenerateLayer, MarginNotPositive, SigmaSearchFailed
+from fragaudit.errors import DegenerateLayer, MarginNotPositive, PathNormUndefined, \
+    SigmaSearchFailed
 from fragaudit.measures import MEASURE_NAMES, MeasureConfig, compute_all, \
     compute_selected, frobenius_measures, inverse_margin, measure_layers, \
     pacbayes_measures, path_norm, sigma_search, spectral_measures, spectral_norm, \
@@ -135,6 +136,13 @@ def test_path_norm_scaling_power():
     base = path_norm(spec, ck, 2)
     scaled = path_norm(spec, scale_checkpoint(ck, spec, 3.0), 2)
     assert scaled == pytest.approx((3.0 ** 3) * base, rel=1e-10)
+
+
+def test_path_norm_nan_weights_raise_typed_error():
+    spec = NetSpec((2, 2, 1))
+    ck = ckpt_from([[[np.nan, 1.0], [1.0, 1.0]], [[1.0, 1.0]]])
+    with pytest.raises(PathNormUndefined):
+        path_norm(spec, ck, 1)
 
 
 def test_vc_params_fixture():

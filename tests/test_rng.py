@@ -1,5 +1,8 @@
 """Stream generator tests: reference vectors, backend equivalence, spawning."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,13 +130,131 @@ def test_mix64_matches_numpy_path():
         assert mix64(int(x)) == int(m)
 
 
+CUTOFF = _kernels_py.LANE_CUTOFF
+
+
+def _serial(seed, n):
+    state = states_from_seeds(np.array([seed], dtype=np.uint64))[0].copy()
+    out = np.empty(n, dtype=np.uint64)
+    _kernels_py.fill_u64_serial(state, out)
+    return out, state
+
+
+def _lane_edge_sizes():
+    """Request sizes at the edges of the lane split, including whole-lane tails."""
+    sizes = {0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 301056}
+    for n0 in (CUTOFF, 5000, 26112):
+        log2_len = _kernels_py.lane_log2_len(n0)
+        lane = 1 << log2_len
+        whole = (n0 >> log2_len) << log2_len  # L * B
+        sizes |= {lane - 1, lane, lane + 1, whole - 1, whole, whole + 1,
+                  whole + lane - 1}
+    for k in range(10, 19):  # the lane length changes where n.bit_length() does
+        sizes |= {(1 << k) - 1, 1 << k}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("n", _lane_edge_sizes())
+def test_lane_fill_matches_serial_reference(n):
+    expect, expect_state = _serial(2024, n)
+    state = states_from_seeds(np.array([2024], dtype=np.uint64))[0].copy()
+    out = np.empty(n, dtype=np.uint64)
+    _kernels_py.fill_u64(state, out)
+    assert np.array_equal(out, expect)
+    assert np.array_equal(state, expect_state)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 64))
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 3 * CUTOFF))
 def test_backend_equivalence_property(seed, n):
-    state = states_from_seeds(np.array([seed], dtype=np.uint64))[0]
-    s1, s2 = state.copy(), state.copy()
-    o1 = np.empty(n, dtype=np.uint64)
-    o2 = np.empty(n, dtype=np.uint64)
-    rng_mod._kernels.fill_u64(s1, o1)
-    _kernels_py.fill_u64(s2, o2)
-    assert np.array_equal(o1, o2)
+    expect, expect_state = _serial(seed, n)
+    for kernels in {rng_mod._kernels, _kernels_py}:
+        state = states_from_seeds(np.array([seed], dtype=np.uint64))[0].copy()
+        out = np.empty(n, dtype=np.uint64)
+        kernels.fill_u64(state, out)
+        assert np.array_equal(out, expect)
+        assert np.array_equal(state, expect_state)
+
+
+@pytest.mark.parametrize("i", range(13))
+def test_jump_power_equals_serial_steps(i):
+    state = states_from_seeds(np.array([77], dtype=np.uint64))
+    power = _kernels_py.jump_powers(i + 1)[i]
+    jumped = _kernels_py.gf2_apply(power, state)[0]
+    _, stepped = _serial(77, 1 << i)
+    assert np.array_equal(jumped, stepped)
+
+
+@pytest.mark.parametrize("a,b", [(CUTOFF - 1, 5 * CUTOFF + 3), (5 * CUTOFF + 3, 7),
+                                 (3, CUTOFF), (CUTOFF, CUTOFF - 1)])
+def test_blocks_across_cutoff_continue_the_stream(monkeypatch, a, b):
+    monkeypatch.setattr(rng_mod, "_kernels", _kernels_py)
+    split = Rng(8)
+    joined = np.concatenate([split.u64_block(a), split.u64_block(b)])
+    whole = Rng(8)
+    assert np.array_equal(joined, whole.u64_block(a + b))
+    assert split.next_u64() == whole.next_u64()
+
+
+def test_threads_filling_from_cold_power_table_match_serial(monkeypatch):
+    monkeypatch.setattr(_kernels_py, "_POWERS", [])
+    seeds = [101, 202, 303, 404]  # more threads than cores
+    n = 50_000
+    expected = [_serial(seed, n)[0] for seed in seeds]
+    results = [None] * len(seeds)
+    barrier = threading.Barrier(len(seeds))
+
+    def fill(k):
+        state = states_from_seeds(np.array([seeds[k]], dtype=np.uint64))[0].copy()
+        out = np.empty(n, dtype=np.uint64)
+        barrier.wait(timeout=30)
+        _kernels_py.fill_u64(state, out)
+        results[k] = out
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(k,)) for k in range(len(seeds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert got is not None and np.array_equal(got, want)
+
+
+def _below_loop_choose(rng, n, k):
+    arr = list(range(n))
+    for i in range(k):
+        j = i + rng.below(n - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr[:k]
+
+
+def _below_loop_permutation(rng, n):
+    arr = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr
+
+
+@pytest.mark.parametrize("n,k", [(784, 392), (50, 50), (10, 0), (0, 0), (5000, 3)])
+def test_choose_matches_per_word_below_loop(n, k):
+    got, ref = Rng(21), Rng(21)
+    assert got.choose(n, k) == _below_loop_choose(ref, n, k)
+    assert got.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 5000])
+def test_permutation_and_shuffle_match_per_word_below_loop(n):
+    got, ref = Rng(22), Rng(22)
+    assert got.permutation(n).tolist() == _below_loop_permutation(ref, n)
+    assert got.next_u64() == ref.next_u64()
+    seq = list("abcdefghij")[: min(n, 10)]
+    expect = [seq[i] for i in _below_loop_permutation(Rng(23), len(seq))]
+    Rng(23).shuffle(seq)
+    assert seq == expect
