@@ -501,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1)
         if name in ("measure", "audit"):
             p.add_argument("--records", default=None, help="records.jsonl path")
         if name in ("exppp", "evidence"):

@@ -230,8 +230,10 @@ def split_train_test(ds: Dataset, n_train: int, seed: int):
 def synth_blobs(n: int, dim: int, num_classes: int, separation: float, seed: int) -> Dataset:
     """Gaussian clusters (unit noise) with minimum center distance = separation.
 
-    Raw coordinates are affinely mapped to [0, 1] by the global min/max, which
-    preserves linear separability.
+    Raw coordinates are affinely mapped to [0, 1] by the global min/max. The
+    map preserves linear separability, but the clusters need not be separable
+    in the first place: unit-noise Gaussians overlap at any finite separation,
+    so a sample can hold points that no hyperplane splits by label.
     """
     if n < num_classes:
         raise InvalidSize("need n >= num_classes")

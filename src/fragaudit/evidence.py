@@ -9,6 +9,7 @@ across workers cannot change any result.
 """
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,13 +303,10 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
     violations = sum(1 for r in evaluated if r["violation"])
     medians = {}
     for p in task.corruptions:
-        bounds = sorted(r["bound"] for r in rows
-                        if r["corruption"] == p and r["bound"] is not None)
+        bounds = [r["bound"] for r in rows
+                  if r["corruption"] == p and r["bound"] is not None]
         if bounds:
-            mid = len(bounds) // 2
-            medians[repr(float(p))] = (
-                bounds[mid] if len(bounds) % 2 else
-                0.5 * (bounds[mid - 1] + bounds[mid]))
+            medians[repr(float(p))] = statistics.median(bounds)
     return {
         "task": {k: getattr(task, k) for k in task.__dataclass_fields__},
         "rows": rows,

@@ -10,6 +10,7 @@ C by a constant cancels exactly.
 import csv
 import io
 import math
+import statistics
 from dataclasses import dataclass, field
 
 from .rng import Rng
@@ -31,71 +32,6 @@ class FragilityConfig:
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
 
-def median(values) -> float:
-    """Median with the even-length convention: mean of the two middle values."""
-    xs = sorted(values)
-    if not xs:
-        raise ValueError("median of empty list")
-    k = len(xs)
-    mid = k // 2
-    if k % 2:
-        return float(xs[mid])
-    return float(0.5 * (xs[mid - 1] + xs[mid]))
-
-
-def _scan_order(records):
-    """Indices sorted by (test error, run id): the pair-scan traversal order."""
-    return sorted(range(len(records)),
-                  key=lambda i: (records[i].test_error, records[i].run_id))
-
-
-def _scan_pairs(records, order, delta):
-    """Close-error pairs by the sorted two-index scan, in scan order."""
-    n = len(order)
-    for a in range(n):
-        i = order[a]
-        for b in range(a + 1, n):
-            j = order[b]
-            if records[j].test_error - records[i].test_error > delta:
-                break
-            yield i, j
-
-
-def close_error_pairs(records, delta):
-    """All pairs (r, s), r < s by record position, with |err_r - err_s| <= delta."""
-    order = _scan_order(records)
-    return [(min(i, j), max(i, j)) for i, j in _scan_pairs(records, order, delta)]
-
-
-def split_pairs(records, delta):
-    """(seed_pairs, inter_pairs): same-config/different-seed vs different-config.
-
-    Pairs with identical config and identical seed belong to neither class.
-    """
-    order = _scan_order(records)
-    seed_pairs, inter_pairs = [], []
-    for i, j in _scan_pairs(records, order, delta):
-        pair = (min(i, j), max(i, j))
-        if records[i].h_key() == records[j].h_key():
-            if records[i].seed != records[j].seed:
-                seed_pairs.append(pair)
-        else:
-            inter_pairs.append(pair)
-    return seed_pairs, inter_pairs
-
-
-def _log_ratio(a: float, b: float) -> float:
-    # |log a - log b| realized as log(max/min): orientation-free in floats
-    return math.log(a / b) if a >= b else math.log(b / a)
-
-
-def _subsample(items, budget, rng):
-    if budget and len(items) > budget:
-        picked = rng.choose(len(items), budget)
-        return [items[k] for k in picked]
-    return items
-
-
 def _eligible(records, measure):
     """Records carrying a positive finite value of the measure."""
     out = []
@@ -104,45 +40,6 @@ def _eligible(records, measure):
         if v is not None and v > 0 and v == v and v != float("inf"):
             out.append(r)
     return out
-
-
-def cms(records, measure, delta, pair_budget=0, rng=None):
-    """Median |log C_r - log C_s| over close-error pairs, or None if no pairs."""
-    rows = _eligible(records, measure)
-    order = _scan_order(rows)
-    spreads = [
-        _log_ratio(rows[i].measures[measure], rows[j].measures[measure])
-        for i, j in _scan_pairs(rows, order, delta)
-    ]
-    if not spreads:
-        return UNDEFINED
-    spreads = _subsample(spreads, pair_budget, rng or Rng(0))
-    return median(spreads)
-
-
-def ecms(records, measure, delta, pair_budget=0, rng_seed=None, rng_inter=None):
-    """[median(inter) - median(seed)]_+ with independent subsampling budgets.
-
-    Returns (ecms, cms_seed, cms_inter), each None when its pair set is empty.
-    """
-    rows = _eligible(records, measure)
-    order = _scan_order(rows)
-    seed_spreads, inter_spreads = [], []
-    for i, j in _scan_pairs(rows, order, delta):
-        v = _log_ratio(rows[i].measures[measure], rows[j].measures[measure])
-        if rows[i].h_key() == rows[j].h_key():
-            if rows[i].seed != rows[j].seed:
-                seed_spreads.append(v)
-        else:
-            inter_spreads.append(v)
-    cms_seed = cms_inter = value = UNDEFINED
-    if seed_spreads:
-        cms_seed = median(_subsample(seed_spreads, pair_budget, rng_seed or Rng(0)))
-    if inter_spreads:
-        cms_inter = median(_subsample(inter_spreads, pair_budget, rng_inter or Rng(1)))
-    if cms_seed is not UNDEFINED and cms_inter is not UNDEFINED:
-        value = max(0.0, cms_inter - cms_seed)
-    return value, cms_seed, cms_inter
 
 
 @dataclass
@@ -159,42 +56,56 @@ class CellScore:
 
 
 def score_group(group: str, records, measures, config: FragilityConfig) -> dict:
-    """CellScore per (measure, delta) for one group's records."""
+    """CellScore per (measure, delta) for one group's records.
+
+    Per measure, the runs with a positive finite value are put in scan order,
+    sorted by (test error, run id). One two-index scan per delta visits every
+    pair (a, b), a before b in scan order, whose test errors are within delta.
+    Each pair's spread |log C_a - log C_b| goes to the "all" list, and to the
+    "seed" list (same config, different seed) or the "inter" list (different
+    config); a pair with the same config and the same seed is in neither. With
+    a pair budget, a longer list is subsampled by position in scan order from
+    its own stream, root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}").
+    """
     root = Rng(config.subsample_seed)
+    budget = config.pair_budget
     out = {}
     for measure in measures:
-        rows = _eligible(records, measure)
-        order = _scan_order(rows)
+        rows = sorted(_eligible(records, measure),
+                      key=lambda r: (r.test_error, r.run_id))
+        n = len(rows)
+        errs = [r.test_error for r in rows]
+        vals = [r.measures[measure] for r in rows]
+        config_ids = {}
+        configs = [config_ids.setdefault(r.h_key(), len(config_ids)) for r in rows]
+        seeds = [r.seed for r in rows]
         for delta in config.deltas:
-            all_spreads, seed_spreads, inter_spreads = [], [], []
-            for i, j in _scan_pairs(rows, order, delta):
-                v = _log_ratio(rows[i].measures[measure], rows[j].measures[measure])
-                all_spreads.append(v)
-                if rows[i].h_key() == rows[j].h_key():
-                    if rows[i].seed != rows[j].seed:
-                        seed_spreads.append(v)
-                else:
-                    inter_spreads.append(v)
-            cell = CellScore(
-                n_pairs=len(all_spreads),
-                n_seed_pairs=len(seed_spreads),
-                n_inter_pairs=len(inter_spreads),
-                n_runs_used=len(rows),
-                n_runs_excluded=len(records) - len(rows),
-            )
-            streams = {
-                cls: root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}")
-                for cls in ("all", "seed", "inter")
-            }
-            if all_spreads:
-                cell.cms = median(
-                    _subsample(all_spreads, config.pair_budget, streams["all"]))
-            if seed_spreads:
-                cell.cms_seed = median(
-                    _subsample(seed_spreads, config.pair_budget, streams["seed"]))
-            if inter_spreads:
-                cell.cms_inter = median(
-                    _subsample(inter_spreads, config.pair_budget, streams["inter"]))
+            all_s, seed_s, inter_s = [], [], []
+            for a in range(n):
+                err_a, val_a, config_a, seed_a = errs[a], vals[a], configs[a], seeds[a]
+                for b in range(a + 1, n):
+                    if errs[b] - err_a > delta:
+                        break
+                    val_b = vals[b]
+                    # |log C_a - log C_b| as log(max/min): orientation-free in floats
+                    v = math.log(val_a / val_b) if val_a >= val_b else \
+                        math.log(val_b / val_a)
+                    all_s.append(v)
+                    if configs[b] != config_a:
+                        inter_s.append(v)
+                    elif seeds[b] != seed_a:
+                        seed_s.append(v)
+            cell = CellScore(n_pairs=len(all_s), n_seed_pairs=len(seed_s),
+                             n_inter_pairs=len(inter_s), n_runs_used=n,
+                             n_runs_excluded=len(records) - n)
+            for cls, field_name, spreads in (("all", "cms", all_s),
+                                             ("seed", "cms_seed", seed_s),
+                                             ("inter", "cms_inter", inter_s)):
+                if budget and len(spreads) > budget:
+                    stream = root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}")
+                    spreads = [spreads[k] for k in stream.choose(len(spreads), budget)]
+                if spreads:
+                    setattr(cell, field_name, statistics.median(spreads))
             if cell.cms_seed is not UNDEFINED and cell.cms_inter is not UNDEFINED:
                 cell.ecms = max(0.0, cell.cms_inter - cell.cms_seed)
             out[(measure, delta)] = cell
@@ -226,9 +137,9 @@ def aggregate_groups(group_scores: dict) -> dict:
         cms_vals = [c.cms for c in per_group.values() if c.cms is not UNDEFINED]
         ecms_vals = [c.ecms for c in per_group.values() if c.ecms is not UNDEFINED]
         if cms_vals:
-            agg.cms_med = median(cms_vals)
+            agg.cms_med = statistics.median(cms_vals)
         if ecms_vals:
-            agg.ecms_med = median(ecms_vals)
+            agg.ecms_med = statistics.median(ecms_vals)
         agg.cms_coverage = len(cms_vals) / total
         agg.ecms_coverage = len(ecms_vals) / total
         out[key] = agg

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLayer, MarginNotPositive, PathNormUndefined, \
-    SigmaSearchFailed
+from .errors import ConfigError, DegenerateLayer, FragAuditError, MarginNotPositive, \
+    PathNormUndefined, SigmaSearchFailed
 from .net import Checkpoint, NetSpec, flatten_params, forward_batch, margins, \
     unflatten_params
 from .rng import Rng
@@ -302,8 +302,14 @@ def pacbayes_measures(w: np.ndarray, w0: np.ndarray, n: int, sigma=None,
 
 def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = None,
                 include=()) -> MeasureSet:
-    """Attempt every measure; per-measure failures are tagged, never fatal."""
+    """Attempt every measure; per-measure failures are tagged, never fatal.
+
+    A dataset whose labels do not fit the net's outputs raises ConfigError.
+    """
     cfg = cfg or MeasureConfig()
+    if int(dataset.labels.max(initial=0)) >= spec.layer_dims[-1]:
+        raise ConfigError(f"label {int(dataset.labels.max())} does not fit the net's "
+                          f"{spec.layer_dims[-1]} outputs")
     wanted = set(include or MEASURE_NAMES)
     ms = MeasureSet()
     n = dataset.n
@@ -314,7 +320,7 @@ def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = N
                         cfg.margin_percentile, dataset.num_classes)
         gamma = stats.margin_gamma
         ms.diagnostics["margin_gamma"] = gamma
-    except Exception as exc:
+    except FragAuditError as exc:
         for name in _MARGIN_MEASURES & wanted:
             ms.errors[name] = type(exc).__name__
 

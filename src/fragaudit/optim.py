@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, subsample
-from .errors import ConfigError, IncompatibleCheckpoint, LogDomainError, \
-    NumericalDivergence, SlopeUndefined
+from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint, \
+    LogDomainError, NumericalDivergence, SlopeUndefined
 from .net import Checkpoint, NetSpec, evaluate_wb, flatten_params, init_checkpoint, \
     unflatten_params
 from .rng import Rng
@@ -275,6 +275,10 @@ def _run_loop(spec, ckpt0, start_epoch, ds_train, ds_test, H, seed, run_id,
     from . import measures as measures_mod
     from .net import backward_batch
 
+    for ds in (ds_train, ds_test):
+        if int(ds.labels.max(initial=0)) >= spec.layer_dims[-1]:
+            raise ConfigError(f"label {int(ds.labels.max())} does not fit the net's "
+                              f"{spec.layer_dims[-1]} outputs")
     trace = TrainTrace(run_id=run_id, resumed_from=parent_id)
     theta = flatten_params(spec, ckpt0.weights, ckpt0.biases)
     state = OptState.fresh(theta, H.lr_at(0))
@@ -433,7 +437,9 @@ def _sweep_one(spec, subsets, ds_test, cfg, item, seed_offset):
     )
     try:
         return train(spec, subsets[n], ds_test, H, seed + seed_offset)
-    except Exception as exc:  # individual failures must not abort the sweep
+    except ConfigError:
+        raise  # a config error fails every run alike
+    except FragAuditError as exc:  # one failed run must not abort the sweep
         rid = make_run_id(f"{cfg.dataset}/{cfg.arch}", H, seed + seed_offset)
         rec = RunRecord(
             run_id=rid, group=f"{cfg.dataset}/{cfg.arch}", dataset=cfg.dataset,
@@ -449,6 +455,9 @@ def _sweep_one(spec, subsets, ds_test, cfg, item, seed_offset):
 def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig,
           on_result=None, seed_offset: int = 0, jobs: int = 1):
     """Run the full grid; per-run failures are recorded, the sweep continues.
+
+    A run that fails with a FragAuditError becomes an "error:<name>" record.
+    ConfigError and any other exception (a bug) propagate and end the sweep.
 
     Runs share no mutable state, so jobs > 1 executes them concurrently;
     results are returned sorted by run id either way, so reruns are

@@ -20,7 +20,7 @@ from fragaudit.evidence import BoundInput, EvidenceTask, bound_vs_error_experime
     ml_pacbayes_bound
 from fragaudit.exppp import ExpPPParams, derive, inflation_demo, schedule, \
     verify_equivalence
-from fragaudit.fragility import FragilityConfig, cms, ecms, score_group
+from fragaudit.fragility import FragilityConfig, score_group
 from fragaudit.measures import MeasureConfig, compute_all, frobenius_measures, \
     inverse_margin, pacbayes_measures, path_norm, spectral_norm, vc_params_proxy
 from fragaudit.net import NetSpec, backward_batch, flatten_params, init_checkpoint, \
@@ -154,7 +154,9 @@ def _brute_force(records, delta):
     cs = statistics.median(seed_spreads) if seed_spreads else None
     ci = statistics.median(inter_spreads) if inter_spreads else None
     e = max(0.0, ci - cs) if (cs is not None and ci is not None) else None
-    return c, e
+    return {"cms": c, "cms_seed": cs, "cms_inter": ci, "ecms": e,
+            "n_pairs": len(spreads), "n_seed_pairs": len(seed_spreads),
+            "n_inter_pairs": len(inter_spreads), "n_runs_used": len(rows)}
 
 
 def test_criterion_05_cms_oracle_equivalence():
@@ -170,10 +172,10 @@ def test_criterion_05_cms_oracle_equivalence():
                                           math.exp(2 * rng.gaussian()), h,
                                           rng.below(4)))
             delta = (0.01, 0.02, 0.05)[trial % 3]
-            c_ref, e_ref = _brute_force(records, delta)
-            assert cms(records, "M", delta) == c_ref
-            value, _, _ = ecms(records, "M", delta)
-            assert value == e_ref
+            want = _brute_force(records, delta)
+            got = score_group("g", records, ("M",),
+                              FragilityConfig(deltas=(delta,), pair_budget=0))
+            assert {k: getattr(got[("M", delta)], k) for k in want} == want
         # budgeted run: byte-reproducible across calls
         rng = Rng(4242)
         records = [_mk_record(i, round(rng.uniform() * 0.05, 3),

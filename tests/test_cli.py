@@ -324,3 +324,33 @@ def test_sweep_jobs_flag_matches_sequential(tmp_path):
                  "--out", str(tmp_path / "out_par")]) == 0
     par = (tmp_path / "out_par" / "records.jsonl").read_bytes()
     assert seq == par
+
+
+def test_jobs_flag_only_on_sweep(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["sweep"] = {"lrs": [0.1], "optimizers": ["sgdm"],
+                    "stop_rules": [["max_epochs", 0.01]], "seeds": [0, 1],
+                    "max_epochs": 3}
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp, "--jobs", "2"]) == 0
+    assert len(read_jsonl(tmp_path / "out" / "records.jsonl")) == 2
+    for cmd in ("train", "measure", "audit", "evidence"):
+        argv = [cmd, "--config", cp, "--jobs", "2"]
+        if cmd == "evidence":
+            argv += ["--mode", "bound"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_sweep_labels_wider_than_net_outputs_exit_2(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["net"]["layer_dims"] = [2, 4, 2]
+    cfg["data"]["source"]["num_classes"] = 3
+    cfg["sweep"]["max_epochs"] = 3
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert not (tmp_path / "out" / "records.jsonl").exists()

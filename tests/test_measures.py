@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fragaudit.data import split_train_test, synth_blobs
-from fragaudit.errors import DegenerateLayer, MarginNotPositive, PathNormUndefined, \
-    SigmaSearchFailed
+from fragaudit.errors import ConfigError, DegenerateLayer, MarginNotPositive, \
+    NormalizationSingularity, PathNormUndefined, SigmaSearchFailed
 from fragaudit.measures import MEASURE_NAMES, MeasureConfig, compute_all, \
     compute_selected, frobenius_measures, inverse_margin, measure_layers, \
     pacbayes_measures, path_norm, sigma_search, spectral_measures, spectral_norm, \
@@ -395,3 +395,38 @@ def test_compute_selected_returns_none_for_failures():
                            MeasureConfig(seed=30))
     assert out["PARAM_NORM"] is not None
     assert out["FRO_DIST"] is None  # at initialization: zero-tagged
+
+
+def test_compute_all_rejects_labels_wider_than_net_outputs():
+    ds = synth_blobs(30, 2, 3, 6.0, 5)
+    spec = NetSpec((2, 4, 2))
+    with pytest.raises(ConfigError, match="does not fit"):
+        compute_all(spec, random_ckpt(spec), ds, MeasureConfig(sigma_mc_draws=2))
+
+
+def test_compute_all_tags_toolkit_margin_errors(monkeypatch):
+    from fragaudit import measures
+
+    def singular(*args, **kwargs):
+        raise NormalizationSingularity("injected")
+
+    monkeypatch.setattr(measures, "margins", singular)
+    ds = synth_blobs(30, 2, 2, 6.0, 5)
+    spec = NetSpec((2, 4, 2))
+    ms = compute_all(spec, random_ckpt(spec), ds, MeasureConfig(sigma_mc_draws=2),
+                     include=("INVERSE_MARGIN", "PARAM_NORM"))
+    assert ms.errors == {"INVERSE_MARGIN": "NormalizationSingularity"}
+    assert "PARAM_NORM" in ms.values
+
+
+def test_compute_all_propagates_margin_programming_errors(monkeypatch):
+    from fragaudit import measures
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(measures, "margins", broken)
+    ds = synth_blobs(30, 2, 2, 6.0, 5)
+    spec = NetSpec((2, 4, 2))
+    with pytest.raises(TypeError, match="injected bug"):
+        compute_all(spec, random_ckpt(spec), ds, MeasureConfig(sigma_mc_draws=2))

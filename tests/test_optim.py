@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from fragaudit.data import synth_blobs
-from fragaudit.errors import IncompatibleCheckpoint, LogDomainError, SlopeUndefined
+from fragaudit import optim
+from fragaudit.data import split_train_test, synth_blobs
+from fragaudit.errors import ConfigError, IncompatibleCheckpoint, LogDomainError, \
+    NormalizationSingularity, SlopeUndefined
 from fragaudit.net import NetSpec
 from fragaudit.optim import Hyperparams, OptState, SweepConfig, TrainTrace, adam_step, \
     detect_T_int, post_interp_slope, resume, sgdm_step, sweep, train
@@ -274,3 +276,43 @@ def test_sweep_full_protocol_grid_shape():
     results = sweep(spec, tr, te, cfg)
     assert len(results) == 224
     assert len({r.record.run_id for r in results}) == 224
+
+
+def _tiny_sweep_config():
+    return SweepConfig(lrs=(0.05,), seeds=(0, 1), max_epochs=2,
+                       stop_rules=(("max_epochs", 0.01),),
+                       dataset="blobs", arch="fcn")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_propagates_programming_errors(monkeypatch, jobs):
+    tr, te = _blob_task(n=16)
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(optim, "train", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        sweep(NetSpec((2, 4, 2)), tr, te, _tiny_sweep_config(), jobs=jobs)
+
+
+def test_sweep_records_toolkit_errors_per_run(monkeypatch):
+    tr, te = _blob_task(n=16)
+
+    def singular(*args, **kwargs):
+        raise NormalizationSingularity("injected")
+
+    monkeypatch.setattr(optim, "train", singular)
+    results = sweep(NetSpec((2, 4, 2)), tr, te, _tiny_sweep_config())
+    assert [r.record.status for r in results] == ["error:NormalizationSingularity"] * 2
+    assert all(r.checkpoint is None for r in results)
+
+
+def test_labels_wider_than_net_outputs_raise_config_error():
+    tr, te = split_train_test(synth_blobs(96, 2, 3, 6.0, 5), 48, 6)
+    spec = NetSpec((2, 4, 2))
+    H = Hyperparams(max_epochs=2, stop_rule="max_epochs")
+    with pytest.raises(ConfigError, match="does not fit"):
+        train(spec, tr, te, H, seed=0)
+    with pytest.raises(ConfigError, match="does not fit"):
+        sweep(spec, tr, te, _tiny_sweep_config())

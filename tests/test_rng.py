@@ -36,26 +36,28 @@ def test_block_splitting_matches_single_calls():
 
 
 def test_backends_agree_single_stream():
+    # the active backend (compiled if built) against the per-word reference loop
     state = states_from_seeds(np.array([123456789], dtype=np.uint64))[0].copy()
-    state_py = state.copy()
+    state_ref = state.copy()
     out = np.empty(257, dtype=np.uint64)
-    out_py = np.empty(257, dtype=np.uint64)
+    out_ref = np.empty(257, dtype=np.uint64)
     rng_mod._kernels.fill_u64(state, out)
-    _kernels_py.fill_u64(state_py, out_py)
-    assert np.array_equal(out, out_py)
-    assert np.array_equal(state, state_py)
+    _kernels_py.fill_u64_serial(state_ref, out_ref)
+    assert np.array_equal(out, out_ref)
+    assert np.array_equal(state, state_ref)
 
 
 def test_backends_agree_multi_stream():
-    seeds = child_seeds(99, 0, 33)
-    states = states_from_seeds(seeds)
-    states_py = states.copy()
+    # each row of the lockstep fill is the serial stream from that row's state
+    states = states_from_seeds(child_seeds(99, 0, 33))
+    states_ref = states.copy()
     out = np.empty((33, 17), dtype=np.uint64)
-    out_py = np.empty((33, 17), dtype=np.uint64)
     rng_mod._kernels.fill_u64_multi(states, out)
-    _kernels_py.fill_u64_multi(states_py, out_py)
-    assert np.array_equal(out, out_py)
-    assert np.array_equal(states, states_py)
+    for k in range(33):
+        row = np.empty(17, dtype=np.uint64)
+        _kernels_py.fill_u64_serial(states_ref[k], row)
+        assert np.array_equal(out[k], row)
+    assert np.array_equal(states, states_ref)
 
 
 def test_multi_stream_rows_match_scalar_streams():
