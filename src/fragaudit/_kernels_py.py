@@ -88,25 +88,29 @@ def fill_u64_serial(state, out):
 def fill_u64_multi(states, out):
     """Advance K parallel streams in lockstep; out has shape (K, m).
 
-    states: uint64 array of shape (K, 4), mutated in place.
+    states: uint64 array of shape (K, 4), mutated in place. Each step runs in
+    place on the four state columns and two scratch arrays.
     """
-    s0 = states[:, 0].copy()
-    s1 = states[:, 1].copy()
-    s2 = states[:, 2].copy()
-    s3 = states[:, 3].copy()
-    five = np.uint64(5)
-    nine = np.uint64(9)
+    s0, s1, s2, s3 = (states[:, j].copy() for j in range(4))
+    r = np.empty_like(s0)
+    t = np.empty_like(s0)
+    five, nine = np.uint64(5), np.uint64(9)
+    u7, u17, u19, u45, u57 = (np.uint64(k) for k in (7, 17, 19, 45, 57))
     for j in range(out.shape[1]):
-        r = s1 * five
-        r = ((r << np.uint64(7)) | (r >> np.uint64(57))) * nine
-        out[:, j] = r
-        t = s1 << np.uint64(17)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+        np.multiply(s1, five, out=r)
+        np.left_shift(r, u7, out=t)
+        np.right_shift(r, u57, out=r)
+        np.bitwise_or(r, t, out=r)
+        np.multiply(r, nine, out=out[:, j])
+        np.left_shift(s1, u17, out=t)
+        np.bitwise_xor(s2, s0, out=s2)
+        np.bitwise_xor(s3, s1, out=s3)
+        np.bitwise_xor(s1, s2, out=s1)
+        np.bitwise_xor(s0, s3, out=s0)
+        np.bitwise_xor(s2, t, out=s2)
+        np.left_shift(s3, u45, out=r)
+        np.right_shift(s3, u19, out=s3)
+        np.bitwise_or(s3, r, out=s3)
     states[:, 0] = s0
     states[:, 1] = s1
     states[:, 2] = s2

@@ -17,7 +17,7 @@ from . import evidence as ev
 from . import exppp as xp
 from . import fragility as frag
 from . import persist
-from .errors import ConfigError, FragAuditError
+from .errors import AllRunsFailed, ConfigError, FragAuditError
 from .measures import MEASURE_NAMES, MeasureConfig, compute_all
 from .net import NetSpec, load_checkpoint, save_checkpoint
 from .optim import Hyperparams, RunRecord, SweepConfig, make_run_id, post_interp_slope, \
@@ -196,6 +196,8 @@ def cmd_sweep(cfg, out, args):
                     seed_offset=args.seed_offset, jobs=args.jobs)
     _write_records(out, [r.record.to_dict() for r in results], cfg_hash)
     print(f"sweep complete: {len(results)} records -> {out / 'records.jsonl'}")
+    if results and all(r.record.status.startswith("error:") for r in results):
+        raise AllRunsFailed(len(results))
     return 0
 
 

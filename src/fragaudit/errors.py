@@ -94,3 +94,14 @@ class ZeroHits(FragAuditError):
 
 class RejectionExhausted(FragAuditError):
     pass
+
+
+class AllRunsFailed(FragAuditError):
+    """Every run of a sweep ended with a toolkit error."""
+
+    def __init__(self, count):
+        super().__init__(f"all {count} runs failed with a toolkit error")
+        self.count = count
+
+    def payload(self) -> dict:
+        return dict(super().payload(), count=self.count)

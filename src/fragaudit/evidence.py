@@ -9,7 +9,6 @@ across workers cannot change any result.
 """
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .data import Dataset, corrupt_labels, split_train_test, synth_blobs
 from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhausted, \
     ZeroHits
-from .net import Checkpoint, NetSpec, init_checkpoint
+from .fragility import median
+from .net import Checkpoint, NetSpec, forward_batch, init_checkpoint
 from .rng import Rng, child_seeds, gaussian_matrix, states_from_seeds
 from . import rng as _rng_mod
 
@@ -96,24 +96,17 @@ def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
     sizes, stds, shapes = _layer_plan(spec, prior)
     K = len(seeds)
     states = states_from_seeds(seeds)
-    A = None
-    for li, (size, std, shape) in enumerate(zip(sizes, stds, shapes)):
+    weights = []
+    for size, std, shape in zip(sizes, stds, shapes):
         cols = 2 * ((size + 1) // 2)
         u = np.empty((K, cols), dtype=np.uint64)
         _rng_mod._kernels.fill_u64_multi(states, u)
-        W = (_rng_mod._box_muller(u)[:, :size] * std).reshape((K,) + shape)
-        if A is None:
-            Z = np.einsum("nd,kod->kno", X, W)
-        else:
-            Z = np.einsum("knh,koh->kno", A, W)
-        is_hidden = li < spec.num_layers - 1 or spec.frozen_readout
-        if is_hidden:
-            A = np.maximum(Z, 0.0) if spec.activation == "relu" else Z
+        weights.append((_rng_mod._box_muller(u)[:, :size] * std).reshape((K,) + shape))
     if spec.frozen_readout:
         if fixed_readout is None:
             raise ConfigError("frozen readout weights required")
-        Z = np.einsum("knh,oh->kno", A, fixed_readout)
-    return Z.argmax(axis=2)
+        weights.append(fixed_readout)
+    return forward_batch(spec, weights, [], X).argmax(axis=2)
 
 
 def draw_checkpoint(spec: NetSpec, seed: int, index: int,
@@ -290,8 +283,6 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
                 row["status"] = "rejection_exhausted"
                 rows.append(row)
                 continue
-            from .net import forward_batch
-
             preds = forward_batch(spec, ck.weights, ck.biases,
                                   heldout.features).argmax(axis=1)
             err = float((preds != heldout.labels).mean())
@@ -306,7 +297,7 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
         bounds = [r["bound"] for r in rows
                   if r["corruption"] == p and r["bound"] is not None]
         if bounds:
-            medians[repr(float(p))] = statistics.median(bounds)
+            medians[repr(float(p))] = median(bounds)
     return {
         "task": {k: getattr(task, k) for k in task.__dataclass_fields__},
         "rows": rows,

@@ -10,12 +10,22 @@ C by a constant cancels exactly.
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass, field
 
 from .rng import Rng
 
 UNDEFINED = None  # rendered as "Undefined" in reports
+
+
+def median(values):
+    """Middle of the sorted values, or the mean of the middle two for even counts.
+
+    The same convention and bits as statistics.median, without importing it:
+    that module pulls in decimal and fractions, about 0.5 MiB per process.
+    """
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ def score_group(group: str, records, measures, config: FragilityConfig) -> dict:
                     stream = root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}")
                     spreads = [spreads[k] for k in stream.choose(len(spreads), budget)]
                 if spreads:
-                    setattr(cell, field_name, statistics.median(spreads))
+                    setattr(cell, field_name, median(spreads))
             if cell.cms_seed is not UNDEFINED and cell.cms_inter is not UNDEFINED:
                 cell.ecms = max(0.0, cell.cms_inter - cell.cms_seed)
             out[(measure, delta)] = cell
@@ -137,9 +147,9 @@ def aggregate_groups(group_scores: dict) -> dict:
         cms_vals = [c.cms for c in per_group.values() if c.cms is not UNDEFINED]
         ecms_vals = [c.ecms for c in per_group.values() if c.ecms is not UNDEFINED]
         if cms_vals:
-            agg.cms_med = statistics.median(cms_vals)
+            agg.cms_med = median(cms_vals)
         if ecms_vals:
-            agg.ecms_med = statistics.median(ecms_vals)
+            agg.ecms_med = median(ecms_vals)
         agg.cms_coverage = len(cms_vals) / total
         agg.ecms_coverage = len(ecms_vals) / total
         out[key] = agg

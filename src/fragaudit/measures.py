@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateLayer, FragAuditError, MarginNotPositive, \
     PathNormUndefined, SigmaSearchFailed
 from .net import Checkpoint, NetSpec, flatten_params, forward_batch, margins, \
-    unflatten_params
+    param_views
 from .rng import Rng
 
 MEASURE_NAMES = (
@@ -226,33 +226,32 @@ def vc_params_proxy(spec: NetSpec, n: int) -> float:
     return float(np.sqrt(total / n))
 
 
-def _perturbed_accuracy(spec, ckpt, X, y, w, noise):
-    ck = unflatten_params(spec, w + noise, ckpt)
-    logits = forward_batch(spec, ck.weights, ck.biases, X)
-    return float((logits.argmax(axis=1) == y).mean())
-
-
 def sigma_search(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig,
                  magnitude_aware: bool = False) -> SigmaSearchResult:
     """Largest radius whose mean train-accuracy drop stays within the target.
 
     Plain mode perturbs w with N(0, sigma^2 I); the magnitude-aware mode scales
     coordinate i by sigma0*(|w_i| + kappa). The same noise draws are reused at
-    every radius, so the search is deterministic given the seed.
+    every radius, so the search is deterministic given the seed. Each radius
+    runs every draw's perturbed net in one stacked forward.
     """
     X, y = dataset.features, dataset.labels
     w = flatten_params(spec, ckpt.weights, ckpt.biases)
     logits = forward_batch(spec, ckpt.weights, ckpt.biases, X)
     acc0 = float((logits.argmax(axis=1) == y).mean())
     stream = Rng(cfg.seed).spawn_key("sigma-mag" if magnitude_aware else "sigma")
-    draws = [stream.spawn_index(d).gaussians(w.size) for d in range(cfg.sigma_mc_draws)]
+    draws = np.empty((cfg.sigma_mc_draws, w.size))
+    for d in range(cfg.sigma_mc_draws):
+        draws[d] = stream.spawn_index(d).gaussians(w.size)
     scale = (np.abs(w) + cfg.kappa) if magnitude_aware else 1.0
+    perturbed = np.empty_like(draws)
 
     def drop(radius: float) -> float:
-        accs = [
-            _perturbed_accuracy(spec, ckpt, X, y, w, radius * scale * xi)
-            for xi in draws
-        ]
+        np.multiply(radius * scale, draws, out=perturbed)
+        np.add(perturbed, w, out=perturbed)
+        weights, biases = param_views(spec, perturbed, ckpt)
+        logits = forward_batch(spec, weights, biases, X)
+        accs = (logits.argmax(axis=-1) == y).mean(axis=-1)
         return acc0 - float(np.mean(accs))
 
     target = cfg.sigma_target_dev

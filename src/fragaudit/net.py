@@ -7,6 +7,7 @@ weights; that mode requires a frozen readout and no biases.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,28 +120,35 @@ def init_checkpoint(spec: NetSpec, rng, meta=None, std_scale: float = 1.0) -> Ch
     )
 
 
-def _affine(spec: NetSpec, W, b, A):
-    Z = A @ W.T
+def _affine(W, b, A):
+    Z = A @ W.swapaxes(-1, -2)
     if b is not None:
-        Z = Z + b
+        Z = Z + b[..., None, :]
     return Z
 
 
 def forward_batch(spec: NetSpec, weights, biases, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch X (n, d0). Raises NormalizationSingularity on zero norm."""
+    """Logits for a batch X (n, d0). Raises NormalizationSingularity on zero norm.
+
+    Each layer is either shared, W (out, in) and b (out,), or stacked over K
+    nets, W (K, out, in) and b (K, out); the two kinds mix freely. With only
+    shared layers the logits are (n, out); with any stacked layer they are
+    (K, n, out), and slice k equals the logits of the net made of slice k of
+    every stacked layer.
+    """
     A = X
     for i in range(spec.num_layers):
-        b = biases[i] if biases else None
-        Z = _affine(spec, weights[i], b, A)
+        Z = _affine(weights[i], biases[i] if biases else None, A)
         if i < spec.num_layers - 1:
             if spec.normalize_hidden:
-                r = np.linalg.norm(Z, axis=1, keepdims=True)
+                r = np.linalg.norm(Z, axis=-1, keepdims=True)
                 if np.any(r == 0.0):
                     raise NormalizationSingularity(
                         f"zero pre-activation norm at hidden layer {i}"
                     )
                 Z = Z / r
-            A = np.maximum(Z, 0.0) if spec.activation == "relu" else Z
+            # Z is always a fresh array here, so ReLU may overwrite it
+            A = np.maximum(Z, 0.0, out=Z) if spec.activation == "relu" else Z
         else:
             A = Z
     return A
@@ -174,8 +182,7 @@ def backward_batch(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray)
     norm_cache = []  # (normalized preact, row norms) per hidden layer
     A = X
     for i in range(spec.num_layers):
-        b = biases[i] if biases else None
-        Z = _affine(spec, weights[i], b, A)
+        Z = _affine(weights[i], biases[i] if biases else None, A)
         if i < spec.num_layers - 1:
             if spec.normalize_hidden:
                 r = np.linalg.norm(Z, axis=1, keepdims=True)
@@ -230,26 +237,38 @@ def flatten_params(spec: NetSpec, weights, biases) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def param_views(spec: NetSpec, flat: np.ndarray, template: Checkpoint):
+    """(weights, biases) with the trainable layers read from flat, as views.
+
+    flat is one parameter vector (P,) in flatten_params order, or a stack of
+    them (K, P); its layers come out shared, (out, in) and (out,), or stacked,
+    (K, out, in) and (K, out), ready for forward_batch. Non-trainable layers
+    are the template's own arrays. This is the one place the flat layout is
+    sliced.
+    """
+    dims = spec.layer_dims
+    lead = flat.shape[:-1]
+    weights, biases = list(template.weights), list(template.biases)
+    slots = [(weights, i, (dims[i + 1], dims[i])) for i in spec.trainable_layers]
+    if biases:
+        slots += [(biases, i, (dims[i + 1],)) for i in spec.trainable_layers]
+    if sum(math.prod(shape) for _, _, shape in slots) != flat.shape[-1]:
+        raise ConfigError("flat vector length does not match spec")
+    pos = 0
+    for layers, i, shape in slots:
+        size = math.prod(shape)
+        layers[i] = flat[..., pos : pos + size].reshape(lead + shape)
+        pos += size
+    return weights, biases
+
+
 def unflatten_params(spec: NetSpec, flat: np.ndarray, template: Checkpoint) -> Checkpoint:
     """Inverse of flatten_params; non-trainable layers are copied from template."""
-    weights = [w.copy() for w in template.weights]
-    biases = [b.copy() for b in template.biases]
-    pos = 0
-    for i in spec.trainable_layers:
-        size = weights[i].size
-        weights[i] = flat[pos : pos + size].reshape(weights[i].shape).copy()
-        pos += size
-    if biases:
-        for i in spec.trainable_layers:
-            size = biases[i].size
-            biases[i] = flat[pos : pos + size].copy()
-            pos += size
-    if pos != flat.size:
-        raise ConfigError("flat vector length does not match spec")
+    weights, biases = param_views(spec, flat, template)
     return Checkpoint(
-        weights=weights,
+        weights=[w.copy() for w in weights],
         init_weights=[w.copy() for w in template.init_weights],
-        biases=biases,
+        biases=[b.copy() for b in biases],
         init_biases=[b.copy() for b in template.init_biases],
         meta=dict(template.meta),
     )

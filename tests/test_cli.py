@@ -354,3 +354,41 @@ def test_sweep_labels_wider_than_net_outputs_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def _train_failing_for(monkeypatch, failing_seeds):
+    """Make optim.train raise a toolkit error for runs whose seed is listed."""
+    import fragaudit.optim as optim
+    from fragaudit.errors import NumericalDivergence
+
+    real_train = optim.train
+
+    def train(spec, ds, ds_test, H, seed, **kw):
+        if seed in failing_seeds:
+            raise NumericalDivergence("injected", step=0)
+        return real_train(spec, ds, ds_test, H, seed, **kw)
+
+    monkeypatch.setattr(optim, "train", train)
+
+
+def test_sweep_all_runs_failed_exits_1(tmp_path, capsys, monkeypatch):
+    _train_failing_for(monkeypatch, {0, 1, 2})
+    cfg = base_config(tmp_path)
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "AllRunsFailed" and err["count"] == 6
+    records = read_jsonl(tmp_path / "out" / "records.jsonl")
+    assert [r["status"] for r in records] == ["error:NumericalDivergence"] * 6
+
+
+def test_sweep_with_one_surviving_run_exits_0(tmp_path, capsys, monkeypatch):
+    _train_failing_for(monkeypatch, {1, 2})
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["max_epochs"] = 20
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    assert capsys.readouterr().err == ""
+    statuses = [r["status"] for r in read_jsonl(tmp_path / "out" / "records.jsonl")]
+    assert statuses.count("error:NumericalDivergence") == 4
+    assert len(statuses) == 6

@@ -117,15 +117,20 @@ def test_zero_hits_surfaces_rule_of_three():
 
 
 def test_vectorized_draws_match_scalar_checkpoints():
-    ds = synth_blobs(6, 2, 2, 4.0, seed=10)
-    spec = NetSpec((2, 5, 2))
+    # every draw of a shard against its materialized checkpoint
     seed = 11
-    seeds = child_seeds(seed, 0, 16)
-    preds = prior_predictions(spec, ds.features, seeds)
-    for k in (0, 3, 15):
-        ck = draw_checkpoint(spec, seed, k)
-        direct = forward_batch(spec, ck.weights, ck.biases, ds.features).argmax(axis=1)
-        assert np.array_equal(direct, preds[k])
+    seeds = child_seeds(seed, 0, 256)
+    for spec, dim in [(NetSpec((2, 5, 2)), 2), (NetSpec((3, 6, 2)), 3),
+                      (NetSpec((2, 5, 4, 2), frozen_readout=True), 2)]:
+        ds = synth_blobs(16, dim, 2, 4.0, seed=10)
+        ro = Rng(12).gaussians(8).reshape(2, 4) if spec.frozen_readout else None
+        preds = prior_predictions(spec, ds.features, seeds, fixed_readout=ro)
+        assert preds.shape == (256, 16)
+        for k in range(256):
+            ck = draw_checkpoint(spec, seed, k, fixed_readout=ro)
+            direct = forward_batch(spec, ck.weights, ck.biases,
+                                   ds.features).argmax(axis=1)
+            assert np.array_equal(direct, preds[k]), (spec.layer_dims, k)
 
 
 def test_gibbs_sample_is_consistent():

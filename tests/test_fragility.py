@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragaudit.fragility import FragilityConfig, aggregate_groups, emit_table_csv, \
-    emit_table_text, score_group, score_records
+    emit_table_text, median, score_group, score_records
 from fragaudit.optim import RunRecord
 from fragaudit.rng import Rng
 
@@ -339,3 +339,11 @@ def test_scan_matches_brute_force_pairs(errors, delta):
     records = [rec(i, e, 2.0 ** i, h=("sgdm", (0.1, 0.01)[i % 2]), seed=i // 4)
                for i, e in enumerate(errors)]
     assert _fields(cell(records, delta)) == _brute_force(records, "M", delta)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=1, max_size=40))
+def test_median_equals_statistics_median(values):
+    got, want = median(values), statistics.median(values)
+    assert repr(got) == repr(want)
+    assert median(list(range(len(values)))) == statistics.median(range(len(values)))

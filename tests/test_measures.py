@@ -10,7 +10,8 @@ from fragaudit.measures import MEASURE_NAMES, MeasureConfig, compute_all, \
     compute_selected, frobenius_measures, inverse_margin, measure_layers, \
     pacbayes_measures, path_norm, sigma_search, spectral_measures, spectral_norm, \
     vc_params_proxy
-from fragaudit.net import Checkpoint, NetSpec, init_checkpoint, scale_checkpoint
+from fragaudit.net import Checkpoint, NetSpec, flatten_params, forward_batch, \
+    init_checkpoint, scale_checkpoint, unflatten_params
 from fragaudit.optim import Hyperparams, train
 from fragaudit.rng import Rng
 
@@ -285,6 +286,42 @@ def _trained_net(seed=41):
     return spec, res.checkpoint, tr
 
 
+def _scalar_drop(spec, ck, ds, cfg, radius, magnitude_aware=False):
+    """Per-draw oracle: one unflattened net and one forward per MC draw."""
+    X, y = ds.features, ds.labels
+    w = flatten_params(spec, ck.weights, ck.biases)
+    acc0 = float((forward_batch(spec, ck.weights, ck.biases, X)
+                  .argmax(axis=1) == y).mean())
+    stream = Rng(cfg.seed).spawn_key("sigma-mag" if magnitude_aware else "sigma")
+    scale = (np.abs(w) + cfg.kappa) if magnitude_aware else 1.0
+    accs = []
+    for d in range(cfg.sigma_mc_draws):
+        xi = stream.spawn_index(d).gaussians(w.size)
+        c = unflatten_params(spec, w + radius * scale * xi, ck)
+        logits = forward_batch(spec, c.weights, c.biases, X)
+        accs.append(float((logits.argmax(axis=1) == y).mean()))
+    return acc0 - float(np.mean(accs))
+
+
+def _scale_invariant_net():
+    spec = NetSpec((2, 6, 5, 3), normalize_hidden=True, frozen_readout=True)
+    ds = synth_blobs(48, 2, 3, 4.0, seed=61)
+    return spec, random_ckpt(spec, seed=62), ds
+
+
+@pytest.mark.parametrize("net", ["bias", "scale_invariant"])
+@pytest.mark.parametrize("magnitude_aware", [False, True])
+def test_sigma_search_drop_matches_per_draw_loop(net, magnitude_aware):
+    # a target of 1.0 accepts sigma_hi at once, so final_drop is the drop there
+    spec, ck, ds = _trained_net() if net == "bias" else _scale_invariant_net()
+    for radius in (1e-4, 3e-3, 0.05, 0.4, 2.0, 10.0):
+        cfg = MeasureConfig(seed=7, sigma_hi=radius, sigma_target_dev=1.0)
+        res = sigma_search(spec, ck, ds, cfg, magnitude_aware=magnitude_aware)
+        assert res.sigma == radius and res.iterations == 0
+        assert res.final_drop == _scalar_drop(spec, ck, ds, cfg, radius,
+                                              magnitude_aware), radius
+
+
 def test_sigma_search_deterministic():
     spec, ck, tr = _trained_net()
     cfg = MeasureConfig(seed=7)
@@ -303,20 +340,8 @@ def test_sigma_search_brackets_target_with_grid_oracle():
         assert abs(res.final_drop - cfg.sigma_target_dev) <= 0.2 * cfg.sigma_target_dev
     # grid-scan oracle: measured drop is non-decreasing in sigma up to MC noise,
     # and the search lands in the feasible region the oracle sees
-    from fragaudit.measures import _perturbed_accuracy
-    from fragaudit.net import flatten_params, forward_batch
-
-    w = flatten_params(spec, ck.weights, ck.biases)
-    acc0 = float((forward_batch(spec, ck.weights, ck.biases, tr.features)
-                  .argmax(axis=1) == tr.labels).mean())
-    stream = Rng(cfg.seed).spawn_key("sigma")
-    draws = [stream.spawn_index(d).gaussians(w.size) for d in range(cfg.sigma_mc_draws)]
     grid = np.geomspace(1e-4, 10.0, 12)
-    drops = []
-    for s in grid:
-        accs = [_perturbed_accuracy(spec, ck, tr.features, tr.labels, w, s * xi)
-                for xi in draws]
-        drops.append(acc0 - float(np.mean(accs)))
+    drops = [_scalar_drop(spec, ck, tr, cfg, s) for s in grid]
     for lo, hi in zip(drops, drops[1:]):
         assert hi >= lo - 0.05
     feasible = [s for s, d in zip(grid, drops) if d <= cfg.sigma_target_dev]

@@ -7,7 +7,7 @@ from fragaudit.errors import ConfigError, FormatError, InvalidDataset, \
     NormalizationSingularity
 from fragaudit.net import Checkpoint, NetSpec, backward_batch, evaluate, \
     flatten_params, forward, forward_batch, init_checkpoint, load_checkpoint, \
-    margins, save_checkpoint, scale_checkpoint, unflatten_params
+    margins, param_views, save_checkpoint, scale_checkpoint, unflatten_params
 from fragaudit.rng import Rng
 
 
@@ -69,6 +69,83 @@ def test_normalization_singularity_is_an_error():
     x = np.array([1.0, -1.0])  # first-layer preactivation is exactly zero
     with pytest.raises(NormalizationSingularity):
         forward(spec, ck, x)
+
+
+def _per_slice_logits(spec, weights, biases, X, K):
+    """Oracle: one forward_batch per stack slice, shared layers reused as-is."""
+    def pick(a, k, stacked_ndim):
+        return a[k] if a.ndim == stacked_ndim else a
+    return np.stack([
+        forward_batch(spec, [pick(W, k, 3) for W in weights],
+                      [pick(b, k, 2) for b in biases], X)
+        for k in range(K)])
+
+
+# The three perfbench workload nets; the scale-invariant one on fewer images.
+STACK_NETS = [
+    (NetSpec((8, 16, 2), bias_enabled=True), 40),
+    (scale_invariant_spec((784, 32, 32, 10)), 24),
+    (NetSpec((3, 6, 2)), 16),
+]
+
+
+@pytest.mark.parametrize("spec,n", STACK_NETS)
+def test_stacked_forward_equals_per_slice_bit_for_bit(spec, n):
+    K = 6
+    gen = np.random.default_rng(spec.layer_dims[0])
+    X = gen.standard_normal((n, spec.layer_dims[0]))
+    L = spec.num_layers
+    # every mix of shared and stacked layers, the all-shared one excepted
+    for mask in range(1, 1 << L):
+        weights, biases = [], []
+        for i in range(L):
+            lead = (K,) if mask >> i & 1 else ()
+            shape = (spec.layer_dims[i + 1], spec.layer_dims[i])
+            weights.append(gen.standard_normal(lead + shape))
+            if spec.bias_enabled:
+                biases.append(gen.standard_normal(lead + shape[:1]))
+        got = forward_batch(spec, weights, biases, X)
+        assert got.shape == (K, n, spec.layer_dims[-1])
+        assert np.array_equal(got, _per_slice_logits(spec, weights, biases, X, K))
+
+
+def test_stacked_forward_mixes_shared_weights_with_stacked_biases():
+    spec, K = NetSpec((8, 16, 2), bias_enabled=True), 4
+    gen = np.random.default_rng(3)
+    X = gen.standard_normal((10, 8))
+    weights = [gen.standard_normal((16, 8)), gen.standard_normal((2, 16))]
+    biases = [gen.standard_normal((K, 16)), gen.standard_normal(2)]
+    got = forward_batch(spec, weights, biases, X)
+    assert np.array_equal(got, _per_slice_logits(spec, weights, biases, X, K))
+
+
+def test_stacked_normalization_singularity_in_one_slice():
+    spec = scale_invariant_spec((3, 4, 2))
+    gen = np.random.default_rng(8)
+    X = gen.standard_normal((5, 3))
+    X[2] = [1.0, 0.0, 0.0]
+    W0 = gen.standard_normal((6, 4, 3))
+    readout = gen.standard_normal((2, 4))
+    forward_batch(spec, [W0, readout], [], X)  # no zero norm yet
+    W0[4][:, 0] = 0.0  # slice 4 maps example 2 to the zero pre-activation
+    with pytest.raises(NormalizationSingularity):
+        forward_batch(spec, [W0, readout], [], X)
+
+
+def test_param_views_slices_stacked_flat_vectors():
+    spec = NetSpec((3, 4, 2), frozen_readout=True, bias_enabled=True)
+    ck = make_ckpt(spec, seed=6)
+    flats = Rng(2).gaussians(3 * 16).reshape(3, 16)
+    weights, biases = param_views(spec, flats, ck)
+    assert weights[0].shape == (3, 4, 3) and biases[0].shape == (3, 4)
+    assert weights[1] is ck.weights[1] and biases[1] is ck.biases[1]
+    assert np.shares_memory(weights[0], flats)
+    for k in range(3):
+        c = unflatten_params(spec, flats[k], ck)
+        assert np.array_equal(weights[0][k], c.weights[0])
+        assert np.array_equal(biases[0][k], c.biases[0])
+    with pytest.raises(ConfigError):
+        param_views(spec, flats[:, :-1], ck)
 
 
 def _ce_loss(spec, ck, flat, X, y):
