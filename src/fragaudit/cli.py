@@ -20,8 +20,8 @@ from . import persist
 from .errors import AllRunsFailed, ConfigError, FragAuditError
 from .measures import MEASURE_NAMES, MeasureConfig, compute_all
 from .net import NetSpec, load_checkpoint, save_checkpoint
-from .optim import Hyperparams, RunRecord, SweepConfig, make_run_id, post_interp_slope, \
-    resume, sweep, train
+from .optim import Hyperparams, SweepConfig, resume, sweep, train
+from .records import RunRecord, post_interp_slope
 from .rng import Rng
 
 
@@ -232,7 +232,9 @@ def cmd_measure(cfg, out, args):
         rec.measures = ms.values
         rec.measure_errors = ms.errors
         d = out / "runs" / rec.group / rec.run_id
-        persist.write_json(d / "record.json", rec.to_dict(), cfg_hash)
+        # record.json also keeps the search and solver diagnostics; records.jsonl does not
+        persist.write_json(d / "record.json", dict(
+            rec.to_dict(), diagnostics=persist.json_ready(ms.diagnostics)), cfg_hash)
         updated.append(rec.to_dict())
     _write_records(out, updated, cfg_hash)
     print(f"measured {len(updated)} records")
@@ -494,6 +496,13 @@ COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fragaudit",
@@ -505,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="lockstep stacks of runs trained at once")
         if name in ("measure", "audit"):
             p.add_argument("--records", default=None, help="records.jsonl path")
         if name in ("exppp", "evidence"):

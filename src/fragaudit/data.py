@@ -154,8 +154,9 @@ def corrupt_labels(ds: Dataset, p: float, seed: int) -> Dataset:
     rng = Rng(seed)
     chosen = sorted(rng.choose(ds.n, k))
     labels = ds.labels.copy()
-    for i in chosen:
-        new = rng.below(ds.num_classes - 1)
+    # one block of k words: the same stream as k calls of rng.below(C - 1)
+    for i, w in zip(chosen, rng.u64_block(k).tolist()):
+        new = (w * (ds.num_classes - 1)) >> 64
         if new >= labels[i]:
             new += 1
         labels[i] = new

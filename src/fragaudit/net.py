@@ -127,18 +127,26 @@ def _affine(W, b, A):
     return Z
 
 
-def forward_batch(spec: NetSpec, weights, biases, X: np.ndarray) -> np.ndarray:
+def forward_batch(spec: NetSpec, weights, biases, X: np.ndarray, record=None) -> np.ndarray:
     """Logits for a batch X (n, d0). Raises NormalizationSingularity on zero norm.
 
     Each layer is either shared, W (out, in) and b (out,), or stacked over K
-    nets, W (K, out, in) and b (K, out); the two kinds mix freely. With only
-    shared layers the logits are (n, out); with any stacked layer they are
-    (K, n, out), and slice k equals the logits of the net made of slice k of
-    every stacked layer.
+    nets, W (K, out, in) and b (K, out); the two kinds mix freely, and X may
+    be stacked too, (K, n, d0). With only shared layers and X the logits are
+    (n, out); otherwise they are (K, n, out), and slice k equals the logits of
+    the net made of slice k of every stacked layer.
+
+    If record is a list, the pass is appended to it for backward_batch: one
+    (A, norm) entry per layer input A, from X to the logits, where norm is
+    (normalized pre-activation, row norms) for an input made by a normalized
+    hidden layer and None otherwise.
     """
     A = X
+    if record is not None:
+        record.append((A, None))
     for i in range(spec.num_layers):
         Z = _affine(weights[i], biases[i] if biases else None, A)
+        norm = None
         if i < spec.num_layers - 1:
             if spec.normalize_hidden:
                 r = np.linalg.norm(Z, axis=-1, keepdims=True)
@@ -147,10 +155,17 @@ def forward_batch(spec: NetSpec, weights, biases, X: np.ndarray) -> np.ndarray:
                         f"zero pre-activation norm at hidden layer {i}"
                     )
                 Z = Z / r
-            # Z is always a fresh array here, so ReLU may overwrite it
-            A = np.maximum(Z, 0.0, out=Z) if spec.activation == "relu" else Z
+                if record is not None:
+                    norm = (Z, r)
+            if spec.activation == "relu":
+                # Z is a fresh array here; ReLU overwrites it unless it is recorded
+                A = np.maximum(Z, 0.0, out=None if norm else Z)
+            else:
+                A = Z
         else:
             A = Z
+        if record is not None:
+            record.append((A, norm))
     return A
 
 
@@ -163,78 +178,72 @@ def forward(spec: NetSpec, ckpt: Checkpoint, x) -> np.ndarray:
 
 
 def _softmax_ce(logits: np.ndarray, y: np.ndarray):
-    """(per-example CE, softmax probabilities), numerically stable."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    ce = logz - shifted[np.arange(len(y)), y]
-    probs = np.exp(shifted - logz[:, None])
-    return ce, probs
+    """(per-example CE, softmax probabilities, label index), numerically stable.
+
+    logits is (..., n, C) and y broadcasts to (..., n); the label index picks
+    each row's label entry out of an array shaped like logits.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1))
+    at_y = (*np.indices(logits.shape[:-1], sparse=True), y)
+    ce = logz - shifted[at_y]
+    probs = np.exp(shifted - logz[..., None])
+    return ce, probs, at_y
 
 
-def backward_batch(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray):
+def backward_batch(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray,
+                   record=None):
     """Mean cross-entropy over the batch and its gradient in trainable params.
 
     Returns (flat gradient, loss). Frozen readout weights are excluded from the
-    gradient, matching the trainable flatten order.
+    gradient, matching the trainable flatten order. Layers, X and y may be
+    stacked as in forward_batch; then the gradient is (K, P) and the loss
+    (K,), and slice k equals the one-net result. The forward pass is
+    forward_batch's; an empty list passed as record receives that pass (the
+    logits are record[-1][0]).
     """
-    n = len(y)
-    acts = [X]  # inputs to each layer
-    norm_cache = []  # (normalized preact, row norms) per hidden layer
-    A = X
-    for i in range(spec.num_layers):
-        Z = _affine(weights[i], biases[i] if biases else None, A)
-        if i < spec.num_layers - 1:
-            if spec.normalize_hidden:
-                r = np.linalg.norm(Z, axis=1, keepdims=True)
-                if np.any(r == 0.0):
-                    raise NormalizationSingularity(
-                        f"zero pre-activation norm at hidden layer {i}"
-                    )
-                Z = Z / r
-                norm_cache.append((Z.copy(), r))
-            else:
-                norm_cache.append(None)
-            A = np.maximum(Z, 0.0) if spec.activation == "relu" else Z
-            acts.append(A)
-        else:
-            logits = Z
-    ce, probs = _softmax_ce(logits, y)
-    loss = float(ce.mean())
+    if record is None:
+        record = []
+    forward_batch(spec, weights, biases, X, record)
+    logits = record[-1][0]
+    ce, probs, at_y = _softmax_ce(logits, y)
+    loss = ce.mean(axis=-1)
 
     dZ = probs
-    dZ[np.arange(n), y] -= 1.0
-    dZ /= n
+    dZ[at_y] -= 1.0
+    dZ /= logits.shape[-2]
     grads_w = [None] * spec.num_layers
     grads_b = [None] * spec.num_layers
     for i in range(spec.num_layers - 1, -1, -1):
-        grads_w[i] = dZ.T @ acts[i]
+        A, norm = record[i]
+        grads_w[i] = dZ.swapaxes(-1, -2) @ A
         if biases:
-            grads_b[i] = dZ.sum(axis=0)
+            grads_b[i] = dZ.sum(axis=-2)
         if i == 0:
             break
         dA = dZ @ weights[i]
-        Zn = norm_cache[i - 1]
         if spec.activation == "relu":
-            ref = Zn[0] if Zn is not None else acts[i]
-            dA = dA * (ref > 0.0)
-        if Zn is not None:
-            zhat, r = Zn
-            dA = (dA - zhat * (dA * zhat).sum(axis=1, keepdims=True)) / r
+            dA = dA * ((norm[0] if norm is not None else A) > 0.0)
+        if norm is not None:
+            zhat, r = norm
+            dA = (dA - zhat * (dA * zhat).sum(axis=-1, keepdims=True)) / r
         dZ = dA
-    flat = flatten_params(
-        spec,
-        [grads_w[i] for i in range(spec.num_layers)],
-        [grads_b[i] for i in range(spec.num_layers)] if biases else [],
-    )
-    return flat, loss
+    flat = flatten_params(spec, grads_w, grads_b if biases else [])
+    return flat, (float(loss) if loss.ndim == 0 else loss)
 
 
 def flatten_params(spec: NetSpec, weights, biases) -> np.ndarray:
-    """Trainable parameter vector: matrices in layer order (row-major), then biases."""
-    parts = [np.asarray(weights[i]).ravel() for i in spec.trainable_layers]
+    """Trainable parameter vector: matrices in layer order (row-major), then biases.
+
+    Stacked layers, (K, out, in) and (K, out), give one vector per net, (K, P).
+    """
+    ws = [np.asarray(weights[i]) for i in spec.trainable_layers]
+    lead = ws[0].shape[:-2] if ws else ()
+    parts = [w.reshape(lead + (-1,)) for w in ws]
     if biases:
-        parts += [np.asarray(biases[i]).ravel() for i in spec.trainable_layers]
-    return np.concatenate(parts) if parts else np.zeros(0)
+        parts += [np.asarray(biases[i]).reshape(lead + (-1,))
+                  for i in spec.trainable_layers]
+    return np.concatenate(parts, axis=-1) if parts else np.zeros(lead + (0,))
 
 
 def param_views(spec: NetSpec, flat: np.ndarray, template: Checkpoint):
@@ -288,12 +297,23 @@ def predict(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray) -> np.ndarray:
     return forward_batch(spec, ckpt.weights, ckpt.biases, X).argmax(axis=1)
 
 
+def accuracy(logits: np.ndarray, y: np.ndarray):
+    """Share of rows whose largest logit is the label; (K,) for stacked logits."""
+    return (logits.argmax(axis=-1) == y).mean(axis=-1)
+
+
 def evaluate_wb(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray):
-    """(accuracy, mean cross-entropy) from raw parameter lists."""
+    """(accuracy, mean cross-entropy) from raw parameter lists.
+
+    With stacked layers both are (K,) arrays, one entry per net.
+    """
     logits = forward_batch(spec, weights, biases, X)
-    ce, _ = _softmax_ce(logits, y)
-    acc = float((logits.argmax(axis=1) == y).mean())
-    return acc, float(ce.mean())
+    ce, _, _ = _softmax_ce(logits, y)
+    acc = accuracy(logits, y)
+    ce = ce.mean(axis=-1)
+    if logits.ndim == 2:
+        return float(acc), float(ce)
+    return acc, ce
 
 
 def evaluate(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray, y: np.ndarray):

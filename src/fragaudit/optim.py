@@ -1,5 +1,6 @@
 """Training loop: buffered SGD with momentum and (possibly signed, time-varying)
-weight decay, Adam, stop rules, traces, hysteresis resume, and grid sweeps.
+weight decay, Adam, stop rules, hysteresis resume, and grid sweeps. Runs train
+in lockstep stacks; a single run is a stack of one.
 
 The momentum update keeps explicit (theta, lr) buffers from the previous step:
 
@@ -18,12 +19,17 @@ import numpy as np
 
 from .data import Dataset, subsample
 from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint, \
-    LogDomainError, NumericalDivergence, SlopeUndefined
-from .net import Checkpoint, NetSpec, evaluate_wb, flatten_params, init_checkpoint, \
-    unflatten_params
+    NumericalDivergence
+from .net import Checkpoint, NetSpec, accuracy, evaluate_wb, flatten_params, \
+    init_checkpoint, param_views, unflatten_params
+from .records import RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
 
 STOP_RULES = ("train_acc_100", "train_ce_below", "max_epochs")
+
+# A sweep stack holds at most BUDGET // (batch rows x widest layer) runs, which
+# bounds the (K, rows, width) activations of one stacked step.
+BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,9 @@ class Hyperparams:
 
 @dataclass
 class OptState:
+    """Optimizer buffers of one run, theta (P,), or of a stack of K runs in
+    lockstep, theta (K, P) with (K, 1) learning-rate columns and a shared t."""
+
     theta_curr: np.ndarray
     theta_prev: np.ndarray
     eta_curr: float
@@ -93,6 +102,7 @@ class OptState:
     t: int = 0
     adam_m: np.ndarray = None
     adam_v: np.ndarray = None
+    diverged: np.ndarray = None  # stacked steps: rows whose new iterate is non-finite
 
     @classmethod
     def fresh(cls, theta: np.ndarray, lr: float) -> "OptState":
@@ -100,140 +110,42 @@ class OptState:
                    np.zeros_like(theta), np.zeros_like(theta))
 
 
+def _checked(state: OptState) -> OptState:
+    """A single run's non-finite iterate raises; a stack marks its rows."""
+    finite = np.isfinite(state.theta_curr).all(axis=-1)
+    if state.theta_curr.ndim == 1:
+        if not finite:
+            raise NumericalDivergence("non-finite iterate", step=state.t - 1)
+    else:
+        state.diverged = ~finite
+    return state
+
+
 def sgdm_step(state: OptState, grad: np.ndarray, gamma: float, wd: float,
               next_lr: float) -> OptState:
-    """One buffered momentum step; wd applies to the current iterate, buffers rotate."""
+    """One buffered momentum step; wd applies to the current iterate, buffers rotate.
+
+    On a stack, wd and next_lr may be (K, 1) columns, one value per run.
+    """
     eta = state.eta_curr
     theta = state.theta_curr
     new = theta + eta * (
         gamma * (theta - state.theta_prev) / state.eta_prev - grad - wd * theta
     )
-    if not np.all(np.isfinite(new)):
-        raise NumericalDivergence("non-finite iterate", step=state.t)
-    return OptState(new, theta, next_lr, eta, state.t + 1, state.adam_m, state.adam_v)
+    return _checked(OptState(new, theta, next_lr, eta, state.t + 1, state.adam_m,
+                             state.adam_v))
 
 
 def adam_step(state: OptState, grad: np.ndarray, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> OptState:
-    """Standard bias-corrected Adam step."""
+    """Standard bias-corrected Adam step; on a stack lr may be a (K, 1) column."""
     t = state.t + 1
     m = beta1 * state.adam_m + (1.0 - beta1) * grad
     v = beta2 * state.adam_v + (1.0 - beta2) * grad * grad
     mhat = m / (1.0 - beta1 ** t)
     vhat = v / (1.0 - beta2 ** t)
     new = state.theta_curr - lr * mhat / (np.sqrt(vhat) + eps)
-    if not np.all(np.isfinite(new)):
-        raise NumericalDivergence("non-finite iterate", step=state.t)
-    return OptState(new, state.theta_curr, lr, state.eta_curr, t, m, v)
-
-
-@dataclass
-class TrainTrace:
-    run_id: str = ""
-    epochs: list = field(default_factory=list)
-    train_acc: list = field(default_factory=list)
-    train_ce: list = field(default_factory=list)
-    test_error: list = field(default_factory=list)
-    measures: dict = field(default_factory=dict)  # name -> list parallel to epochs
-    resumed_from: str = ""
-
-    def append(self, epoch, acc, ce, err, snapshot=None):
-        if self.epochs and epoch <= self.epochs[-1]:
-            raise ConfigError("trace epochs must be strictly increasing")
-        self.epochs.append(int(epoch))
-        self.train_acc.append(float(acc))
-        self.train_ce.append(float(ce))
-        self.test_error.append(float(err))
-        for name, value in (snapshot or {}).items():
-            self.measures.setdefault(name, [None] * (len(self.epochs) - 1)).append(value)
-        for name, col in self.measures.items():
-            if len(col) < len(self.epochs):
-                col.append(None)
-
-
-def detect_T_int(trace: TrainTrace):
-    """First epoch with training accuracy exactly 1.0, or None."""
-    for epoch, acc in zip(trace.epochs, trace.train_acc):
-        if acc == 1.0:
-            return epoch
-    return None
-
-
-def post_interp_slope(trace: TrainTrace, measure_name: str) -> float:
-    """Least-squares slope of log(measure) vs log(epoch) restricted to t > T_int."""
-    t_int = detect_T_int(trace)
-    if t_int is None:
-        raise SlopeUndefined("no interpolation epoch in trace")
-    col = trace.measures.get(measure_name)
-    if col is None:
-        raise SlopeUndefined(f"no snapshots for measure {measure_name!r}")
-    pts = [(e, v) for e, v in zip(trace.epochs, col) if e > t_int and v is not None]
-    if any(v <= 0 for _, v in pts):
-        raise LogDomainError(f"nonpositive {measure_name!r} value after interpolation")
-    if len(pts) < 2:
-        raise SlopeUndefined("need >= 2 post-interpolation points")
-    x = np.log([float(e) for e, _ in pts])
-    y = np.log([float(v) for _, v in pts])
-    xc = x - x.mean()
-    return float((xc @ (y - y.mean())) / (xc @ xc))
-
-
-@dataclass
-class RunRecord:
-    run_id: str
-    group: str
-    dataset: str
-    arch: str
-    optimizer: str
-    lr: float
-    stop_rule: str
-    n_train: int
-    seed: int
-    test_error: float
-    measures: dict = field(default_factory=dict)
-    t_int: int = None
-    parent_run_id: str = ""
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    batch_size: int = 0
-    stop_threshold: float = 0.01
-    max_epochs: int = 0
-    status: str = "ok"
-    measure_errors: dict = field(default_factory=dict)
-
-    def h_key(self) -> tuple:
-        return (self.optimizer, self.lr, self.momentum, self.weight_decay,
-                self.batch_size, self.stop_rule, self.stop_threshold,
-                self.max_epochs, self.n_train)
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "group": self.group,
-            "dataset": self.dataset,
-            "arch": self.arch,
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "stop_rule": self.stop_rule,
-            "n_train": self.n_train,
-            "seed": self.seed,
-            "test_error": self.test_error,
-            "measures": dict(sorted(self.measures.items())),
-            "t_int": self.t_int,
-            "parent_run_id": self.parent_run_id,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "stop_threshold": self.stop_threshold,
-            "max_epochs": self.max_epochs,
-            "status": self.status,
-            "measure_errors": dict(sorted(self.measure_errors.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+    return _checked(OptState(new, state.theta_curr, lr, state.eta_curr, t, m, v))
 
 
 def make_run_id(group: str, H: Hyperparams, seed: int, parent: str = "") -> str:
@@ -245,125 +157,268 @@ def make_run_id(group: str, H: Hyperparams, seed: int, parent: str = "") -> str:
 
 
 @dataclass
-class TrainResult:
-    record: RunRecord
-    checkpoint: Checkpoint
-    trace: TrainTrace
-    interp_checkpoint: Checkpoint = None  # snapshot at the first 100%-accuracy epoch
+class _Run:
+    """One run of a lockstep stack: its identity, initial iterate and trace."""
+
+    H: Hyperparams
+    seed: int
+    run_id: str
+    parent_id: str
+    ckpt0: Checkpoint  # initial iterate; frozen layers and meta carry over
+    start_epoch: int = 0
+    buffer_overrides: dict = None
+    interp: Checkpoint = None
+    trace: TrainTrace = field(init=False)
+    shuffle: Rng = field(init=False)
+
+    def __post_init__(self):
+        self.trace = TrainTrace(run_id=self.run_id, resumed_from=self.parent_id)
+        self.shuffle = Rng(self.seed).spawn_key("shuffle")
 
 
-def _weights_view(spec: NetSpec, template: Checkpoint, flat: np.ndarray):
-    """(weights, biases) lists with trainable layers viewing into flat."""
-    weights = list(template.weights)
-    biases = list(template.biases)
-    pos = 0
-    for i in spec.trainable_layers:
-        size = weights[i].size
-        weights[i] = flat[pos : pos + size].reshape(weights[i].shape)
-        pos += size
-    if biases:
-        for i in spec.trainable_layers:
-            size = biases[i].size
-            biases[i] = flat[pos : pos + size]
-            pos += size
-    return weights, biases
+@dataclass
+class _Stack:
+    """The runs still training (indices into the run list), their stacked
+    optimizer state, a template with their frozen layers stacked, and, on
+    full batches, the gradient at their current iterates once it is known."""
+
+    idx: list
+    state: OptState
+    template: Checkpoint
+    grad: np.ndarray = None
+
+    def rows(self, keep: list) -> "_Stack":
+        s, tpl = self.state, self.template
+
+        def pick(layers):
+            return [None if a is None else a[keep] for a in layers]
+
+        return _Stack([self.idx[k] for k in keep],
+                      OptState(s.theta_curr[keep], s.theta_prev[keep], s.eta_curr[keep],
+                               s.eta_prev[keep], s.t, s.adam_m[keep], s.adam_v[keep]),
+                      Checkpoint(pick(tpl.weights), [], pick(tpl.biases)),
+                      None if self.grad is None else self.grad[keep])
 
 
-def _run_loop(spec, ckpt0, start_epoch, ds_train, ds_test, H, seed, run_id,
-              parent_id, trace_measures=(), measure_config=None,
-              buffer_overrides=None, want_interp_snapshot=False):
-    from . import measures as measures_mod
+def _column(Hs, f) -> np.ndarray:
+    return np.array([[f(H)] for H in Hs])
+
+
+def _new_stack(spec: NetSpec, runs) -> _Stack:
+    theta = np.stack([flatten_params(spec, r.ckpt0.weights, r.ckpt0.biases)
+                      for r in runs])
+    lr0 = _column([r.H for r in runs], lambda H: H.lr_at(0))
+    state = OptState(theta, theta.copy(), lr0, lr0.copy(), 0,
+                     np.zeros_like(theta), np.zeros_like(theta))
+    for k, r in enumerate(runs):
+        over = r.buffer_overrides or {}
+        if "theta_prev" in over:
+            state.theta_prev[k] = np.asarray(over["theta_prev"], dtype=np.float64)
+        if "eta_prev" in over:
+            state.eta_prev[k] = float(over["eta_prev"])
+
+    def stacked(layers):
+        # trainable layers come from theta through param_views
+        return [None if i in spec.trainable_layers else np.stack([l[i] for l in layers])
+                for i in range(len(layers[0]))]
+
+    template = Checkpoint(stacked([r.ckpt0.weights for r in runs]), [],
+                          stacked([r.ckpt0.biases for r in runs])
+                          if runs[0].ckpt0.biases else [])
+    return _Stack(list(range(len(runs))), state, template)
+
+
+def _apply_step(state: OptState, grad: np.ndarray, Hs) -> OptState:
+    t, H = state.t, Hs[0]
+    if H.optimizer == "adam":
+        return adam_step(state, grad, _column(Hs, lambda h: h.lr_at(t)),
+                         H.adam_beta1, H.adam_beta2, H.adam_eps)
+    return sgdm_step(state, grad, H.momentum_gamma, _column(Hs, lambda h: h.wd_at(t)),
+                     _column(Hs, lambda h: h.lr_at(t + 1)))
+
+
+def _epoch(spec, runs, stack, e, data):
+    """Epoch e of a stack: its optimizer steps, then one stacked evaluation.
+
+    Returns (stack, diverged, evals). diverged lists (run index, iterate
+    before the step) for the runs whose step went non-finite; they leave the
+    stack. evals is (train acc, train CE, test acc), one entry per row of the
+    returned stack. On full batches the train-set pass after the step is
+    backward_batch's: its forward gives the accuracy, its loss is the CE, and
+    its gradient, kept in the stack, takes the next epoch's step, so an epoch
+    runs one train-set forward.
+    """
     from .net import backward_batch
+
+    X, y, Xt, yt = data
+    diverged = []
+    if not stack.idx:
+        return stack, diverged, None
+    bs = runs[stack.idx[0]].H.batch_size
+    minibatch = 0 < bs < len(y)
+
+    def gradient(stack, Xb, yb):
+        w, b = param_views(spec, stack.state.theta_curr, stack.template)
+        return backward_batch(spec, w, b, Xb, yb)[0]
+
+    def step(stack, grad):
+        """(stack after one optimizer step, rows of the input stack it keeps)."""
+        new = _apply_step(stack.state, grad, [runs[i].H for i in stack.idx])
+        for row in np.flatnonzero(new.diverged):
+            diverged.append((stack.idx[row], stack.state.theta_curr[row]))
+        keep = np.flatnonzero(~new.diverged).tolist()
+        stack = _Stack(stack.idx, new, stack.template)
+        return (stack.rows(keep) if len(keep) < len(stack.idx) else stack), keep
+
+    if minibatch:
+        orders = np.stack([
+            runs[i].shuffle.spawn_index(runs[i].start_epoch + e).permutation(len(y))
+            for i in stack.idx])
+        for lo in range(0, len(y), bs):
+            sel = orders[:, lo : lo + bs]
+            # the batch is gathered and freed before the optimizer step
+            stack, keep = step(stack, gradient(stack, X[sel], y[sel]))
+            if not stack.idx:
+                break
+            if len(keep) < len(orders):
+                orders = orders[keep]
+    else:
+        grad = gradient(stack, X, y) if stack.grad is None else stack.grad
+        stack, _ = step(stack, grad)
+    if not stack.idx:
+        return stack, diverged, None
+    w, b = param_views(spec, stack.state.theta_curr, stack.template)
+    if minibatch:
+        acc, ce = evaluate_wb(spec, w, b, X, y)
+    else:
+        record = []
+        stack.grad, ce = backward_batch(spec, w, b, X, y, record)
+        acc = accuracy(record[-1][0], y)
+    test_acc, _ = evaluate_wb(spec, w, b, Xt, yt)
+    return stack, diverged, (acc, ce, test_acc)
+
+
+def _try_epoch(spec, runs, stack, e, data):
+    """(_epoch's result, None), or (None, the FragAuditError it raised)."""
+    try:
+        return _epoch(spec, runs, stack, e, data), None
+    except ConfigError:
+        raise
+    except FragAuditError as exc:
+        return None, exc
+
+
+def _guarded_epoch(spec, runs, stack, e, data, results):
+    """_epoch, but a FragAuditError from the stacked epoch redoes it one run at
+    a time: each run that raises gets its error as result and leaves the
+    stack, and the others run the epoch again together."""
+    outcome, exc = _try_epoch(spec, runs, stack, e, data)
+    if exc is None:
+        return outcome
+    if len(stack.idx) == 1:
+        errors = {0: exc}
+    else:
+        errors = {}
+        for row in range(len(stack.idx)):
+            _, err = _try_epoch(spec, runs, stack.rows([row]), e, data)
+            if err is not None:
+                errors[row] = err
+        if not errors:
+            raise exc  # only the stack fails: its slices are not the one-net steps
+    for row, err in errors.items():
+        results[stack.idx[row]] = err
+    keep = [row for row in range(len(stack.idx)) if row not in errors]
+    return _guarded_epoch(spec, runs, stack.rows(keep), e, data, results)
+
+
+def _run_loop(spec, runs, ds_train, ds_test, trace_measures=(), measure_config=None,
+              want_interp_snapshot=False):
+    """Train runs in lockstep; one TrainResult or FragAuditError per run, in order.
+
+    The runs share the net, the data, the optimizer, the batch size and the
+    momentum and Adam constants. Each has its own iterate, learning rate and
+    weight decay schedule, shuffle stream and stop rule, and leaves the stack
+    when it stops, diverges or fails; its outputs are bit-identical to
+    training it alone.
+    """
+    from . import measures as measures_mod
 
     for ds in (ds_train, ds_test):
         if int(ds.labels.max(initial=0)) >= spec.layer_dims[-1]:
             raise ConfigError(f"label {int(ds.labels.max())} does not fit the net's "
                               f"{spec.layer_dims[-1]} outputs")
-    trace = TrainTrace(run_id=run_id, resumed_from=parent_id)
-    theta = flatten_params(spec, ckpt0.weights, ckpt0.biases)
-    state = OptState.fresh(theta, H.lr_at(0))
-    if buffer_overrides:
-        if "theta_prev" in buffer_overrides:
-            state.theta_prev = np.asarray(buffer_overrides["theta_prev"], dtype=np.float64)
-        if "eta_prev" in buffer_overrides:
-            state.eta_prev = float(buffer_overrides["eta_prev"])
-    status = "ok"
-    interp_ckpt = None
-    stop_met = False
-    epoch = start_epoch
-    X, y = ds_train.features, ds_train.labels
-    Xt, yt = ds_test.features, ds_test.labels
-    shuffle_root = Rng(seed).spawn_key("shuffle")
-    for e in range(1, H.max_epochs + 1):
-        epoch = start_epoch + e
-        try:
-            if H.batch_size and H.batch_size < ds_train.n:
-                order = shuffle_root.spawn_index(epoch).permutation(ds_train.n)
-                for lo in range(0, ds_train.n, H.batch_size):
-                    sel = order[lo : lo + H.batch_size]
-                    w, b = _weights_view(spec, ckpt0, state.theta_curr)
-                    grad, _ = backward_batch(spec, w, b, X[sel], y[sel])
-                    state = _apply_step(state, grad, H)
+    results = [None] * len(runs)
+    data = (ds_train.features, ds_train.labels, ds_test.features, ds_test.labels)
+    stack = _new_stack(spec, runs)
+    for i, run in enumerate(runs):
+        if run.H.max_epochs < 1:
+            results[i] = _finish(spec, run, stack.state.theta_curr[i], 0, ds_test)
+    if any(results):
+        stack = stack.rows([k for k, r in enumerate(results) if r is None])
+    for e in range(1, max([r.H.max_epochs for r in runs], default=0) + 1):
+        if not stack.idx:
+            break
+        stack, diverged, evals = _guarded_epoch(spec, runs, stack, e, data, results)
+        for i, theta in diverged:
+            results[i] = _finish(spec, runs[i], theta, e, ds_test, "diverged")
+        if not stack.idx:
+            break
+        acc, ce, test_acc = evals
+        keep = []
+        for row, i in enumerate(stack.idx):
+            run, theta = runs[i], stack.state.theta_curr[row]
+            H, epoch = run.H, run.start_epoch + e
+            snapshot = None
+            if trace_measures:
+                try:
+                    snapshot = measures_mod.compute_selected(
+                        spec, _as_ckpt(spec, run.ckpt0, theta, epoch, run.run_id),
+                        ds_train, trace_measures, measure_config)
+                except ConfigError:
+                    raise
+                except FragAuditError as exc:
+                    results[i] = exc
+                    continue
+            run.trace.append(epoch, acc[row], ce[row], 1.0 - test_acc[row], snapshot)
+            if want_interp_snapshot and run.interp is None and acc[row] == 1.0:
+                run.interp = _as_ckpt(spec, run.ckpt0, theta, epoch, run.run_id)
+            stop_met = (H.stop_rule == "train_acc_100" and acc[row] == 1.0) or \
+                (H.stop_rule == "train_ce_below" and ce[row] < H.stop_threshold)
+            if stop_met or e == H.max_epochs:
+                results[i] = _finish(spec, run, theta, e, ds_test, "ok", stop_met)
             else:
-                w, b = _weights_view(spec, ckpt0, state.theta_curr)
-                grad, _ = backward_batch(spec, w, b, X, y)
-                state = _apply_step(state, grad, H)
-        except NumericalDivergence:
-            status = "diverged"
-            break
-        w, b = _weights_view(spec, ckpt0, state.theta_curr)
-        acc, ce = evaluate_wb(spec, w, b, X, y)
-        test_acc, _ = evaluate_wb(spec, w, b, Xt, yt)
-        snapshot = None
-        if trace_measures:
-            ck = _as_ckpt(spec, ckpt0, state.theta_curr, epoch, run_id)
-            snapshot = measures_mod.compute_selected(
-                spec, ck, ds_train, trace_measures, measure_config)
-        trace.append(epoch, acc, ce, 1.0 - test_acc, snapshot)
-        if want_interp_snapshot and interp_ckpt is None and acc == 1.0:
-            interp_ckpt = _as_ckpt(spec, ckpt0, state.theta_curr, epoch, run_id)
-        if H.stop_rule == "train_acc_100" and acc == 1.0:
-            stop_met = True
-            break
-        if H.stop_rule == "train_ce_below" and ce < H.stop_threshold:
-            stop_met = True
-            break
+                keep.append(row)
+        if len(keep) < len(stack.idx):
+            stack = stack.rows(keep)
+    return results
+
+
+def _finish(spec, run, theta, e, ds_test, status="ok", stop_met=False) -> TrainResult:
+    H = run.H
     if status == "ok" and H.stop_rule != "max_epochs" and not stop_met:
         status = "stop_rule_not_met"
-    final = _as_ckpt(spec, ckpt0, state.theta_curr, epoch, run_id)
-    if trace.test_error:
-        test_error = trace.test_error[-1]
+    final = _as_ckpt(spec, run.ckpt0, theta, run.start_epoch + e, run.run_id)
+    if run.trace.test_error:
+        test_error = run.trace.test_error[-1]
     else:
-        test_acc, _ = evaluate_wb(spec, final.weights, final.biases, Xt, yt)
+        test_acc, _ = evaluate_wb(spec, final.weights, final.biases,
+                                  ds_test.features, ds_test.labels)
         test_error = 1.0 - test_acc
-    record = RunRecord(
-        run_id=run_id,
-        group=f"{H.dataset}/{H.arch}",
-        dataset=H.dataset,
-        arch=H.arch,
-        optimizer=H.optimizer,
-        lr=H.lr,
-        stop_rule=H.stop_rule,
-        n_train=H.n_train or ds_train.n,
-        seed=seed,
-        test_error=float(test_error),
-        t_int=detect_T_int(trace),
-        parent_run_id=parent_id,
-        momentum=H.momentum_gamma,
-        weight_decay=H.weight_decay,
-        batch_size=H.batch_size,
-        stop_threshold=H.stop_threshold,
-        max_epochs=H.max_epochs,
-        status=status,
+    record = _record(H, run.run_id, run.seed, status, float(test_error),
+                     detect_T_int(run.trace), run.parent_id)
+    return TrainResult(record, final, run.trace, run.interp)
+
+
+def _record(H: Hyperparams, run_id: str, seed: int, status: str, test_error=1.0,
+            t_int=None, parent_id: str = "") -> RunRecord:
+    return RunRecord(
+        run_id=run_id, group=f"{H.dataset}/{H.arch}", dataset=H.dataset, arch=H.arch,
+        optimizer=H.optimizer, lr=H.lr, stop_rule=H.stop_rule, n_train=H.n_train,
+        seed=seed, test_error=test_error, t_int=t_int, parent_run_id=parent_id,
+        momentum=H.momentum_gamma, weight_decay=H.weight_decay,
+        batch_size=H.batch_size, stop_threshold=H.stop_threshold,
+        max_epochs=H.max_epochs, status=status,
     )
-    return TrainResult(record, final, trace, interp_ckpt)
-
-
-def _apply_step(state: OptState, grad: np.ndarray, H: Hyperparams) -> OptState:
-    t = state.t
-    if H.optimizer == "adam":
-        return adam_step(state, grad, H.lr_at(t), H.adam_beta1, H.adam_beta2, H.adam_eps)
-    return sgdm_step(state, grad, H.momentum_gamma, H.wd_at(t), H.lr_at(t + 1))
 
 
 def _as_ckpt(spec, template, flat, epoch, run_id) -> Checkpoint:
@@ -372,17 +427,28 @@ def _as_ckpt(spec, template, flat, epoch, run_id) -> Checkpoint:
     return ck
 
 
+def _only(results) -> TrainResult:
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _new_run(spec: NetSpec, H: Hyperparams, seed: int, parent_id: str = "") -> _Run:
+    run_id = make_run_id(f"{H.dataset}/{H.arch}", H, seed, parent_id)
+    ckpt0 = init_checkpoint(spec, Rng(seed).spawn_key("init"), meta={"run_id": run_id})
+    return _Run(H, seed, run_id, parent_id, ckpt0)
+
+
 def train(spec: NetSpec, ds_train: Dataset, ds_test: Dataset, H: Hyperparams,
           seed: int, parent_id: str = "", trace_measures=(), measure_config=None,
           buffer_overrides=None, want_interp_snapshot=False) -> TrainResult:
     """Train from a fresh seeded initialization under H."""
     H = replace(H, n_train=H.n_train or ds_train.n)
-    run_id = make_run_id(f"{H.dataset}/{H.arch}", H, seed, parent_id)
-    ckpt0 = init_checkpoint(spec, Rng(seed).spawn_key("init"),
-                            meta={"run_id": run_id})
-    return _run_loop(spec, ckpt0, 0, ds_train, ds_test, H, seed, run_id, parent_id,
-                     trace_measures, measure_config, buffer_overrides,
-                     want_interp_snapshot)
+    run = _new_run(spec, H, seed, parent_id)
+    run.buffer_overrides = buffer_overrides
+    return _only(_run_loop(spec, [run], ds_train, ds_test, trace_measures,
+                           measure_config, want_interp_snapshot))
 
 
 def resume(spec: NetSpec, ckpt: Checkpoint, ds_train: Dataset, ds_test: Dataset,
@@ -393,11 +459,11 @@ def resume(spec: NetSpec, ckpt: Checkpoint, ds_train: Dataset, ds_test: Dataset,
     H_new = replace(H_new, n_train=H_new.n_train or ds_train.n)
     parent_id = str(ckpt.meta.get("run_id", ""))
     run_id = make_run_id(f"{H_new.dataset}/{H_new.arch}", H_new, seed, parent_id)
-    start_epoch = int(ckpt.meta.get("epoch", 0))
     base = ckpt.copy()
     base.meta = dict(base.meta, run_id=run_id)
-    return _run_loop(spec, base, start_epoch, ds_train, ds_test, H_new, seed,
-                     run_id, parent_id, trace_measures, measure_config)
+    run = _Run(H_new, seed, run_id, parent_id, base, int(ckpt.meta.get("epoch", 0)))
+    return _only(_run_loop(spec, [run], ds_train, ds_test, trace_measures,
+                           measure_config))
 
 
 @dataclass(frozen=True)
@@ -427,39 +493,75 @@ def sweep_grid(cfg: SweepConfig):
                         yield lr, opt, rule, thresh, n, seed
 
 
-def _sweep_one(spec, subsets, ds_test, cfg, item, seed_offset):
-    lr, opt, rule, thresh, n, seed = item
-    H = Hyperparams(
-        optimizer=opt, lr=lr, momentum_gamma=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        stop_rule=rule, stop_threshold=thresh, max_epochs=cfg.max_epochs,
-        n_train=subsets[n].n, dataset=cfg.dataset, arch=cfg.arch,
-    )
-    try:
-        return train(spec, subsets[n], ds_test, H, seed + seed_offset)
-    except ConfigError:
-        raise  # a config error fails every run alike
-    except FragAuditError as exc:  # one failed run must not abort the sweep
-        rid = make_run_id(f"{cfg.dataset}/{cfg.arch}", H, seed + seed_offset)
-        rec = RunRecord(
-            run_id=rid, group=f"{cfg.dataset}/{cfg.arch}", dataset=cfg.dataset,
-            arch=cfg.arch, optimizer=opt, lr=lr, stop_rule=rule,
-            n_train=subsets[n].n, seed=seed + seed_offset, test_error=1.0,
-            momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-            batch_size=cfg.batch_size, stop_threshold=thresh,
-            max_epochs=cfg.max_epochs, status=f"error:{type(exc).__name__}",
+def _sweep_stacks(spec: NetSpec, cfg: SweepConfig, subsets: dict) -> list:
+    """The grid cut into lockstep stacks of (subset size, grid items).
+
+    Runs that share the subset and the optimizer are stacked in grid order, at
+    most BUDGET // (batch rows x widest layer) at a time.
+    """
+    groups = {}
+    for item in sweep_grid(cfg):
+        groups.setdefault((item[4], item[1]), []).append(item)
+    stacks = []
+    for (n, _), items in groups.items():
+        rows = subsets[n].n
+        if 0 < cfg.batch_size < rows:
+            rows = cfg.batch_size
+        size = max(1, BUDGET // (rows * max(spec.layer_dims)))
+        stacks += [(n, items[lo : lo + size]) for lo in range(0, len(items), size)]
+    return stacks
+
+
+def _sweep_stack(spec, subsets, ds_test, cfg, stack, seed_offset) -> list:
+    """TrainResults of one stack of grid items, in grid order.
+
+    A run that fails with a FragAuditError becomes an "error:<name>" record.
+    """
+    n, items = stack
+    slots, runs = [], []  # per item: its index in runs, or its error result
+    for lr, opt, rule, thresh, _, seed in items:
+        H = Hyperparams(
+            optimizer=opt, lr=lr, momentum_gamma=cfg.momentum,
+            weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
+            stop_rule=rule, stop_threshold=thresh, max_epochs=cfg.max_epochs,
+            n_train=subsets[n].n, dataset=cfg.dataset, arch=cfg.arch,
         )
-        return TrainResult(rec, None, TrainTrace(run_id=rid))
+        try:
+            runs.append(_new_run(spec, H, seed + seed_offset))
+            slots.append(len(runs) - 1)
+        except ConfigError:
+            raise  # a config error fails every run alike
+        except FragAuditError as exc:  # one failed run must not abort the sweep
+            slots.append(_error_result(cfg, H, seed + seed_offset, exc))
+    results = _run_loop(spec, runs, subsets[n], ds_test) if runs else []
+    out = []
+    for slot in slots:
+        res = slot if isinstance(slot, TrainResult) else results[slot]
+        if isinstance(res, FragAuditError):
+            # The traceback's frames reach results, which holds the error: a
+            # cycle that would keep the stack's arrays until a full collection.
+            res.__traceback__ = None
+            res = _error_result(cfg, runs[slot].H, runs[slot].seed, res)
+        out.append(res)
+    return out
+
+
+def _error_result(cfg, H, seed, exc) -> TrainResult:
+    rid = make_run_id(f"{cfg.dataset}/{cfg.arch}", H, seed)
+    return TrainResult(_record(H, rid, seed, f"error:{type(exc).__name__}"), None,
+                       TrainTrace(run_id=rid))
 
 
 def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig,
           on_result=None, seed_offset: int = 0, jobs: int = 1):
     """Run the full grid; per-run failures are recorded, the sweep continues.
 
-    A run that fails with a FragAuditError becomes an "error:<name>" record.
-    ConfigError and any other exception (a bug) propagate and end the sweep.
+    Runs sharing a training subset and an optimizer train in lockstep stacks
+    (see _sweep_stacks). A run that fails with a FragAuditError becomes an
+    "error:<name>" record. ConfigError and any other exception (a bug)
+    propagate and end the sweep.
 
-    Runs share no mutable state, so jobs > 1 executes them concurrently;
+    Stacks share no mutable state, so jobs > 1 trains that many at once;
     results are returned sorted by run id either way, so reruns are
     order-stable byte for byte.
     """
@@ -472,23 +574,26 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
                                    .spawn_key(f"n={n}").next_u64())
         else:
             subsets[n] = base_train
-    items = list(sweep_grid(cfg))
+    stacks = _sweep_stacks(spec, cfg, subsets)
+
+    def run(stack):
+        return _sweep_stack(spec, subsets, ds_test, cfg, stack, seed_offset)
+
+    results = []
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda it: _sweep_one(spec, subsets, ds_test, cfg, it, seed_offset),
-                items))
+            for part in pool.map(run, stacks):
+                results += part
         if on_result is not None:
             for res in results:
                 on_result(res)
     else:
-        results = []
-        for item in items:
-            res = _sweep_one(spec, subsets, ds_test, cfg, item, seed_offset)
-            if on_result is not None:
-                on_result(res)
-            results.append(res)
+        for stack in stacks:
+            for res in run(stack):
+                if on_result is not None:
+                    on_result(res)
+                results.append(res)
     results.sort(key=lambda r: r.record.run_id)
     return results

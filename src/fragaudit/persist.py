@@ -7,6 +7,7 @@ config reproduces every file byte for byte.
 
 import hashlib
 import json
+import math
 import sys
 
 TOOL_VERSION = "0.1.0"
@@ -16,6 +17,22 @@ def canonical_json(obj, indent=None) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent,
                       separators=(",", ": ") if indent else (",", ":"),
                       allow_nan=False)
+
+
+def json_ready(obj):
+    """obj with numpy scalars as Python values and non-finite floats as None.
+
+    canonical_json refuses NaN and infinities (allow_nan=False).
+    """
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if hasattr(obj, "item"):  # numpy scalar
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def config_hash(config: dict) -> str:

@@ -1,0 +1,127 @@
+"""Run records and training traces: what a run produced, in the form the CLI
+persists, the audit scores and the temporal reports read.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ConfigError, LogDomainError, SlopeUndefined
+from .net import Checkpoint
+
+
+@dataclass
+class TrainTrace:
+    run_id: str = ""
+    epochs: list = field(default_factory=list)
+    train_acc: list = field(default_factory=list)
+    train_ce: list = field(default_factory=list)
+    test_error: list = field(default_factory=list)
+    measures: dict = field(default_factory=dict)  # name -> list parallel to epochs
+    resumed_from: str = ""
+
+    def append(self, epoch, acc, ce, err, snapshot=None):
+        if self.epochs and epoch <= self.epochs[-1]:
+            raise ConfigError("trace epochs must be strictly increasing")
+        self.epochs.append(int(epoch))
+        self.train_acc.append(float(acc))
+        self.train_ce.append(float(ce))
+        self.test_error.append(float(err))
+        for name, value in (snapshot or {}).items():
+            self.measures.setdefault(name, [None] * (len(self.epochs) - 1)).append(value)
+        for name, col in self.measures.items():
+            if len(col) < len(self.epochs):
+                col.append(None)
+
+
+def detect_T_int(trace: TrainTrace):
+    """First epoch with training accuracy exactly 1.0, or None."""
+    for epoch, acc in zip(trace.epochs, trace.train_acc):
+        if acc == 1.0:
+            return epoch
+    return None
+
+
+def post_interp_slope(trace: TrainTrace, measure_name: str) -> float:
+    """Least-squares slope of log(measure) vs log(epoch) restricted to t > T_int."""
+    t_int = detect_T_int(trace)
+    if t_int is None:
+        raise SlopeUndefined("no interpolation epoch in trace")
+    col = trace.measures.get(measure_name)
+    if col is None:
+        raise SlopeUndefined(f"no snapshots for measure {measure_name!r}")
+    pts = [(e, v) for e, v in zip(trace.epochs, col) if e > t_int and v is not None]
+    if any(v <= 0 for _, v in pts):
+        raise LogDomainError(f"nonpositive {measure_name!r} value after interpolation")
+    if len(pts) < 2:
+        raise SlopeUndefined("need >= 2 post-interpolation points")
+    x = np.log([float(e) for e, _ in pts])
+    y = np.log([float(v) for _, v in pts])
+    xc = x - x.mean()
+    return float((xc @ (y - y.mean())) / (xc @ xc))
+
+
+@dataclass
+class RunRecord:
+    run_id: str
+    group: str
+    dataset: str
+    arch: str
+    optimizer: str
+    lr: float
+    stop_rule: str
+    n_train: int
+    seed: int
+    test_error: float
+    measures: dict = field(default_factory=dict)
+    t_int: int = None
+    parent_run_id: str = ""
+    momentum: float = 0.0
+    weight_decay: float = 0.0
+    batch_size: int = 0
+    stop_threshold: float = 0.01
+    max_epochs: int = 0
+    status: str = "ok"
+    measure_errors: dict = field(default_factory=dict)
+
+    def h_key(self) -> tuple:
+        return (self.optimizer, self.lr, self.momentum, self.weight_decay,
+                self.batch_size, self.stop_rule, self.stop_threshold,
+                self.max_epochs, self.n_train)
+
+    def to_dict(self) -> dict:
+        return {
+            "run_id": self.run_id,
+            "group": self.group,
+            "dataset": self.dataset,
+            "arch": self.arch,
+            "optimizer": self.optimizer,
+            "lr": self.lr,
+            "stop_rule": self.stop_rule,
+            "n_train": self.n_train,
+            "seed": self.seed,
+            "test_error": self.test_error,
+            "measures": dict(sorted(self.measures.items())),
+            "t_int": self.t_int,
+            "parent_run_id": self.parent_run_id,
+            "momentum": self.momentum,
+            "weight_decay": self.weight_decay,
+            "batch_size": self.batch_size,
+            "stop_threshold": self.stop_threshold,
+            "max_epochs": self.max_epochs,
+            "status": self.status,
+            "measure_errors": dict(sorted(self.measure_errors.items())),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunRecord":
+        known = {f for f in cls.__dataclass_fields__}
+        return cls(**{k: v for k, v in d.items() if k in known})
+
+
+@dataclass
+class TrainResult:
+    record: RunRecord
+    checkpoint: Checkpoint
+    trace: TrainTrace
+    interp_checkpoint: Checkpoint = None  # snapshot at the first 100%-accuracy epoch

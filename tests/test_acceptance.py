@@ -25,8 +25,8 @@ from fragaudit.measures import MeasureConfig, compute_all, frobenius_measures, \
     inverse_margin, pacbayes_measures, path_norm, spectral_norm, vc_params_proxy
 from fragaudit.net import NetSpec, backward_batch, flatten_params, init_checkpoint, \
     scale_checkpoint, unflatten_params
-from fragaudit.optim import Hyperparams, RunRecord, SweepConfig, TrainTrace, resume, \
-    post_interp_slope, sweep, train
+from fragaudit.optim import Hyperparams, SweepConfig, resume, sweep, train
+from fragaudit.records import RunRecord, TrainTrace, post_interp_slope
 from fragaudit.rng import Rng
 
 

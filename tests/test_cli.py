@@ -6,7 +6,7 @@ import pytest
 
 from fragaudit.cli import main
 from fragaudit.measures import MeasureConfig, compute_all
-from fragaudit.persist import read_jsonl
+from fragaudit.persist import json_ready, read_jsonl
 
 
 def base_config(tmp_path, **overrides):
@@ -98,7 +98,7 @@ def test_command_composition_equals_in_process(tmp_path):
     from fragaudit import fragility as frag
     from fragaudit.data import split_train_test, synth_blobs
     from fragaudit.net import NetSpec
-    from fragaudit.optim import RunRecord, SweepConfig, sweep
+    from fragaudit.optim import SweepConfig, sweep
     from fragaudit.rng import Rng
 
     cfg = base_config(tmp_path)
@@ -357,18 +357,20 @@ def test_sweep_labels_wider_than_net_outputs_exit_2(tmp_path, capsys):
 
 
 def _train_failing_for(monkeypatch, failing_seeds):
-    """Make optim.train raise a toolkit error for runs whose seed is listed."""
+    """Make runs whose seed is listed raise a toolkit error as they initialize."""
     import fragaudit.optim as optim
     from fragaudit.errors import NumericalDivergence
+    from fragaudit.rng import Rng
 
-    real_train = optim.train
+    real_init = optim.init_checkpoint
+    failing = {Rng(seed).spawn_key("init").seed for seed in failing_seeds}
 
-    def train(spec, ds, ds_test, H, seed, **kw):
-        if seed in failing_seeds:
+    def init_checkpoint(spec, rng, *args, **kw):
+        if rng.seed in failing:
             raise NumericalDivergence("injected", step=0)
-        return real_train(spec, ds, ds_test, H, seed, **kw)
+        return real_init(spec, rng, *args, **kw)
 
-    monkeypatch.setattr(optim, "train", train)
+    monkeypatch.setattr(optim, "init_checkpoint", init_checkpoint)
 
 
 def test_sweep_all_runs_failed_exits_1(tmp_path, capsys, monkeypatch):
@@ -392,3 +394,105 @@ def test_sweep_with_one_surviving_run_exits_0(tmp_path, capsys, monkeypatch):
     statuses = [r["status"] for r in read_jsonl(tmp_path / "out" / "records.jsonl")]
     assert statuses.count("error:NumericalDivergence") == 4
     assert len(statuses) == 6
+
+
+def _output_bytes(out):
+    return {str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+# A bias net whose grid holds a diverging learning rate, and a scale-invariant
+# net whose seed-1 runs start with a zero first layer (a singular forward); on
+# 2-D blobs its other runs meet zero-norm rows of their own as they train.
+LOCKSTEP_NETS = {
+    "bias": {"layer_dims": [2, 6, 2], "bias_enabled": True},
+    "scale_invariant": {"layer_dims": [2, 16, 16, 2], "normalize_hidden": True,
+                        "frozen_readout": True},
+}
+
+
+@pytest.mark.parametrize("batch_size", [0, 32])
+@pytest.mark.parametrize("net", sorted(LOCKSTEP_NETS))
+def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch, net,
+                                                        batch_size):
+    import fragaudit.optim as optim
+    from fragaudit.rng import Rng
+
+    real_init = optim.init_checkpoint
+    singular = Rng(1).spawn_key("init").seed
+
+    def init_checkpoint(spec, rng, *args, **kw):
+        ck = real_init(spec, rng, *args, **kw)
+        if spec.normalize_hidden and rng.seed == singular:
+            ck.weights[0][:] = 0.0
+        return ck
+
+    monkeypatch.setattr(optim, "init_checkpoint", init_checkpoint)
+    cfg = base_config(tmp_path)
+    cfg["net"] = dict(LOCKSTEP_NETS[net], tag="fcn")
+    cfg["sweep"] = {"lrs": [0.05, 0.3, 1e300], "optimizers": ["adam", "sgdm"],
+                    "stop_rules": [["train_acc_100", 0.01], ["train_ce_below", 0.05]],
+                    "train_sizes": [96, 128], "seeds": [0, 1], "max_epochs": 25,
+                    "batch_size": batch_size, "subsample_seed": 5}
+    cp = write_config(tmp_path, cfg)
+    outputs = {}
+    for budget, jobs in ((optim.BUDGET, 1), (1, 1), (optim.BUDGET, 2)):
+        monkeypatch.setattr(optim, "BUDGET", budget)
+        out = tmp_path / f"out-{budget}-{jobs}"
+        assert main(["sweep", "--config", cp, "--out", str(out), "--jobs", str(jobs)]) == 0
+        outputs[budget, jobs] = _output_bytes(out)
+    first, *rest = outputs.values()
+    assert all(other == first for other in rest)
+    records = read_jsonl(tmp_path / f"out-{optim.BUDGET}-1" / "records.jsonl")
+    assert len(records) == 48
+    if net == "bias":
+        assert {r["lr"] for r in records if r["status"] == "diverged"} == {1e300}
+        assert any(r["status"] == "ok" for r in records)
+    else:
+        assert {r["status"] for r in records if r["seed"] == 1} == \
+            {"error:NormalizationSingularity"}
+        assert any(not r["status"].startswith("error:") for r in records)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cp = write_config(tmp_path, base_config(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cp, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_measure_writes_diagnostics_to_record_json(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["max_epochs"] = 40
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    assert main(["measure", "--config", cp]) == 0
+    out = tmp_path / "out"
+    records = read_jsonl(out / "records.jsonl")
+    measured = [r for r in records if r["status"] in ("ok", "stop_rule_not_met")]
+    assert measured
+    paths = [out / "runs" / r["group"] / r["run_id"] / "record.json" for r in measured]
+    for rec, path in zip(measured, paths):
+        doc = json.loads(path.read_text())
+        diag = doc.pop("diagnostics")
+        assert doc == rec and "diagnostics" not in rec
+        assert set(diag) == {"margin_gamma", "sigma", "sigma_converged", "sigma0",
+                             "sigma0_converged", "spectral_residuals", "delta"}
+        assert diag["delta"] == 0.05
+        assert isinstance(diag["sigma_converged"], bool)
+        assert len(diag["spectral_residuals"]) == 2
+    first = [p.read_bytes() for p in [out / "records.jsonl"] + paths]
+    assert main(["measure", "--config", cp]) == 0
+    assert [p.read_bytes() for p in [out / "records.jsonl"] + paths] == first
+
+
+def test_json_ready_maps_non_finite_floats_to_null():
+    import numpy as np
+
+    got = json_ready({"a": float("nan"), "b": [np.float64(1.5), np.inf, -np.inf],
+                      "c": np.bool_(True), "d": (np.int64(3), "x", None)})
+    assert got == {"a": None, "b": [1.5, None, None], "c": True, "d": [3, "x", None]}
+    assert type(got["b"][0]) is float and type(got["c"]) is bool

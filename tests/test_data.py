@@ -113,6 +113,19 @@ def test_corrupt_labels_p1_changes_everything():
     assert out.labels.max() < 4
 
 
+@pytest.mark.parametrize("n,p,C,seed", [(10, 0.5, 2, 1), (57, 0.3, 3, 2),
+                                         (200, 0.25, 10, 3), (3000, 0.6, 4, 4)])
+def test_corrupt_labels_block_matches_below_loop(n, p, C, seed):
+    ds = synth_blobs(n, 2, C, 1.0, seed=seed + 10)
+    k = int(round(p * n))
+    rng = Rng(seed)
+    want = ds.labels.copy()
+    for i in sorted(rng.choose(n, k)):
+        new = rng.below(C - 1)
+        want[i] = new + 1 if new >= want[i] else new
+    assert np.array_equal(corrupt_labels(ds, p, seed).labels, want)
+
+
 def test_corrupt_labels_exact_count():
     ds = synth_blobs(10, 2, 3, 1.0, seed=3)
     out = corrupt_labels(ds, 0.5, seed=4)

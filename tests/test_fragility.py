@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fragaudit.fragility import FragilityConfig, aggregate_groups, emit_table_csv, \
     emit_table_text, median, score_group, score_records
-from fragaudit.optim import RunRecord
+from fragaudit.records import RunRecord
 from fragaudit.rng import Rng
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from fragaudit.errors import ConfigError, FormatError, InvalidDataset, \
     NormalizationSingularity
-from fragaudit.net import Checkpoint, NetSpec, backward_batch, evaluate, \
+from fragaudit.net import Checkpoint, NetSpec, backward_batch, evaluate, evaluate_wb, \
     flatten_params, forward, forward_batch, init_checkpoint, load_checkpoint, \
     margins, param_views, save_checkpoint, scale_checkpoint, unflatten_params
 from fragaudit.rng import Rng
@@ -130,6 +130,65 @@ def test_stacked_normalization_singularity_in_one_slice():
     W0[4][:, 0] = 0.0  # slice 4 maps example 2 to the zero pre-activation
     with pytest.raises(NormalizationSingularity):
         forward_batch(spec, [W0, readout], [], X)
+
+
+def _pick(a, k, stacked_ndim):
+    return a[k] if a.ndim == stacked_ndim else a
+
+
+def _random_layers(spec, gen, K, mask):
+    """Layer i stacked over K nets when bit i of mask is set, shared otherwise."""
+    weights, biases = [], []
+    for i in range(spec.num_layers):
+        lead = (K,) if mask >> i & 1 else ()
+        shape = (spec.layer_dims[i + 1], spec.layer_dims[i])
+        weights.append(gen.standard_normal(lead + shape))
+        if spec.bias_enabled:
+            biases.append(gen.standard_normal(lead + shape[:1]))
+    return weights, biases
+
+
+@pytest.mark.parametrize("stacked_data", [False, True])
+@pytest.mark.parametrize("spec,n", STACK_NETS)
+def test_stacked_backward_equals_per_slice_bit_for_bit(spec, n, stacked_data):
+    # Stacked @, sum over rows and columns, mean and norm along the last axis
+    # must give each slice the bits of the one-net call; checked, not assumed.
+    K = 5
+    gen = np.random.default_rng(spec.layer_dims[1])
+    lead = (K,) if stacked_data else ()
+    X = gen.standard_normal(lead + (n, spec.layer_dims[0]))
+    y = gen.integers(0, spec.layer_dims[-1], lead + (n,))
+    P = flatten_params(spec, *_random_layers(spec, gen, 1, 0)).size
+    for mask in range(0 if stacked_data else 1, 1 << spec.num_layers):
+        weights, biases = _random_layers(spec, gen, K, mask)
+        record = []
+        grad, loss = backward_batch(spec, weights, biases, X, y, record)
+        assert grad.shape == (K, P) and loss.shape == (K,)
+        assert np.array_equal(record[-1][0], forward_batch(spec, weights, biases, X))
+        acc, ce = evaluate_wb(spec, weights, biases, X, y)
+        for k in range(K):
+            w = [_pick(W, k, 3) for W in weights]
+            b = [_pick(v, k, 2) for v in biases]
+            Xk, yk = _pick(X, k, 3), _pick(y, k, 2)
+            g1, l1 = backward_batch(spec, w, b, Xk, yk)
+            assert np.array_equal(grad[k], g1) and loss[k] == l1
+            assert (acc[k], ce[k]) == evaluate_wb(spec, w, b, Xk, yk)
+
+
+def test_backward_record_is_the_forward_pass():
+    spec = scale_invariant_spec((4, 6, 5, 3))
+    ck = make_ckpt(spec, seed=2)
+    gen = np.random.default_rng(2)
+    X, y = gen.standard_normal((9, 4)), gen.integers(0, 3, 9)
+    record = []
+    grad, _ = backward_batch(spec, ck.weights, ck.biases, X, y, record)
+    assert [A.shape for A, _ in record] == [(9, 4), (9, 6), (9, 5), (9, 3)]
+    assert record[0][0] is X and record[0][1] is None and record[-1][1] is None
+    zhat, r = record[1][1]
+    assert np.array_equal(record[1][0], np.maximum(zhat, 0.0))
+    assert np.allclose(np.linalg.norm(zhat, axis=-1), 1.0) and r.shape == (9, 1)
+    assert np.array_equal(record[-1][0], forward_batch(spec, ck.weights, ck.biases, X))
+    assert np.array_equal(grad, backward_batch(spec, ck.weights, ck.biases, X, y)[0])
 
 
 def test_param_views_slices_stacked_flat_vectors():

@@ -6,10 +6,11 @@ import pytest
 from fragaudit import optim
 from fragaudit.data import split_train_test, synth_blobs
 from fragaudit.errors import ConfigError, IncompatibleCheckpoint, LogDomainError, \
-    NormalizationSingularity, SlopeUndefined
+    NormalizationSingularity, NumericalDivergence, SlopeUndefined
 from fragaudit.net import NetSpec
-from fragaudit.optim import Hyperparams, OptState, SweepConfig, TrainTrace, adam_step, \
-    detect_T_int, post_interp_slope, resume, sgdm_step, sweep, train
+from fragaudit.optim import Hyperparams, OptState, SweepConfig, adam_step, resume, \
+    sgdm_step, sweep, train
+from fragaudit.records import TrainTrace, detect_T_int, post_interp_slope
 from fragaudit.rng import Rng
 
 
@@ -89,6 +90,52 @@ def test_adam_deterministic():
         return s.theta_curr[0]
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("optimizer", ["sgdm", "adam"])
+def test_stacked_steps_equal_one_run_steps_per_row(optimizer):
+    gen = np.random.default_rng(4)
+    K, P = 4, 7
+    theta, prev = gen.standard_normal((K, P)), gen.standard_normal((K, P))
+    lr = np.array([[0.1], [0.02], [0.5], [0.003]])
+    wd = np.array([[0.0], [1e-3], [0.2], [0.05]])
+    stacked = OptState(theta, prev, lr, lr * 0.7, 0, np.zeros((K, P)), np.zeros((K, P)))
+    singles = [OptState(theta[k].copy(), prev[k].copy(), lr[k, 0], lr[k, 0] * 0.7, 0,
+                        np.zeros(P), np.zeros(P)) for k in range(K)]
+    for _ in range(4):
+        grad = gen.standard_normal((K, P))
+        if optimizer == "sgdm":
+            stacked = sgdm_step(stacked, grad, 0.9, wd, lr * 1.5)
+            singles = [sgdm_step(s, grad[k], 0.9, wd[k, 0], lr[k, 0] * 1.5)
+                       for k, s in enumerate(singles)]
+        else:
+            stacked = adam_step(stacked, grad, lr, 0.8, 0.99, 1e-6)
+            singles = [adam_step(s, grad[k], lr[k, 0], 0.8, 0.99, 1e-6)
+                       for k, s in enumerate(singles)]
+        assert not stacked.diverged.any()
+        for k, s in enumerate(singles):
+            for name in ("theta_curr", "theta_prev", "adam_m", "adam_v"):
+                assert np.array_equal(getattr(stacked, name)[k], getattr(s, name))
+            assert stacked.eta_curr[k, 0] == s.eta_curr
+            assert stacked.eta_prev[k, 0] == s.eta_prev
+            assert stacked.t == s.t
+
+
+@pytest.mark.parametrize("optimizer", ["sgdm", "adam"])
+def test_stacked_step_marks_only_non_finite_rows(optimizer):
+    grad = np.zeros((3, 4))
+    grad[1, 2] = np.inf
+
+    def step(state, g):
+        if optimizer == "sgdm":
+            return sgdm_step(state, g, 0.9, 0.0, 0.1)
+        return adam_step(state, g, 0.1)
+
+    out = step(OptState.fresh(np.ones((3, 4)), np.full((3, 1), 0.1)), grad)
+    assert out.diverged.tolist() == [False, True, False]
+    assert np.isfinite(out.theta_curr[[0, 2]]).all()
+    with pytest.raises(NumericalDivergence):
+        step(OptState.fresh(np.ones(4), 0.1), grad[1])
 
 
 def test_detect_t_int_fixtures():
@@ -291,7 +338,7 @@ def test_sweep_propagates_programming_errors(monkeypatch, jobs):
     def broken(*args, **kwargs):
         raise TypeError("injected bug")
 
-    monkeypatch.setattr(optim, "train", broken)
+    monkeypatch.setattr(optim, "init_checkpoint", broken)
     with pytest.raises(TypeError, match="injected bug"):
         sweep(NetSpec((2, 4, 2)), tr, te, _tiny_sweep_config(), jobs=jobs)
 
@@ -302,7 +349,7 @@ def test_sweep_records_toolkit_errors_per_run(monkeypatch):
     def singular(*args, **kwargs):
         raise NormalizationSingularity("injected")
 
-    monkeypatch.setattr(optim, "train", singular)
+    monkeypatch.setattr(optim, "init_checkpoint", singular)
     results = sweep(NetSpec((2, 4, 2)), tr, te, _tiny_sweep_config())
     assert [r.record.status for r in results] == ["error:NormalizationSingularity"] * 2
     assert all(r.checkpoint is None for r in results)
@@ -316,3 +363,45 @@ def test_labels_wider_than_net_outputs_raise_config_error():
         train(spec, tr, te, H, seed=0)
     with pytest.raises(ConfigError, match="does not fit"):
         sweep(spec, tr, te, _tiny_sweep_config())
+
+
+def test_sweep_stack_sizes_follow_the_activation_budget():
+    from types import SimpleNamespace
+
+    cfg = SweepConfig(lrs=(0.1, 0.2, 0.3), optimizers=("adam", "sgdm"),
+                      seeds=(0, 1, 2), train_sizes=(64, 128))
+    subsets = {64: SimpleNamespace(n=64), 128: SimpleNamespace(n=128)}
+    stacks = optim._sweep_stacks(NetSpec((8, 16, 2), bias_enabled=True), cfg, subsets)
+    # 2**14 // (128 rows x 16 wide) = 8 runs; 2**14 // (64 x 16) = 16 runs
+    assert [(n, len(items)) for n, items in stacks] == \
+        [(64, 9), (128, 8), (128, 1), (64, 9), (128, 8), (128, 1)]
+    for n, items in stacks:
+        assert {(it[4], it[1]) for it in items} == {(n, items[0][1])}
+    grid = list(optim.sweep_grid(cfg))
+    assert sorted(it for _, items in stacks for it in items) == sorted(grid)
+    for _, items in stacks:
+        assert items == sorted(items, key=grid.index)
+    # a 64-row minibatch of 784-pixel images: one run per stack
+    images = SweepConfig(lrs=(0.1, 0.2), seeds=(0, 1), batch_size=64)
+    spec = NetSpec((784, 32, 32, 10), normalize_hidden=True, frozen_readout=True)
+    assert [len(items) for _, items in
+            optim._sweep_stacks(spec, images, {0: SimpleNamespace(n=256)})] == [1] * 4
+
+
+def test_full_batch_epoch_runs_one_train_forward(monkeypatch):
+    from fragaudit import net
+
+    tr, te = split_train_test(synth_blobs(64, 2, 2, 6.0, 3), 40, 4)
+    rows = []
+    real = net.forward_batch
+
+    def counting(spec, weights, biases, X, *args, **kwargs):
+        rows.append(X.shape[-2])
+        return real(spec, weights, biases, X, *args, **kwargs)
+
+    monkeypatch.setattr(net, "forward_batch", counting)
+    H = Hyperparams(lr=0.05, max_epochs=7, stop_rule="max_epochs")
+    res = train(NetSpec((2, 6, 2), bias_enabled=True), tr, te, H, seed=0)
+    assert len(res.trace.epochs) == 7
+    # the first gradient, then one pass per epoch that also gives the next gradient
+    assert rows.count(40) == 7 + 1 and rows.count(24) == 7

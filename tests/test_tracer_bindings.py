@@ -1,0 +1,36 @@
+"""The traced benchmark's tracer must find every binding it wraps in the package."""
+
+import importlib.util
+from pathlib import Path
+
+from fragaudit import cli, data, evidence, exppp, fragility, measures, net, optim, \
+    persist, rng
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _bindings():
+    owners = [cli, data, evidence, exppp, fragility, measures, net, optim, persist,
+              rng, rng._kernels, rng.Rng]
+    return {(owner.__name__, name): value
+            for owner in owners for name, value in vars(owner).items()}
+
+
+def test_tracer_installs_and_uninstalls_against_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    before = _bindings()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()  # AttributeError if a wrapped binding is gone
+        wrapped = {key for key, value in _bindings().items() if before[key] is not value}
+        assert {("fragaudit.optim", "train"), ("fragaudit.optim", "sgdm_step"),
+                ("fragaudit.optim", "evaluate_wb"), ("fragaudit.net", "backward_batch"),
+                ("fragaudit.exppp", "backward_batch"),
+                ("fragaudit.measures", "forward_batch")} <= wrapped
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
