@@ -11,7 +11,7 @@ from fragaudit import _kernels_py
 from fragaudit.data import synth_blobs, split_train_test
 from fragaudit.evidence import estimate_consistency_mass
 from fragaudit.net import NetSpec
-from fragaudit.rng import child_seeds, states_from_seeds
+from fragaudit.rng import Rng, child_seeds, gaussian_matrix, states_from_seeds
 
 try:
     from fragaudit import _kernels as _kernels_c
@@ -51,6 +51,22 @@ def bench_multi_stream(backend, K, m):
     return secs, K * m / secs
 
 
+def bench_gaussian_rows(K, m, per_row):
+    """K gaussian rows of m variates: one gaussian_matrix call, or one
+    single-stream Rng.gaussians call per row (the same variates)."""
+    seeds = child_seeds(7, 0, K)
+
+    def run():
+        if per_row:
+            for seed in seeds.tolist():
+                Rng(seed).gaussians(m)
+        else:
+            gaussian_matrix(seeds, m)
+
+    secs = _time(run)
+    return secs, K * m / secs
+
+
 def bench_estimator(draws):
     full = synth_blobs(516, 3, 2, 6.0, seed=1)
     tr, _ = split_train_test(full, 16, seed=2)
@@ -82,6 +98,14 @@ def main():
         secs, rate = bench_multi_stream(mod, 8192, 32)
         print(f"{'multi stream fill (8192x32)':<34}{name:<10}"
               f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mword/s")
+    # the sigma-search noise shapes of measure: 15 draws of P = 178 (the
+    # blobs_audit net) and 4 draws of P = 26,112 (the images_si net)
+    for K, m in ((15, 178), (4, 26_112)):
+        for per_row in (True, False):
+            secs, rate = bench_gaussian_rows(K, m, per_row)
+            how = f"{K} x gaussians({m})" if per_row else f"gaussian_matrix {K}x{m}"
+            print(f"{how:<34}{'active':<10}"
+                  f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mvar/s")
     secs, rate = bench_estimator(100_000)
     print(f"{'consistency estimator (1e5 draws)':<34}{'active':<10}"
           f"{secs:>9.2f}s{rate / 1e3:>12.1f} kdraw/s")

@@ -4,12 +4,13 @@ Both backends must produce bit-identical uint64 streams; everything here is
 integer arithmetic mod 2**64, so equivalence with the compiled kernels is
 exact by construction.
 
-A long single stream is generated in lockstep lanes. The xoshiro256** state
-step is linear over GF(2), so it is a 256x256 bit matrix T, and the state
-j*B steps ahead of s is T^(jB) s (Haramoto et al. 2008, "Efficient jump ahead
-for F2-linear random number generators"). Lane j starts there and writes
-words jB .. jB+B-1 of the request, which are exactly the words the serial
-loop would write. The powers T^(2^i) are built once per process by squaring.
+A long stream request, single or one row of a multi-stream fill, is generated
+in lockstep lanes. The xoshiro256** state step is linear over GF(2), so it is
+a 256x256 bit matrix T, and the state j*B steps ahead of s is T^(jB) s
+(Haramoto et al. 2008, "Efficient jump ahead for F2-linear random number
+generators"). Lane j starts there and writes words jB .. jB+B-1 of the row,
+which are exactly the words the serial loop would write. The powers T^(2^i)
+are built once per process by squaring.
 """
 
 import threading
@@ -20,11 +21,16 @@ _MASK = (1 << 64) - 1
 
 BACKEND = "python"
 
-# Requests of at least this many words run in lanes; shorter ones run the
-# serial loop. The lane path costs about 0.5 ms however short the request and
-# the loop about 1 us/word; they broke even between 768 and 1,024 words on a
-# 2-core x86-64 host with single-threaded OpenBLAS.
+# Requests of at least this many words, over all their rows, run in lanes;
+# shorter ones run the serial loop. The lane path costs about 0.5 ms however
+# short the request and the loop about 1 us/word; they broke even between 768
+# and 1,024 words on a 2-core x86-64 host with single-threaded OpenBLAS.
 LANE_CUTOFF = 1024
+
+# Fewer short rows than this run the serial loop one row at a time. A lockstep
+# step costs about as much as 12 serial words however few streams it advances
+# (same host), so narrower requests lose to the loop.
+_SERIAL_ROWS = 8
 
 # States per GF(2) matrix product; bounds each temporary bit-plane array to
 # 128 KiB, which keeps the lane path's peak memory near 1.5 MiB.
@@ -39,26 +45,57 @@ _POWERS_LOCK = threading.Lock()
 def fill_u64(state, out):
     """Advance one xoshiro256** stream len(out) steps, writing outputs.
 
-    state: uint64 array of shape (4,), mutated in place.
+    state: uint64 array of shape (4,), mutated in place. This is the K = 1
+    case of fill_u64_multi; it calls the shared path directly, so a wrapper
+    on either public name sees each request once.
     """
-    n = out.shape[0]
-    if n < LANE_CUTOFF or not out.flags.c_contiguous:
-        fill_u64_serial(state, out)
-        return
-    log2_len = lane_log2_len(n)
-    lanes = n >> log2_len
-    starts = lane_starts(state, lanes, log2_len)
-    fill_u64_multi(starts, out[: lanes << log2_len].reshape(lanes, 1 << log2_len))
-    state[:] = starts[-1]
-    fill_u64_serial(state, out[lanes << log2_len:])
+    _fill_rows(state[None], out[None])
+
+
+def fill_u64_multi(states, out):
+    """Advance K xoshiro256** streams; out has shape (K, m), row k from stream k.
+
+    states: uint64 array of shape (K, 4), mutated in place.
+    """
+    _fill_rows(states, out)
+
+
+def _fill_rows(states, out):
+    """Each row of out is one contiguous run of its stream, however it is split.
+
+    A request of at least LANE_CUTOFF words runs in lanes while it has fewer
+    rows than a lane is long (then every row holds at least two lanes); more
+    rows already fill the lockstep width, and the jumps would cost more than
+    the steps they save. The lanes of all K rows take one lockstep pass, and
+    each row's tail (shorter than a lane) then continues from its last lane's
+    end state. Other requests and the tails run the serial loop row by row
+    when there are fewer than _SERIAL_ROWS rows, and the lockstep loop
+    otherwise.
+    """
+    K, m = out.shape
+    log2_len = lane_log2_len(K * m)
+    if K * m >= LANE_CUTOFF and K < 1 << log2_len:
+        lanes = m >> log2_len
+        body = lanes << log2_len
+        starts = lane_starts(states, lanes, log2_len)
+        _lockstep(starts, out[:, :body].reshape(K, lanes, 1 << log2_len))
+        states[:] = starts[:, -1]
+        out = out[:, body:]
+    if K < _SERIAL_ROWS:
+        for k in range(K):
+            fill_u64_serial(states[k], out[k])
+    else:
+        _lockstep(states, out)
 
 
 def lane_log2_len(n: int) -> int:
-    """log2 of the lane length for an n-word request.
+    """log2 of the lane length for a request of n words over all its rows.
 
     The lockstep loop costs per word of lane length, the jumps per lane, so
     the best length grows as sqrt(n); the offset is the fastest measured at
-    1k, 26k and 301k words.
+    1k, 26k and 301k words in one row. For K rows of m words, n = K * m was
+    within 10% of the fastest length at 4 x 26,432, 15 x 1,024 and 15 x 4,096,
+    and beat plain lockstep 2.9x at 15 x 178.
     """
     return max(1, (n.bit_length() - 2) // 2)
 
@@ -85,23 +122,23 @@ def fill_u64_serial(state, out):
     state[3] = s3
 
 
-def fill_u64_multi(states, out):
-    """Advance K parallel streams in lockstep; out has shape (K, m).
+def _lockstep(states, out):
+    """The per-word step on every stream at once: states (..., 4), out (..., m).
 
-    states: uint64 array of shape (K, 4), mutated in place. Each step runs in
-    place on the four state columns and two scratch arrays.
+    states is mutated in place. Each step runs in place on the four state
+    columns and two scratch arrays.
     """
-    s0, s1, s2, s3 = (states[:, j].copy() for j in range(4))
+    s0, s1, s2, s3 = (states[..., j].copy() for j in range(4))
     r = np.empty_like(s0)
     t = np.empty_like(s0)
     five, nine = np.uint64(5), np.uint64(9)
     u7, u17, u19, u45, u57 = (np.uint64(k) for k in (7, 17, 19, 45, 57))
-    for j in range(out.shape[1]):
+    for j in range(out.shape[-1]):
         np.multiply(s1, five, out=r)
         np.left_shift(r, u7, out=t)
         np.right_shift(r, u57, out=r)
         np.bitwise_or(r, t, out=r)
-        np.multiply(r, nine, out=out[:, j])
+        np.multiply(r, nine, out=out[..., j])
         np.left_shift(s1, u17, out=t)
         np.bitwise_xor(s2, s0, out=s2)
         np.bitwise_xor(s3, s1, out=s3)
@@ -111,24 +148,27 @@ def fill_u64_multi(states, out):
         np.left_shift(s3, u45, out=r)
         np.right_shift(s3, u19, out=s3)
         np.bitwise_or(s3, r, out=s3)
-    states[:, 0] = s0
-    states[:, 1] = s1
-    states[:, 2] = s2
-    states[:, 3] = s3
+    states[..., 0] = s0
+    states[..., 1] = s1
+    states[..., 2] = s2
+    states[..., 3] = s3
 
 
-def lane_starts(state, lanes: int, log2_len: int) -> np.ndarray:
-    """States T^(j * 2**log2_len) state for j < lanes, shape (lanes, 4).
+def lane_starts(states, lanes: int, log2_len: int) -> np.ndarray:
+    """States T^(j * 2**log2_len) s for each of the K states s and j < lanes.
 
-    Doubling: the first m starts jumped m lanes ahead give the next m.
+    states has shape (K, 4), the result (K, lanes, 4). Doubling: the first m
+    starts of every row jumped m lanes ahead give the next m.
     """
+    K = states.shape[0]
     powers = jump_powers(log2_len + (lanes - 1).bit_length())
-    starts = np.empty((lanes, 4), dtype=np.uint64)
-    starts[0] = state
+    starts = np.empty((K, lanes, 4), dtype=np.uint64)
+    starts[:, 0] = states
     have = 1
     for power in powers[log2_len:]:
         take = min(have, lanes - have)
-        starts[have:have + take] = gf2_apply(power, starts[:take])
+        jumped = gf2_apply(power, starts[:, :take].reshape(K * take, 4))
+        starts[:, have:have + take] = jumped.reshape(K, take, 4)
         have += take
     return starts
 
@@ -142,7 +182,7 @@ def jump_powers(count: int) -> list:
     with _POWERS_LOCK:
         if not _POWERS:
             step = _pack_bits(np.eye(256, dtype=np.float32))
-            fill_u64_multi(step, np.empty((256, 1), dtype=np.uint64))
+            _lockstep(step, np.empty((256, 1), dtype=np.uint64))
             _POWERS.append(step)
         while len(_POWERS) < count:
             _POWERS.append(gf2_apply(_POWERS[-1], _POWERS[-1]))

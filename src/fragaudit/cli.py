@@ -20,7 +20,7 @@ from . import persist
 from .errors import AllRunsFailed, ConfigError, FragAuditError
 from .measures import MEASURE_NAMES, MeasureConfig, compute_all
 from .net import NetSpec, load_checkpoint, save_checkpoint
-from .optim import Hyperparams, SweepConfig, resume, sweep, train
+from .optim import Hyperparams, SweepConfig, resume, sweep, train, train_subsets
 from .records import RunRecord, post_interp_slope
 from .rng import Rng
 
@@ -212,8 +212,8 @@ def cmd_measure(cfg, out, args):
     mcfg = _measure_config(cfg)
     records_path = Path(args.records) if args.records else out / "records.jsonl"
     records = list(_iter_records(records_path))
-    s = cfg.get("sweep", {})
-    subsample_seed = int(s.get("subsample_seed", 1))
+    subsample_seed = int(cfg.get("sweep", {}).get("subsample_seed", 1))
+    subsets = train_subsets(base_train, {r.n_train or 0 for r in records}, subsample_seed)
     cfg_hash = persist.config_hash(cfg)
     updated = []
     for rec in records:
@@ -222,11 +222,7 @@ def cmd_measure(cfg, out, args):
             continue
         ckpt_path = out / "runs" / rec.group / rec.run_id / "ckpt.bin"
         ck_spec, ckpt = load_checkpoint(ckpt_path)
-        ds = base_train
-        if rec.n_train and rec.n_train < base_train.n:
-            ds = datakit.subsample(base_train, rec.n_train,
-                                   Rng(subsample_seed)
-                                   .spawn_key(f"n={rec.n_train}").next_u64())
+        ds = subsets[rec.n_train or 0]
         run_mcfg = replace(mcfg, seed=Rng(mcfg.seed).spawn_key(rec.run_id).next_u64())
         ms = compute_all(ck_spec, ckpt, ds, run_mcfg)
         rec.measures = ms.values

@@ -5,6 +5,7 @@ flattened trainable parameter vector w (frozen readouts are excluded, so the
 schedule-equivalence scaling identities hold for the reported values).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,7 @@ from .errors import ConfigError, DegenerateLayer, FragAuditError, MarginNotPosit
     PathNormUndefined, SigmaSearchFailed
 from .net import Checkpoint, NetSpec, flatten_params, forward_batch, margins, \
     param_views
-from .rng import Rng
+from .rng import Rng, child_seeds, gaussian_matrix
 
 MEASURE_NAMES = (
     "PARAMS",
@@ -113,15 +114,17 @@ def spectral_norm(W: np.ndarray, tol: float = 1e-10, max_iters: int = 20000):
         raise DegenerateLayer("zero matrix has no spectral direction")
     G = W.T @ W if W.shape[1] <= W.shape[0] else W @ W.T
     k = G.shape[0]
-    rng = Rng(_SPECTRAL_START_SEED)
-    v = rng.gaussians(k)
-    v /= np.linalg.norm(v)
+    v = _spectral_start(k).copy()
+    rng = None
     lam, residual = 0.0, np.inf
     iters = 0
     for iters in range(1, max_iters + 1):
         u = G @ v
         norm_u = np.linalg.norm(u)
         if norm_u == 0.0:  # started in the kernel; redraw deterministically
+            if rng is None:  # continue the start vector's stream past it
+                rng = Rng(_SPECTRAL_START_SEED)
+                rng.gaussians(k)
             v = rng.gaussians(k)
             v /= np.linalg.norm(v)
             continue
@@ -131,6 +134,14 @@ def spectral_norm(W: np.ndarray, tol: float = 1e-10, max_iters: int = 20000):
         if residual <= tol:
             break
     return float(np.sqrt(max(lam, 0.0))), residual, iters, residual <= tol
+
+
+@functools.lru_cache(maxsize=64)
+def _spectral_start(k: int) -> np.ndarray:
+    """The unit start vector of spectral_norm for a k x k Gram matrix; callers copy it."""
+    v = Rng(_SPECTRAL_START_SEED).gaussians(k)
+    v /= np.linalg.norm(v)
+    return v
 
 
 def frobenius_measures(spec: NetSpec, ckpt: Checkpoint, n: int) -> dict:
@@ -240,9 +251,8 @@ def sigma_search(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig,
     logits = forward_batch(spec, ckpt.weights, ckpt.biases, X)
     acc0 = float((logits.argmax(axis=1) == y).mean())
     stream = Rng(cfg.seed).spawn_key("sigma-mag" if magnitude_aware else "sigma")
-    draws = np.empty((cfg.sigma_mc_draws, w.size))
-    for d in range(cfg.sigma_mc_draws):
-        draws[d] = stream.spawn_index(d).gaussians(w.size)
+    # row d is stream.spawn_index(d).gaussians(w.size)
+    draws = gaussian_matrix(child_seeds(stream.seed, 0, cfg.sigma_mc_draws), w.size)
     scale = (np.abs(w) + cfg.kappa) if magnitude_aware else 1.0
     perturbed = np.empty_like(draws)
 

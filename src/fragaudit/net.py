@@ -123,7 +123,10 @@ def init_checkpoint(spec: NetSpec, rng, meta=None, std_scale: float = 1.0) -> Ch
 def _affine(W, b, A):
     Z = A @ W.swapaxes(-1, -2)
     if b is not None:
-        Z = Z + b[..., None, :]
+        if b.ndim < Z.ndim:  # Z is fresh; a second array page-faults on every call
+            Z += b[..., None, :]
+        else:  # shared W and A with stacked b: the sum broadcasts up
+            Z = Z + b[..., None, :]
     return Z
 
 
@@ -154,7 +157,7 @@ def forward_batch(spec: NetSpec, weights, biases, X: np.ndarray, record=None) ->
                     raise NormalizationSingularity(
                         f"zero pre-activation norm at hidden layer {i}"
                     )
-                Z = Z / r
+                Z /= r
                 if record is not None:
                     norm = (Z, r)
             if spec.activation == "relu":

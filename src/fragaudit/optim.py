@@ -552,6 +552,19 @@ def _error_result(cfg, H, seed, exc) -> TrainResult:
                        TrainTrace(run_id=rid))
 
 
+def train_subsets(base_train: Dataset, sizes, subsample_seed: int) -> dict:
+    """{n: the training subset of n examples} for each size; 0 or n >= base_train.n
+    map to base_train itself. Subset n is the same wherever it is rebuilt."""
+    subsets = {}
+    for n in sizes:
+        if n and n < base_train.n:
+            subsets[n] = subsample(base_train, n, Rng(subsample_seed)
+                                   .spawn_key(f"n={n}").next_u64())
+        else:
+            subsets[n] = base_train
+    return subsets
+
+
 def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig,
           on_result=None, seed_offset: int = 0, jobs: int = 1):
     """Run the full grid; per-run failures are recorded, the sweep continues.
@@ -567,13 +580,7 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     """
     if not cfg.lrs:
         raise ConfigError("sweep grid is empty")
-    subsets = {}
-    for n in cfg.train_sizes or (0,):
-        if n and n < base_train.n:
-            subsets[n] = subsample(base_train, n, Rng(cfg.subsample_seed)
-                                   .spawn_key(f"n={n}").next_u64())
-        else:
-            subsets[n] = base_train
+    subsets = train_subsets(base_train, cfg.train_sizes or (0,), cfg.subsample_seed)
     stacks = _sweep_stacks(spec, cfg, subsets)
 
     def run(stack):

@@ -20,6 +20,11 @@ Stream derivation rules (documented so audits can be replayed elsewhere):
   words, lane j starting from the state jB steps ahead (reached by GF(2)
   jump-ahead), and writes the tail of fewer than B words serially from the
   last lane's end state. The lane count and length never change a word.
+- a multi-stream request (gaussian_matrix, K rows) is K such runs, row k from
+  stream k. One of at least LANE_CUTOFF words in all, with fewer rows than a
+  lane is long, runs in lanes too: every row's lanes in one lockstep pass,
+  then each row's tail from its last lane's end state. A row's words never
+  depend on K or on which route filled it.
 """
 
 import hashlib
@@ -77,12 +82,18 @@ def child_seeds(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Gaussian variates from uint64 pairs; u has shape (K, 2m), output (K, 2m)."""
+    """Gaussian variates from uint64 pairs; u has shape (K, 2m), output (K, 2m).
+
+    The output reuses u's buffer (u is consumed), and no temporary outlives
+    its use, which keeps the peak near u plus four half-size arrays.
+    """
     a = ((u[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53  # (0,1]
-    b = (u[:, 1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53  # [0,1)
     r = np.sqrt(-2.0 * np.log(a))
+    del a
+    b = (u[:, 1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53  # [0,1)
     theta = (2.0 * np.pi) * b
-    z = np.empty_like(u, dtype=np.float64)
+    del b
+    z = u.view(np.float64)
     z[:, 0::2] = r * np.cos(theta)
     z[:, 1::2] = r * np.sin(theta)
     return z

@@ -496,3 +496,50 @@ def test_json_ready_maps_non_finite_floats_to_null():
                       "c": np.bool_(True), "d": (np.int64(3), "x", None)})
     assert got == {"a": None, "b": [1.5, None, None], "c": True, "d": [3, "x", None]}
     assert type(got["b"][0]) is float and type(got["c"]) is bool
+
+
+class _SubsetPerLookup(dict):
+    """Rebuilds the training subset on every lookup, one per measured record."""
+
+    def __init__(self, base, seed):
+        super().__init__()
+        self.base, self.seed = base, seed
+
+    def __getitem__(self, n):
+        from fragaudit import data as datakit
+        from fragaudit.rng import Rng
+
+        if n and n < self.base.n:
+            return datakit.subsample(self.base, n, Rng(self.seed)
+                                     .spawn_key(f"n={n}").next_u64())
+        return self.base
+
+
+def test_measure_builds_each_training_subset_once(tmp_path, monkeypatch):
+    import shutil
+
+    from fragaudit import cli, optim
+
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(train_sizes=[64, 96], max_epochs=40)
+    cp = write_config(tmp_path, cfg)
+    once, per_record = tmp_path / "once", tmp_path / "per-record"
+    assert main(["sweep", "--config", cp, "--out", str(once)]) == 0
+    shutil.copytree(once, per_record)
+
+    sizes = []
+    real_subsample = optim.subsample
+
+    def counting_subsample(ds, m, seed):
+        sizes.append(m)
+        return real_subsample(ds, m, seed)
+
+    monkeypatch.setattr(optim, "subsample", counting_subsample)
+    assert main(["measure", "--config", cp, "--out", str(once)]) == 0
+    assert sorted(sizes) == [64, 96]
+    monkeypatch.setattr(cli, "train_subsets",
+                        lambda base, _sizes, seed: _SubsetPerLookup(base, seed))
+    assert main(["measure", "--config", cp, "--out", str(per_record)]) == 0
+    records = read_jsonl(once / "records.jsonl")
+    assert {r["n_train"] for r in records if r["measures"]} == {64, 96}
+    assert _output_bytes(once) == _output_bytes(per_record)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fragaudit import measures as measures_mod
 from fragaudit.data import split_train_test, synth_blobs
 from fragaudit.errors import ConfigError, DegenerateLayer, MarginNotPositive, \
     NormalizationSingularity, PathNormUndefined, SigmaSearchFailed
@@ -57,6 +58,53 @@ def test_spectral_norm_vs_svd_oracle():
 def test_spectral_norm_rejects_zero():
     with pytest.raises(DegenerateLayer):
         spectral_norm(np.zeros((3, 3)))
+
+
+def _uncached_spectral_norm(W, tol=1e-10, max_iters=20000, first=None):
+    """Oracle: the start vector drawn afresh on every call. `first` stands in
+    for it while the stream still moves past it, so a redraw continues there."""
+    G = W.T @ W if W.shape[1] <= W.shape[0] else W @ W.T
+    k = G.shape[0]
+    rng = Rng(measures_mod._SPECTRAL_START_SEED)
+    v = rng.gaussians(k)
+    v /= np.linalg.norm(v)
+    if first is not None:
+        v = first
+    lam, residual, iters = 0.0, np.inf, 0
+    for iters in range(1, max_iters + 1):
+        u = G @ v
+        norm_u = np.linalg.norm(u)
+        if norm_u == 0.0:
+            v = rng.gaussians(k)
+            v /= np.linalg.norm(v)
+            continue
+        lam = float(v @ u)
+        residual = float(np.linalg.norm(u - lam * v) / abs(lam)) if lam else np.inf
+        v = u / norm_u
+        if residual <= tol:
+            break
+    return float(np.sqrt(max(lam, 0.0))), residual, iters, residual <= tol
+
+
+def test_spectral_norm_cached_start_matches_uncached_oracle():
+    rng = Rng(78)
+    for _ in range(2):  # the second pass reads every start vector from the cache
+        for rows, cols in [(16, 8), (8, 16), (2, 16), (16, 16), (3, 5), (784, 32)]:
+            W = rng.gaussians(rows * cols).reshape(rows, cols)
+            assert spectral_norm(W) == _uncached_spectral_norm(W), (rows, cols)
+    fresh = Rng(measures_mod._SPECTRAL_START_SEED).gaussians(16)
+    assert np.array_equal(measures_mod._spectral_start(16), fresh / np.linalg.norm(fresh))
+
+
+def test_spectral_norm_redraw_continues_the_start_stream(monkeypatch):
+    # a start vector in the kernel of G forces one redraw from the stream
+    W = np.diag([0.0, 2.0, 1.0])
+    e0 = np.array([1.0, 0.0, 0.0])
+    monkeypatch.setattr(measures_mod, "_spectral_start", lambda k: e0)
+    got = spectral_norm(W)
+    assert got == _uncached_spectral_norm(W, first=e0)
+    assert got[0] == pytest.approx(2.0, rel=1e-10) and got[3]
+    assert np.array_equal(e0, [1.0, 0.0, 0.0])
 
 
 # --- fixed-value fixtures ------------------------------------------------------
@@ -309,11 +357,20 @@ def _scale_invariant_net():
     return spec, random_ckpt(spec, seed=62), ds
 
 
-@pytest.mark.parametrize("net", ["bias", "scale_invariant"])
+def _wide_net():
+    """P = 1,198: the 15 noise rows run in 64-word lanes, and each row's
+    46-word tail perturbs the last hidden biases and the output biases."""
+    spec = NetSpec((23, 46, 2), bias_enabled=True)
+    ds = synth_blobs(64, 23, 2, 4.0, seed=63)
+    return spec, random_ckpt(spec, seed=64), ds
+
+
+@pytest.mark.parametrize("net", ["bias", "scale_invariant", "wide"])
 @pytest.mark.parametrize("magnitude_aware", [False, True])
 def test_sigma_search_drop_matches_per_draw_loop(net, magnitude_aware):
     # a target of 1.0 accepts sigma_hi at once, so final_drop is the drop there
-    spec, ck, ds = _trained_net() if net == "bias" else _scale_invariant_net()
+    spec, ck, ds = {"bias": _trained_net, "scale_invariant": _scale_invariant_net,
+                    "wide": _wide_net}[net]()
     for radius in (1e-4, 3e-3, 0.05, 0.4, 2.0, 10.0):
         cfg = MeasureConfig(seed=7, sigma_hi=radius, sigma_target_dev=1.0)
         res = sigma_search(spec, ck, ds, cfg, magnitude_aware=magnitude_aware)

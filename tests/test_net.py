@@ -115,8 +115,48 @@ def test_stacked_forward_mixes_shared_weights_with_stacked_biases():
     X = gen.standard_normal((10, 8))
     weights = [gen.standard_normal((16, 8)), gen.standard_normal((2, 16))]
     biases = [gen.standard_normal((K, 16)), gen.standard_normal(2)]
+    before = [a.copy() for a in (X, *weights, *biases)]
     got = forward_batch(spec, weights, biases, X)
+    assert all(np.array_equal(a, b) for a, b in zip((X, *weights, *biases), before))
     assert np.array_equal(got, _per_slice_logits(spec, weights, biases, X, K))
+
+
+def _reference_forward(spec, weights, biases, X):
+    """Oracle: each layer as fresh out-of-place arrays, one net per stack slice."""
+    A = X
+    for i in range(spec.num_layers):
+        Z = A @ weights[i].T
+        if biases:
+            Z = Z + biases[i]
+        if i < spec.num_layers - 1:
+            if spec.normalize_hidden:
+                Z = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
+            if spec.activation == "relu":
+                Z = np.maximum(Z, 0.0)
+        A = Z
+    return A
+
+
+@pytest.mark.parametrize("stacked_data", [False, True])
+@pytest.mark.parametrize("spec,n", STACK_NETS)
+def test_forward_leaves_inputs_unchanged_and_matches_reference(spec, n, stacked_data):
+    # in-place bias adds and divides must give the out-of-place bits and write
+    # only to the fresh layer products, never to W, b or X
+    K = 3
+    gen = np.random.default_rng(spec.layer_dims[-1])
+    X = gen.standard_normal(((K,) if stacked_data else ()) + (n, spec.layer_dims[0]))
+    for mask in range(1 << spec.num_layers):
+        weights, biases = _random_layers(spec, gen, K, mask)
+        before = [a.copy() for a in (X, *weights, *biases)]
+        got = forward_batch(spec, weights, biases, X)
+        assert all(np.array_equal(a, b) for a, b in zip((X, *weights, *biases), before))
+        if not mask and not stacked_data:
+            assert np.array_equal(got, _reference_forward(spec, weights, biases, X))
+            continue
+        for k in range(K):
+            w = [_pick(W, k, 3) for W in weights]
+            b = [_pick(v, k, 2) for v in biases]
+            assert np.array_equal(got[k], _reference_forward(spec, w, b, _pick(X, k, 3)))
 
 
 def test_stacked_normalization_singularity_in_one_slice():

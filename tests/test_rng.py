@@ -260,3 +260,82 @@ def test_permutation_and_shuffle_match_per_word_below_loop(n):
     expect = [seq[i] for i in _below_loop_permutation(Rng(23), len(seq))]
     Rng(23).shuffle(seq)
     assert seq == expect
+
+
+@pytest.mark.parametrize("K", [1, 4, 15])
+@pytest.mark.parametrize("m", [1, 11, CUTOFF - 1, CUTOFF, CUTOFF + 1, 26432])
+def test_gaussian_matrix_rows_match_spawned_streams(K, m):
+    root = Rng(4242)
+    mat = gaussian_matrix(child_seeds(root.seed, 0, K), m)
+    for k in range(K):
+        assert np.array_equal(mat[k], root.spawn_index(k).gaussians(m)), k
+
+
+def _lane_len(K, m):
+    return 1 << _kernels_py.lane_log2_len(K * m)
+
+
+def _multi_lane_cases():
+    """(K, m) at the edges of the multi-row routes: the serial-row count, the
+    lane cutoff on all K * m words, tails of 0, 1 and B - 1 words, and the
+    row count at which lanes give way to plain lockstep."""
+    cases = {(0, CUTOFF), (2, 5), (7, 40), (8, 40), (15, 178)}
+    cases |= {(K, CUTOFF - 1) for K in (1, 3, 16)}
+    cases |= {(2, 511), (2, 512), (3, 341), (3, 342), (15, 68), (15, 69)}
+    for K in (1, 3, 9):
+        for m0 in (CUTOFF, 5000, 26432):
+            lane = _lane_len(K, m0)
+            whole = m0 // lane * lane
+            cases |= {(K, m) for m in (whole, whole + 1, whole + lane - 1)}
+    edge = next(K for K in range(1, 1024) if K >= _lane_len(K, CUTOFF))
+    cases |= {(edge - 1, CUTOFF + 7), (edge, CUTOFF + 7)}
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("K,m", _multi_lane_cases())
+def test_multi_fill_matches_serial_rows(K, m):
+    states = states_from_seeds(child_seeds(77, 0, K))
+    expect_states = states.copy()
+    expect = np.empty((K, m), dtype=np.uint64)
+    for k in range(K):
+        _kernels_py.fill_u64_serial(expect_states[k], expect[k])
+    out = np.empty((K, m), dtype=np.uint64)
+    _kernels_py.fill_u64_multi(states, out)
+    assert np.array_equal(out, expect)
+    assert np.array_equal(states, expect_states)
+
+
+def test_multi_fill_into_strided_rows():
+    K, m = 3, 5000
+    states = states_from_seeds(child_seeds(78, 0, K))
+    expect = np.empty((K, m), dtype=np.uint64)
+    expect_states = states.copy()
+    for k in range(K):
+        _kernels_py.fill_u64_serial(expect_states[k], expect[k])
+    buf = np.zeros((K, 2 * m), dtype=np.uint64)
+    _kernels_py.fill_u64_multi(states, buf[:, 1::2])
+    assert np.array_equal(buf[:, 1::2], expect) and not buf[:, 0::2].any()
+    assert np.array_equal(states, expect_states)
+
+
+def _box_muller_reference(u):
+    """The variates as fresh arrays, u left intact."""
+    a = ((u[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    b = (u[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(a))
+    theta = (2.0 * np.pi) * b
+    z = np.empty(u.shape, dtype=np.float64)
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = r * np.sin(theta)
+    return z
+
+
+@pytest.mark.parametrize("K,cols", [(1, 2), (4, 26432), (4096, 18)])
+def test_box_muller_in_u_buffer_matches_fresh_arrays(K, cols):
+    u = np.empty((K, cols), dtype=np.uint64)
+    _kernels_py.fill_u64_multi(states_from_seeds(child_seeds(5, 0, K)), u)
+    u[0, :2] = [0, 2**64 - 1]  # the extreme words of both halves of a pair
+    expect = _box_muller_reference(u)
+    got = rng_mod._box_muller(u)
+    assert np.shares_memory(got, u)
+    assert np.array_equal(got, expect)
