@@ -8,6 +8,8 @@ import time
 import numpy as np
 
 from fragaudit import _kernels_py
+from fragaudit import net as net_mod
+from fragaudit import rng as rng_mod
 from fragaudit.data import synth_blobs, split_train_test
 from fragaudit.evidence import estimate_consistency_mass
 from fragaudit.net import NetSpec
@@ -67,6 +69,35 @@ def bench_gaussian_rows(K, m, per_row):
     return secs, K * m / secs
 
 
+def bench_box_muller(K, cols, block):
+    """_box_muller on a (K, cols) word buffer in blocks of `block` words."""
+    words = np.empty((K, cols), dtype=np.uint64)
+    _kernels_py.fill_u64_multi(states_from_seeds(child_seeds(5, 0, K)), words)
+    bufs = [words.copy() for _ in range(3)]  # one fresh buffer per repeat
+    saved = rng_mod._BOX_MULLER_BLOCK
+    rng_mod._BOX_MULLER_BLOCK = block
+    try:
+        secs = _time(lambda: rng_mod._box_muller(bufs.pop()))
+    finally:
+        rng_mod._BOX_MULLER_BLOCK = saved
+    return secs, K * cols / secs
+
+
+def bench_class_reduction(shape, name, columns):
+    """A class-axis reduction over logits of `shape`: numpy's own, or the
+    column pass that net uses below _COLUMN_CLASSES classes."""
+    E = np.random.default_rng(0).standard_normal(shape)
+    reduce = (getattr(net_mod, "_class_" + name) if columns
+              else lambda E: getattr(E, name)(axis=-1))
+    reps = max(1, 200_000 // E.size)
+
+    def run():
+        for _ in range(reps):
+            reduce(E)
+
+    return _time(run) / reps
+
+
 def bench_estimator(draws):
     full = synth_blobs(516, 3, 2, 6.0, seed=1)
     tr, _ = split_train_test(full, 16, seed=2)
@@ -106,6 +137,25 @@ def main():
             how = f"{K} x gaussians({m})" if per_row else f"gaussian_matrix {K}x{m}"
             print(f"{how:<34}{'active':<10}"
                   f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mvar/s")
+    # Box-Muller over the prior shard of the evidence_prior net (4096 draws of
+    # 30 words), the images_si sigma noise and one images_si image draw, in
+    # one pass and in the blocks _box_muller uses
+    for K, cols in ((4096, 30), (4, 26_112), (1, 301_056)):
+        for block in (K * cols, rng_mod._BOX_MULLER_BLOCK):
+            secs, rate = bench_box_muller(K, cols, block)
+            how = "one pass" if block == K * cols else "blocks"
+            label = f"box-muller {K}x{cols} {how}"
+            print(f"{label:<34}{'active':<10}"
+                  f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mvar/s")
+    # class-axis reductions on the blobs_audit sweep logits (8 runs x 128 rows)
+    # and on one evidence_prior shard (4096 draws x 16 points), 2 classes
+    for shape in ((8, 128, 2), (4096, 16, 2)):
+        for name in ("max", "sum", "argmax"):
+            for columns in (False, True):
+                secs = bench_class_reduction(shape, name, columns)
+                how = "columns" if columns else "numpy"
+                label = f"{name} {shape} {how}"
+                print(f"{label:<34}{'active':<10}{secs * 1e6:>8.1f}us")
     secs, rate = bench_estimator(100_000)
     print(f"{'consistency estimator (1e5 draws)':<34}{'active':<10}"
           f"{secs:>9.2f}s{rate / 1e3:>12.1f} kdraw/s")

@@ -17,7 +17,8 @@ from .data import Dataset, corrupt_labels, split_train_test, synth_blobs
 from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhausted, \
     ZeroHits
 from .fragility import median
-from .net import Checkpoint, NetSpec, forward_batch, init_checkpoint
+from .net import Checkpoint, NetSpec, _class_argmax, forward_batch, init_checkpoint, \
+    predict
 from .rng import Rng, child_seeds, gaussian_matrix, states_from_seeds
 from . import rng as _rng_mod
 
@@ -106,7 +107,7 @@ def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
         if fixed_readout is None:
             raise ConfigError("frozen readout weights required")
         weights.append(fixed_readout)
-    return forward_batch(spec, weights, [], X).argmax(axis=2)
+    return _class_argmax(forward_batch(spec, weights, [], X))
 
 
 def draw_checkpoint(spec: NetSpec, seed: int, index: int,
@@ -236,6 +237,12 @@ class EvidenceTask:
     corruptions: tuple = (0.0,)
     max_attempts: int = 200000
 
+    def __post_init__(self):
+        for name in ("repetitions", "draws", "max_attempts", "n_heldout"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"evidence task {name} must be >= 1, "
+                                  f"got {getattr(self, name)}")
+
 
 def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
                               prior: PriorConfig = PriorConfig()) -> dict:
@@ -283,9 +290,7 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
                 row["status"] = "rejection_exhausted"
                 rows.append(row)
                 continue
-            preds = forward_batch(spec, ck.weights, ck.biases,
-                                  heldout.features).argmax(axis=1)
-            err = float((preds != heldout.labels).mean())
+            err = float((predict(spec, ck, heldout.features) != heldout.labels).mean())
             row["sample_error"] = err
             row["violation"] = bool(err > bound.epsilon_bound)
             row["attempts"] = attempts

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateLayer, FragAuditError, MarginNotPositive, \
     PathNormUndefined, SigmaSearchFailed
-from .net import Checkpoint, NetSpec, flatten_params, forward_batch, margins, \
-    param_views
+from .net import Checkpoint, NetSpec, accuracy, flatten_params, forward_batch, \
+    margins, param_views
 from .rng import Rng, child_seeds, gaussian_matrix
 
 MEASURE_NAMES = (
@@ -248,8 +248,7 @@ def sigma_search(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig,
     """
     X, y = dataset.features, dataset.labels
     w = flatten_params(spec, ckpt.weights, ckpt.biases)
-    logits = forward_batch(spec, ckpt.weights, ckpt.biases, X)
-    acc0 = float((logits.argmax(axis=1) == y).mean())
+    acc0 = float(accuracy(forward_batch(spec, ckpt.weights, ckpt.biases, X), y))
     stream = Rng(cfg.seed).spawn_key("sigma-mag" if magnitude_aware else "sigma")
     # row d is stream.spawn_index(d).gaussians(w.size)
     draws = gaussian_matrix(child_seeds(stream.seed, 0, cfg.sigma_mc_draws), w.size)
@@ -260,8 +259,7 @@ def sigma_search(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig,
         np.multiply(radius * scale, draws, out=perturbed)
         np.add(perturbed, w, out=perturbed)
         weights, biases = param_views(spec, perturbed, ckpt)
-        logits = forward_batch(spec, weights, biases, X)
-        accs = (logits.argmax(axis=-1) == y).mean(axis=-1)
+        accs = accuracy(forward_batch(spec, weights, biases, X), y)
         return acc0 - float(np.mean(accs))
 
     target = cfg.sigma_target_dev

@@ -180,18 +180,71 @@ def forward(spec: NetSpec, ckpt: Checkpoint, x) -> np.ndarray:
     return forward_batch(spec, ckpt.weights, ckpt.biases, x[None, :])[0]
 
 
-def _softmax_ce(logits: np.ndarray, y: np.ndarray):
-    """(per-example CE, softmax probabilities, label index), numerically stable.
+# Reductions over the class (last) axis of fewer than this many classes run as
+# column passes: one ufunc call per class over all rows. numpy reduces a short
+# last axis row by row, at tens of ns per row: on (4096, 16, 2) logits `max`
+# took 4.2-4.6 ms that way against 0.1 ms in columns, and `argmax` 1.4 against
+# 0.3 ms (benchmarks/bench_kernels.py, 2-core x86-64 host, numpy 2.4). Below 8
+# elements numpy's pairwise sum is a plain left-to-right loop from +0.0, so
+# each column pass gives numpy's bits; from 8 on numpy reduces itself.
+_COLUMN_CLASSES = 8
 
-    logits is (..., n, C) and y broadcasts to (..., n); the label index picks
-    each row's label entry out of an array shaped like logits.
+
+def _class_max(E: np.ndarray) -> np.ndarray:
+    """E.max(axis=-1), bit for bit."""
+    C = E.shape[-1]
+    if C >= _COLUMN_CLASSES:
+        return E.max(axis=-1)
+    out = E[..., 0].copy()
+    for c in range(1, C):
+        np.maximum(out, E[..., c], out=out)
+    return out
+
+
+def _class_sum(E: np.ndarray) -> np.ndarray:
+    """E.sum(axis=-1), bit for bit."""
+    C = E.shape[-1]
+    if C >= _COLUMN_CLASSES:
+        return E.sum(axis=-1)
+    out = E[..., 0] + 0.0  # from +0.0 as numpy does: a row of -0.0 sums to +0.0
+    for c in range(1, C):
+        out += E[..., c]
+    return out
+
+
+def _class_argmax(E: np.ndarray) -> np.ndarray:
+    """E.argmax(axis=-1), bit for bit: each row's first largest entry."""
+    C = E.shape[-1]
+    if C >= _COLUMN_CLASSES:
+        return E.argmax(axis=-1)
+    if C == 1:
+        return np.zeros(E.shape[:-1], dtype=np.intp)
+    best = E[..., 0]
+    for c in range(1, C):
+        col = E[..., c]
+        more = col > best  # strict, so a tie keeps the earlier index
+        if c == 1:
+            idx = more.astype(np.intp)
+        else:  # c exceeds every index taken so far
+            np.maximum(idx, more * c, out=idx)
+        best = np.maximum(best, col)
+    if np.isnan(best).any():  # numpy takes a row's first NaN; `>` never does
+        return E.argmax(axis=-1)
+    return idx
+
+
+def _softmax_ce(logits: np.ndarray, y: np.ndarray):
+    """(per-example CE, shifted logits, log-partition, label index), stable.
+
+    logits is (..., n, C) and y broadcasts to (..., n); shifted is logits
+    minus each row's max, and the label index picks each row's label entry
+    out of an array shaped like logits.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1))
+    shifted = logits - _class_max(logits)[..., None]
+    logz = np.log(_class_sum(np.exp(shifted)))
     at_y = (*np.indices(logits.shape[:-1], sparse=True), y)
     ce = logz - shifted[at_y]
-    probs = np.exp(shifted - logz[..., None])
-    return ce, probs, at_y
+    return ce, shifted, logz, at_y
 
 
 def backward_batch(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray,
@@ -209,10 +262,12 @@ def backward_batch(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray,
         record = []
     forward_batch(spec, weights, biases, X, record)
     logits = record[-1][0]
-    ce, probs, at_y = _softmax_ce(logits, y)
+    ce, shifted, logz, at_y = _softmax_ce(logits, y)
     loss = ce.mean(axis=-1)
 
-    dZ = probs
+    dZ = shifted  # becomes the softmax probabilities, in place
+    dZ -= logz[..., None]
+    np.exp(dZ, out=dZ)
     dZ[at_y] -= 1.0
     dZ /= logits.shape[-2]
     grads_w = [None] * spec.num_layers
@@ -297,12 +352,18 @@ def scale_checkpoint(ckpt: Checkpoint, spec: NetSpec, c: float) -> Checkpoint:
 
 
 def predict(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray) -> np.ndarray:
-    return forward_batch(spec, ckpt.weights, ckpt.biases, X).argmax(axis=1)
+    return _class_argmax(forward_batch(spec, ckpt.weights, ckpt.biases, X))
 
 
 def accuracy(logits: np.ndarray, y: np.ndarray):
     """Share of rows whose largest logit is the label; (K,) for stacked logits."""
-    return (logits.argmax(axis=-1) == y).mean(axis=-1)
+    return (_class_argmax(logits) == y).mean(axis=-1)
+
+
+def accuracy_wb(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray):
+    """Accuracy from raw parameter lists; a (K,) array with stacked layers."""
+    acc = accuracy(forward_batch(spec, weights, biases, X), y)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def evaluate_wb(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray):
@@ -311,9 +372,8 @@ def evaluate_wb(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray):
     With stacked layers both are (K,) arrays, one entry per net.
     """
     logits = forward_batch(spec, weights, biases, X)
-    ce, _, _ = _softmax_ce(logits, y)
+    ce = _softmax_ce(logits, y)[0].mean(axis=-1)
     acc = accuracy(logits, y)
-    ce = ce.mean(axis=-1)
     if logits.ndim == 2:
         return float(acc), float(ce)
     return acc, ce
@@ -342,7 +402,7 @@ def margins(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray, y: np.ndarray,
     true_vals = logits[idx, y]
     masked = logits.copy()
     masked[idx, y] = -np.inf
-    margin_vals = true_vals - masked.max(axis=1)
+    margin_vals = true_vals - _class_max(masked)
     order = np.sort(margin_vals)
     gamma = float(order[int(np.floor(percentile * (len(y) - 1)))])
     return MarginStats(margins=margin_vals, margin_gamma=gamma, n=len(y),

@@ -20,8 +20,8 @@ import numpy as np
 from .data import Dataset, subsample
 from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint, \
     NumericalDivergence
-from .net import Checkpoint, NetSpec, accuracy, evaluate_wb, flatten_params, \
-    init_checkpoint, param_views, unflatten_params
+from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
+    flatten_params, init_checkpoint, param_views, unflatten_params
 from .records import RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
 
@@ -294,7 +294,7 @@ def _epoch(spec, runs, stack, e, data):
         record = []
         stack.grad, ce = backward_batch(spec, w, b, X, y, record)
         acc = accuracy(record[-1][0], y)
-    test_acc, _ = evaluate_wb(spec, w, b, Xt, yt)
+    test_acc = accuracy_wb(spec, w, b, Xt, yt)
     return stack, diverged, (acc, ce, test_acc)
 
 
@@ -401,8 +401,8 @@ def _finish(spec, run, theta, e, ds_test, status="ok", stop_met=False) -> TrainR
     if run.trace.test_error:
         test_error = run.trace.test_error[-1]
     else:
-        test_acc, _ = evaluate_wb(spec, final.weights, final.biases,
-                                  ds_test.features, ds_test.labels)
+        test_acc = accuracy_wb(spec, final.weights, final.biases,
+                               ds_test.features, ds_test.labels)
         test_error = 1.0 - test_acc
     record = _record(H, run.run_id, run.seed, status, float(test_error),
                      detect_T_int(run.trace), run.parent_id)

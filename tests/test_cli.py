@@ -257,6 +257,17 @@ def test_evidence_net_width_mismatch_is_config_error(tmp_path, capsys, mode):
     assert err["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key", ["repetitions", "draws", "max_attempts", "n_heldout"])
+def test_evidence_experiment_sizes_below_one_exit_2(tmp_path, capsys, key):
+    cfg = base_config(tmp_path)
+    cfg["evidence"][key] = 0
+    cp = write_config(tmp_path, cfg)
+    assert main(["evidence", "--config", cp, "--mode", "experiment"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not (tmp_path / "out" / "reports" / "evidence" / "experiment.json").exists()
+
+
 def test_transform_command(tmp_path):
     cfg = base_config(tmp_path)
     cfg["transform"] = {

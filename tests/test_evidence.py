@@ -121,15 +121,16 @@ def test_vectorized_draws_match_scalar_checkpoints():
     seed = 11
     seeds = child_seeds(seed, 0, 256)
     for spec, dim in [(NetSpec((2, 5, 2)), 2), (NetSpec((3, 6, 2)), 3),
-                      (NetSpec((2, 5, 4, 2), frozen_readout=True), 2)]:
-        ds = synth_blobs(16, dim, 2, 4.0, seed=10)
+                      (NetSpec((2, 5, 4, 2), frozen_readout=True), 2),
+                      (NetSpec((2, 5, 3)), 2)]:
+        # the origin gives every class the logit 0: a tie argmax resolves to 0
+        X = np.vstack([synth_blobs(16, dim, 2, 4.0, seed=10).features, np.zeros(dim)])
         ro = Rng(12).gaussians(8).reshape(2, 4) if spec.frozen_readout else None
-        preds = prior_predictions(spec, ds.features, seeds, fixed_readout=ro)
-        assert preds.shape == (256, 16)
+        preds = prior_predictions(spec, X, seeds, fixed_readout=ro)
+        assert preds.shape == (256, 17) and not preds[:, -1].any()
         for k in range(256):
             ck = draw_checkpoint(spec, seed, k, fixed_readout=ro)
-            direct = forward_batch(spec, ck.weights, ck.biases,
-                                   ds.features).argmax(axis=1)
+            direct = forward_batch(spec, ck.weights, ck.biases, X).argmax(axis=1)
             assert np.array_equal(direct, preds[k]), (spec.layer_dims, k)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fragaudit import _kernels_py
 from fragaudit import measures as measures_mod
 from fragaudit.data import split_train_test, synth_blobs
 from fragaudit.errors import ConfigError, DegenerateLayer, MarginNotPositive, \
@@ -14,7 +15,7 @@ from fragaudit.measures import MEASURE_NAMES, MeasureConfig, compute_all, \
 from fragaudit.net import Checkpoint, NetSpec, flatten_params, forward_batch, \
     init_checkpoint, scale_checkpoint, unflatten_params
 from fragaudit.optim import Hyperparams, train
-from fragaudit.rng import Rng
+from fragaudit.rng import Rng, states_from_seeds
 
 
 def ckpt_from(mats, mats0=None):
@@ -334,8 +335,26 @@ def _trained_net(seed=41):
     return spec, res.checkpoint, tr
 
 
+def _serial_gaussians(seed, n):
+    """Rng(seed).gaussians(n) without the production fill or Box-Muller: the
+    words come from the serial loop, the transform from fresh arrays."""
+    cols = 2 * ((n + 1) // 2)
+    words = np.empty(cols, dtype=np.uint64)
+    _kernels_py.fill_u64_serial(
+        states_from_seeds(np.array([seed], dtype=np.uint64))[0].copy(), words)
+    a = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    b = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(a))
+    theta = (2.0 * np.pi) * b
+    z = np.empty(cols)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:n]
+
+
 def _scalar_drop(spec, ck, ds, cfg, radius, magnitude_aware=False):
-    """Per-draw oracle: one unflattened net and one forward per MC draw."""
+    """Per-draw oracle: one unflattened net and one forward per MC draw, with
+    noise drawn apart from the lane fill and the blocked Box-Muller."""
     X, y = ds.features, ds.labels
     w = flatten_params(spec, ck.weights, ck.biases)
     acc0 = float((forward_batch(spec, ck.weights, ck.biases, X)
@@ -344,7 +363,7 @@ def _scalar_drop(spec, ck, ds, cfg, radius, magnitude_aware=False):
     scale = (np.abs(w) + cfg.kappa) if magnitude_aware else 1.0
     accs = []
     for d in range(cfg.sigma_mc_draws):
-        xi = stream.spawn_index(d).gaussians(w.size)
+        xi = _serial_gaussians(stream.spawn_index(d).seed, w.size)
         c = unflatten_params(spec, w + radius * scale * xi, ck)
         logits = forward_batch(spec, c.weights, c.biases, X)
         accs.append(float((logits.argmax(axis=1) == y).mean()))

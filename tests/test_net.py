@@ -5,9 +5,10 @@ import pytest
 
 from fragaudit.errors import ConfigError, FormatError, InvalidDataset, \
     NormalizationSingularity
-from fragaudit.net import Checkpoint, NetSpec, backward_batch, evaluate, evaluate_wb, \
-    flatten_params, forward, forward_batch, init_checkpoint, load_checkpoint, \
-    margins, param_views, save_checkpoint, scale_checkpoint, unflatten_params
+from fragaudit.net import Checkpoint, NetSpec, _class_argmax, _class_max, _class_sum, \
+    accuracy_wb, backward_batch, evaluate, evaluate_wb, flatten_params, forward, \
+    forward_batch, init_checkpoint, load_checkpoint, margins, param_views, \
+    save_checkpoint, scale_checkpoint, unflatten_params
 from fragaudit.rng import Rng
 
 
@@ -206,6 +207,7 @@ def test_stacked_backward_equals_per_slice_bit_for_bit(spec, n, stacked_data):
         assert grad.shape == (K, P) and loss.shape == (K,)
         assert np.array_equal(record[-1][0], forward_batch(spec, weights, biases, X))
         acc, ce = evaluate_wb(spec, weights, biases, X, y)
+        assert np.array_equal(accuracy_wb(spec, weights, biases, X, y), acc)
         for k in range(K):
             w = [_pick(W, k, 3) for W in weights]
             b = [_pick(v, k, 2) for v in biases]
@@ -213,6 +215,41 @@ def test_stacked_backward_equals_per_slice_bit_for_bit(spec, n, stacked_data):
             g1, l1 = backward_batch(spec, w, b, Xk, yk)
             assert np.array_equal(grad[k], g1) and loss[k] == l1
             assert (acc[k], ce[k]) == evaluate_wb(spec, w, b, Xk, yk)
+            assert type(accuracy_wb(spec, w, b, Xk, yk)) is float
+
+
+_SPECIALS = np.array([-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf])
+
+
+def _class_inputs(C):
+    """2-D and 3-D inputs with C classes: wide magnitudes (so a reordered sum
+    rounds differently), ties, signed zeros, infinities and NaNs."""
+    gen = np.random.default_rng(C)
+    yield gen.standard_normal((64, C)) * 10.0 ** gen.integers(-8, 9, (64, C))
+    yield gen.standard_normal((3, 40, C)) * 10.0 ** gen.integers(-8, 9, (3, 40, C))
+    yield gen.choice(_SPECIALS, (5, 30, C))
+    yield np.full((2, 3, C), -0.0)
+    yield np.full((4, C), 0.0)
+    # a NaN in each column in turn, with and without a second NaN later
+    nan = gen.choice(_SPECIALS, (2, C, C))
+    nan[:, np.arange(C), np.arange(C)] = np.nan
+    nan[1, :, -1] = np.nan
+    yield nan
+    yield nan[0]
+
+
+@pytest.mark.parametrize("C", [1, 2, 3, 4, 5, 6, 7, 8, 10, 129])
+def test_class_axis_helpers_match_numpy_bit_for_bit(C):
+    for E in _class_inputs(C):
+        before = E.copy()
+        for helper, name in ((_class_max, "max"), (_class_sum, "sum")):
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                got, want = helper(E), getattr(E, name)(axis=-1)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, E)
+        got, want = _class_argmax(E), E.argmax(axis=-1)
+        assert got.dtype == want.dtype and np.array_equal(got, want), E
+        assert np.array_equal(E.view(np.uint64), before.view(np.uint64))
 
 
 def test_backward_record_is_the_forward_pass():

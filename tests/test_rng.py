@@ -330,7 +330,15 @@ def _box_muller_reference(u):
     return z
 
 
-@pytest.mark.parametrize("K,cols", [(1, 2), (4, 26432), (4096, 18)])
+_BLOCK = rng_mod._BOX_MULLER_BLOCK
+
+
+# single rows ending just before, at and after a block boundary, then the
+# prior-shard, sigma-noise and image-draw shapes; block ends fall mid-row
+@pytest.mark.parametrize("K,cols", [
+    (1, 2), (1, _BLOCK - 2), (1, _BLOCK), (1, _BLOCK + 2), (2, _BLOCK - 2),
+    (3, _BLOCK + 2), (1, 301056), (4, 26112), (4, 26432), (4096, 18), (4096, 30),
+    (15, 178)])
 def test_box_muller_in_u_buffer_matches_fresh_arrays(K, cols):
     u = np.empty((K, cols), dtype=np.uint64)
     _kernels_py.fill_u64_multi(states_from_seeds(child_seeds(5, 0, K)), u)
@@ -338,4 +346,10 @@ def test_box_muller_in_u_buffer_matches_fresh_arrays(K, cols):
     expect = _box_muller_reference(u)
     got = rng_mod._box_muller(u)
     assert np.shares_memory(got, u)
-    assert np.array_equal(got, expect)
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+def test_box_muller_rejects_a_strided_buffer():
+    u = np.zeros((2, 8), dtype=np.uint64)
+    with pytest.raises(ValueError):
+        rng_mod._box_muller(u[:, :4])
