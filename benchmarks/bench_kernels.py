@@ -129,9 +129,11 @@ def main():
         secs, rate = bench_multi_stream(mod, 8192, 32)
         print(f"{'multi stream fill (8192x32)':<34}{name:<10}"
               f"{secs * 1e3:>8.2f}ms{rate / 1e6:>12.2f} Mword/s")
-    # the sigma-search noise shapes of measure: 15 draws of P = 178 (the
-    # blobs_audit net) and 4 draws of P = 26,112 (the images_si net)
-    for K, m in ((15, 178), (4, 26_112)):
+    # the sigma-search noise shapes of measure: 15 draws of P = 178 (one
+    # search of the blobs_audit net), the rows of 3 and 6 such runs' searches
+    # (90 and 180 rows, the 2^14- and 2^15-word blocks of cli.NOISE_BUDGET),
+    # and 4 draws of P = 26,112 (one images_si search, always drawn alone)
+    for K, m in ((15, 178), (90, 178), (180, 178), (4, 26_112)):
         for per_row in (True, False):
             secs, rate = bench_gaussian_rows(K, m, per_row)
             how = f"{K} x gaussians({m})" if per_row else f"gaussian_matrix {K}x{m}"

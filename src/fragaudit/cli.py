@@ -18,8 +18,8 @@ from . import exppp as xp
 from . import fragility as frag
 from . import persist
 from .errors import AllRunsFailed, ConfigError, FragAuditError
-from .measures import MEASURE_NAMES, MeasureConfig, compute_all
-from .net import NetSpec, load_checkpoint, save_checkpoint
+from .measures import MEASURE_NAMES, MeasureConfig, compute_all, sigma_noise
+from .net import NetSpec, flatten_params, load_checkpoint, save_checkpoint
 from .optim import Hyperparams, SweepConfig, resume, sweep, train, train_subsets
 from .records import RunRecord, post_interp_slope
 from .rng import Rng
@@ -107,11 +107,14 @@ def _measure_config(cfg: dict) -> MeasureConfig:
         sigma_target_dev=float(m.get("target_dev", 0.1)),
         sigma_mc_draws=int(m.get("mc_draws", 15)),
         sigma_iters=int(m.get("iters", 20)),
+        sigma_lo=float(m.get("sigma_lo", 1e-5)),
+        sigma_hi=float(m.get("sigma_hi", 10.0)),
         kappa=float(m.get("kappa", 1e-3)),
         delta=float(m.get("delta", 0.05)),
         seed=int(m.get("seed", 0)),
         spectral_tol=float(m.get("spectral_tol", 1e-10)),
         spectral_max_iters=int(m.get("spectral_max_iters", 20000)),
+        margin_percentile=float(m.get("margin_percentile", 0.10)),
     )
 
 
@@ -206,6 +209,52 @@ def _iter_records(path):
         yield RunRecord.from_dict(d)
 
 
+# cmd_measure draws the sigma-search noise of consecutive runs with the same P
+# in one gaussian_matrix call of at most this many words, both searches of
+# every run; a run whose own noise is larger draws inside its searches. A fill
+# has a fixed cost of about 1.5 ms. Per search of the blobs_audit net (15 rows
+# of 178), one search alone took 1.7-2.1 ms, blocks of 2^14 words (3 runs,
+# 90 rows) 0.67-0.72 ms and of 2^15 words (6 runs, 180 rows) 0.41-0.45 ms;
+# 2^16 words gave 0.29 ms for twice the block's memory
+# (benchmarks/bench_kernels.py, 2-core x86-64 host, numpy backend).
+NOISE_BUDGET = 1 << 15
+
+
+def _with_noise(block, width, words):
+    """The runs of block, each with its noise rows from one shared fill."""
+    if words > NOISE_BUDGET:  # a lone run over the budget: its searches draw
+        noise = [None]
+    else:
+        noise = sigma_noise([cfg for _, _, _, cfg in block], width)
+    for run, rows in zip(block, noise):
+        yield run + (rows,)
+
+
+def _measured_runs(out, records, mcfg):
+    """(record, spec, checkpoint, config, noise) of each run to measure, in order.
+
+    Consecutive runs with one parameter count P share a noise fill while it
+    stays within NOISE_BUDGET words; a change in P closes the block.
+    """
+    block, width, words = [], None, 0
+    for rec in records:
+        if not rec.status.startswith("ok") and rec.status != "stop_rule_not_met":
+            continue
+        ckpt_path = out / "runs" / rec.group / rec.run_id / "ckpt.bin"
+        ck_spec, ckpt = load_checkpoint(ckpt_path)
+        run_mcfg = replace(mcfg, seed=Rng(mcfg.seed).spawn_key(rec.run_id).next_u64())
+        p = flatten_params(ck_spec, ckpt.weights, ckpt.biases).size
+        need = 2 * mcfg.sigma_mc_draws * (p + p % 2)  # rows hold whole word pairs
+        if block and (p != width or words + need > NOISE_BUDGET):
+            yield from _with_noise(block, width, words)
+            block, words = [], 0
+        block.append((rec, ck_spec, ckpt, run_mcfg))
+        width = p
+        words += need
+    if block:
+        yield from _with_noise(block, width, words)
+
+
 def cmd_measure(cfg, out, args):
     spec = _net_spec(cfg)
     base_train, _ = _build_data(cfg)
@@ -215,25 +264,17 @@ def cmd_measure(cfg, out, args):
     subsample_seed = int(cfg.get("sweep", {}).get("subsample_seed", 1))
     subsets = train_subsets(base_train, {r.n_train or 0 for r in records}, subsample_seed)
     cfg_hash = persist.config_hash(cfg)
-    updated = []
-    for rec in records:
-        if not rec.status.startswith("ok") and rec.status != "stop_rule_not_met":
-            updated.append(rec.to_dict())
-            continue
-        ckpt_path = out / "runs" / rec.group / rec.run_id / "ckpt.bin"
-        ck_spec, ckpt = load_checkpoint(ckpt_path)
+    for rec, ck_spec, ckpt, run_mcfg, noise in _measured_runs(out, records, mcfg):
         ds = subsets[rec.n_train or 0]
-        run_mcfg = replace(mcfg, seed=Rng(mcfg.seed).spawn_key(rec.run_id).next_u64())
-        ms = compute_all(ck_spec, ckpt, ds, run_mcfg)
+        ms = compute_all(ck_spec, ckpt, ds, run_mcfg, noise=noise)
         rec.measures = ms.values
         rec.measure_errors = ms.errors
         d = out / "runs" / rec.group / rec.run_id
         # record.json also keeps the search and solver diagnostics; records.jsonl does not
         persist.write_json(d / "record.json", dict(
             rec.to_dict(), diagnostics=persist.json_ready(ms.diagnostics)), cfg_hash)
-        updated.append(rec.to_dict())
-    _write_records(out, updated, cfg_hash)
-    print(f"measured {len(updated)} records")
+    _write_records(out, [rec.to_dict() for rec in records], cfg_hash)
+    print(f"measured {len(records)} records")
     return 0
 
 

@@ -67,6 +67,22 @@ class MeasureConfig:
     spectral_max_iters: int = 20000
     margin_percentile: float = 0.10
 
+    def __post_init__(self):
+        # written as "not (valid)" so that NaN settings are rejected too
+        checks = (
+            ("sigma_mc_draws", self.sigma_mc_draws >= 1, "must be >= 1"),
+            ("sigma_iters", self.sigma_iters >= 0, "must be >= 0"),
+            ("sigma_lo", 0.0 < self.sigma_lo, "must be > 0"),
+            ("sigma_hi", self.sigma_lo < self.sigma_hi, "must exceed sigma_lo"),
+            ("sigma_target_dev", self.sigma_target_dev > 0.0, "must be > 0"),
+            ("margin_percentile", 0.0 <= self.margin_percentile <= 1.0,
+             "must be in [0, 1]"),
+            ("spectral_max_iters", self.spectral_max_iters >= 1, "must be >= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"measure {name} {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class SigmaSearchResult:
@@ -237,21 +253,45 @@ def vc_params_proxy(spec: NetSpec, n: int) -> float:
     return float(np.sqrt(total / n))
 
 
+def sigma_seeds(cfg: MeasureConfig, magnitude_aware: bool = False) -> np.ndarray:
+    """Seeds of a sigma search's noise rows: row d is stream.spawn_index(d)."""
+    stream = Rng(cfg.seed).spawn_key("sigma-mag" if magnitude_aware else "sigma")
+    return child_seeds(stream.seed, 0, cfg.sigma_mc_draws)
+
+
+def sigma_noise(cfgs, p: int) -> list:
+    """Both sigma searches' noise rows for nets of P = p, in one multi-stream fill.
+
+    Returns one (plain, magnitude-aware) pair of (D, p) row blocks per config,
+    bit-equal to the rows each search draws on its own: a row's words never
+    depend on how many rows share the fill.
+    """
+    seeds = [sigma_seeds(cfg, mag) for cfg in cfgs for mag in (False, True)]
+    rows = gaussian_matrix(np.concatenate(seeds), p)
+    blocks = np.split(rows, np.cumsum([s.size for s in seeds])[:-1])
+    return list(zip(blocks[0::2], blocks[1::2]))
+
+
 def sigma_search(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig,
-                 magnitude_aware: bool = False) -> SigmaSearchResult:
+                 magnitude_aware: bool = False, draws=None) -> SigmaSearchResult:
     """Largest radius whose mean train-accuracy drop stays within the target.
 
     Plain mode perturbs w with N(0, sigma^2 I); the magnitude-aware mode scales
     coordinate i by sigma0*(|w_i| + kappa). The same noise draws are reused at
     every radius, so the search is deterministic given the seed. Each radius
-    runs every draw's perturbed net in one stacked forward.
+    runs every draw's perturbed net in one stacked forward. draws, if given,
+    are the search's (D, P) noise rows as sigma_noise returns them; otherwise
+    the search draws them itself.
     """
     X, y = dataset.features, dataset.labels
     w = flatten_params(spec, ckpt.weights, ckpt.biases)
     acc0 = float(accuracy(forward_batch(spec, ckpt.weights, ckpt.biases, X), y))
-    stream = Rng(cfg.seed).spawn_key("sigma-mag" if magnitude_aware else "sigma")
-    # row d is stream.spawn_index(d).gaussians(w.size)
-    draws = gaussian_matrix(child_seeds(stream.seed, 0, cfg.sigma_mc_draws), w.size)
+    if draws is None:
+        # row d is stream.spawn_index(d).gaussians(w.size)
+        draws = gaussian_matrix(sigma_seeds(cfg, magnitude_aware), w.size)
+    elif draws.shape != (cfg.sigma_mc_draws, w.size):
+        raise ValueError(f"noise rows of shape {draws.shape} for a search of "
+                         f"{cfg.sigma_mc_draws} draws over {w.size} parameters")
     scale = (np.abs(w) + cfg.kappa) if magnitude_aware else 1.0
     perturbed = np.empty_like(draws)
 
@@ -308,10 +348,12 @@ def pacbayes_measures(w: np.ndarray, w0: np.ndarray, n: int, sigma=None,
 
 
 def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = None,
-                include=()) -> MeasureSet:
+                include=(), noise=None) -> MeasureSet:
     """Attempt every measure; per-measure failures are tagged, never fatal.
 
-    A dataset whose labels do not fit the net's outputs raises ConfigError.
+    noise, if given, is the run's (plain, magnitude-aware) pair of sigma-search
+    noise rows from sigma_noise. A dataset whose labels do not fit the net's
+    outputs raises ConfigError.
     """
     cfg = cfg or MeasureConfig()
     if int(dataset.labels.max(initial=0)) >= spec.layer_dims[-1]:
@@ -387,9 +429,11 @@ def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = N
     w = flatten_params(spec, ckpt.weights, ckpt.biases)
     w0 = flatten_params(spec, ckpt.init_weights, ckpt.init_biases)
     sigma = sigma0 = None
+    plain_rows, mag_rows = noise if noise is not None else (None, None)
     if wanted & _SIGMA_MEASURES:
         try:
-            res = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=False)
+            res = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=False,
+                               draws=plain_rows)
             sigma = res.sigma
             ms.diagnostics["sigma"] = res.sigma
             ms.diagnostics["sigma_converged"] = res.converged
@@ -398,7 +442,8 @@ def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = N
                 ms.errors[name] = "SigmaSearchFailed"
     if wanted & _SIGMA0_MEASURES:
         try:
-            res0 = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=True)
+            res0 = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=True,
+                                draws=mag_rows)
             sigma0 = res0.sigma
             ms.diagnostics["sigma0"] = res0.sigma
             ms.diagnostics["sigma0_converged"] = res0.converged

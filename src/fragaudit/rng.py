@@ -26,7 +26,8 @@ Stream derivation rules (documented so audits can be replayed elsewhere):
   stream k. One of at least LANE_CUTOFF words in all, with fewer rows than a
   lane is long, runs in lanes too: every row's lanes in one lockstep pass,
   then each row's tail from its last lane's end state. A row's words never
-  depend on K or on which route filled it.
+  depend on K or on which route filled it; `measure` relies on this when it
+  draws the sigma-search rows of several runs in one request.
 """
 
 import hashlib

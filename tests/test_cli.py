@@ -554,3 +554,140 @@ def test_measure_builds_each_training_subset_once(tmp_path, monkeypatch):
     records = read_jsonl(once / "records.jsonl")
     assert {r["n_train"] for r in records if r["measures"]} == {64, 96}
     assert _output_bytes(once) == _output_bytes(per_record)
+
+
+@pytest.mark.parametrize("measure", [
+    {"mc_draws": 0}, {"iters": -3}, {"sigma_lo": 5.0, "sigma_hi": 1.0},
+    {"sigma_lo": 0.0}, {"sigma_lo": 2.0, "sigma_hi": 2.0}, {"target_dev": 0.0},
+    {"margin_percentile": 1.5}, {"margin_percentile": -0.1},
+    {"spectral_max_iters": 0},
+])
+def test_measure_rejects_degenerate_measure_config(tmp_path, capsys, measure):
+    cfg = base_config(tmp_path)
+    cfg["measure"] = dict(cfg["measure"], **measure)
+    assert main(["measure", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "measure" in err["message"]
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_measure_config_reads_every_search_setting():
+    from fragaudit.cli import _measure_config
+
+    assert _measure_config({}) == MeasureConfig()
+    got = _measure_config({"measure": {"sigma_lo": 1e-4, "sigma_hi": 5.0,
+                                       "margin_percentile": 0.25}})
+    assert (got.sigma_lo, got.sigma_hi, got.margin_percentile) == (1e-4, 5.0, 0.25)
+
+
+# --- measure: sigma-search noise drawn in blocks of runs -------------------------
+# A narrow [2,6,2] bias net has P = 32, so one run's two searches of 5 draws
+# take 2 * 5 * 32 = 320 noise words; a wide [2,16,2] net has P = 82 and 820.
+NARROW_WORDS, WIDE_WORDS = 320, 820
+
+
+def _mixed_width_runs(tmp_path, order):
+    """(config path, out dir, records path): six narrow and six wide runs in one
+    out directory, listed narrow then wide ('grouped') or alternating."""
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["max_epochs"] = 20
+    out = tmp_path / "out"
+    by_width = []
+    for tag, dims in (("narrow", [2, 6, 2]), ("wide", [2, 16, 2])):
+        cfg["net"] = {"layer_dims": dims, "bias_enabled": True, "tag": tag}
+        cp = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", cp]) == 0
+        by_width.append(read_jsonl(out / "records.jsonl"))
+    narrow, wide = by_width
+    assert len(narrow) == len(wide) == 6
+    assert all(r["status"] in ("ok", "stop_rule_not_met") for r in narrow + wide)
+    listed = narrow + wide if order == "grouped" else \
+        [r for pair in zip(narrow, wide) for r in pair]
+    records = tmp_path / f"{order}.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in listed))
+    return cp, out, records
+
+
+def _measure_with_budget(monkeypatch, cp, out, records, budget):
+    """Measure with NOISE_BUDGET = budget; returns the (rows, P) of every fill."""
+    from fragaudit import cli, measures
+
+    fills = []
+    real = measures.gaussian_matrix
+
+    def counting(seeds, m):
+        fills.append((len(seeds), m))
+        return real(seeds, m)
+
+    monkeypatch.setattr(cli, "NOISE_BUDGET", budget)
+    monkeypatch.setattr(measures, "gaussian_matrix", counting)
+    assert main(["measure", "--config", cp, "--out", str(out),
+                 "--records", str(records)]) == 0
+    monkeypatch.undo()
+    return fills
+
+
+def _measure_outputs(out):
+    return {str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(out.rglob("*")) if f.name in ("records.jsonl", "record.json")}
+
+
+def test_measure_noise_blocks_change_no_byte(tmp_path, monkeypatch):
+    import shutil
+
+    cp, out, records = _mixed_width_runs(tmp_path, "grouped")
+    budgets = {0: [(5, 32)] * 12 + [(5, 82)] * 12,  # every search alone
+               # five narrow runs, then one; wide runs in pairs
+               1700: [(50, 32), (10, 32), (20, 82), (20, 82), (20, 82)],
+               1 << 30: [(60, 32), (60, 82)]}  # one block per width
+    outputs = {}
+    for budget, fills in budgets.items():
+        run_out = tmp_path / f"budget-{budget}"
+        shutil.copytree(out, run_out)
+        assert _measure_with_budget(monkeypatch, cp, run_out, records, budget) == fills
+        outputs[budget] = _measure_outputs(run_out)
+    first, *rest = outputs.values()
+    assert len(first) == 13 and all(other == first for other in rest)
+
+
+def test_measure_blocks_close_on_width_and_over_budget_runs_draw_alone(
+        tmp_path, monkeypatch):
+    import shutil
+
+    cp, out, records = _mixed_width_runs(tmp_path, "alternating")
+    shutil.copytree(out, tmp_path / "again")
+    # every change of P closes a block, so no two runs share a fill
+    fills = _measure_with_budget(monkeypatch, cp, out, records, 1 << 30)
+    assert fills == [(10, 32), (10, 82)] * 6
+    # a wide run is over the budget: its two searches draw alone, and the
+    # narrow runs around it still get their own one-run blocks
+    budget = 2 * NARROW_WORDS
+    assert NARROW_WORDS <= budget < WIDE_WORDS
+    fills = _measure_with_budget(monkeypatch, cp, tmp_path / "again", records, budget)
+    assert fills == [(10, 32), (5, 82), (5, 82)] * 6
+    assert _measure_outputs(out) == _measure_outputs(tmp_path / "again")
+
+
+def test_measure_block_runs_match_compute_all_alone(tmp_path):
+    from dataclasses import replace
+
+    from fragaudit.cli import _build_data, _measure_config
+    from fragaudit.net import load_checkpoint
+    from fragaudit.rng import Rng
+
+    cp, out, records = _mixed_width_runs(tmp_path, "grouped")
+    assert main(["measure", "--config", cp, "--records", str(records)]) == 0
+    cfg = json.loads(open(cp).read())
+    train_ds, _ = _build_data(cfg)
+    mcfg = _measure_config(cfg)
+    measured = read_jsonl(out / "records.jsonl")
+    assert len(measured) == 12
+    for rec in measured:
+        run_dir = out / "runs" / rec["group"] / rec["run_id"]
+        spec, ckpt = load_checkpoint(run_dir / "ckpt.bin")
+        run_cfg = replace(mcfg, seed=Rng(mcfg.seed).spawn_key(rec["run_id"]).next_u64())
+        alone = compute_all(spec, ckpt, train_ds, run_cfg)
+        assert rec["measures"] == alone.values and rec["measure_errors"] == alone.errors
+        diag = json.loads((run_dir / "record.json").read_text())["diagnostics"]
+        for key in ("sigma", "sigma_converged", "sigma0", "sigma0_converged"):
+            assert diag[key] == alone.diagnostics[key], (rec["run_id"], key)

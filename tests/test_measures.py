@@ -453,6 +453,62 @@ def test_magnitude_aware_search_independent_stream():
     assert (plain.sigma, plain.final_drop) != (mag.sigma, mag.final_drop)
 
 
+@pytest.mark.parametrize("p", [32, 33])
+def test_sigma_noise_rows_equal_each_search_drawn_alone(p):
+    cfgs = [MeasureConfig(seed=s, sigma_mc_draws=d) for s, d in ((3, 4), (9, 1), (27, 6))]
+    noise = measures_mod.sigma_noise(cfgs, p)
+    assert len(noise) == len(cfgs)
+    for cfg, pair in zip(cfgs, noise):
+        for mag, rows in zip((False, True), pair):
+            stream = Rng(cfg.seed).spawn_key("sigma-mag" if mag else "sigma")
+            alone = np.array([_serial_gaussians(stream.spawn_index(d).seed, p)
+                              for d in range(cfg.sigma_mc_draws)])
+            assert rows.shape == (cfg.sigma_mc_draws, p)
+            assert np.array_equal(rows.view(np.uint64), alone.view(np.uint64))
+
+
+def _odd_width_net():
+    """P = 25: each noise row drops the partner variate of its last pair."""
+    spec = NetSpec((3, 5, 2))
+    return spec, random_ckpt(spec, seed=65), synth_blobs(48, 3, 2, 4.0, seed=66)
+
+
+@pytest.mark.parametrize("net", ["trained", "odd_width"])
+@pytest.mark.parametrize("magnitude_aware", [False, True])
+def test_sigma_search_with_given_draws_equals_its_own(net, magnitude_aware):
+    spec, ck, tr = _trained_net() if net == "trained" else _odd_width_net()
+    # the odd-width net is untrained: a target of 1.0 takes the drop at sigma_hi
+    cfg = MeasureConfig(seed=7, sigma_target_dev=0.1 if net == "trained" else 1.0)
+    P = flatten_params(spec, ck.weights, ck.biases).size
+    plain, mag = measures_mod.sigma_noise([cfg], P)[0]
+    own = sigma_search(spec, ck, tr, cfg, magnitude_aware)
+    given = sigma_search(spec, ck, tr, cfg, magnitude_aware,
+                         draws=mag if magnitude_aware else plain)
+    assert given == own
+    with pytest.raises(ValueError):
+        sigma_search(spec, ck, tr, cfg, magnitude_aware, draws=plain[1:])
+
+
+@pytest.mark.parametrize("fields", [
+    {"sigma_mc_draws": 0}, {"sigma_iters": -3}, {"sigma_lo": 5.0, "sigma_hi": 1.0},
+    {"sigma_lo": 0.0}, {"sigma_lo": float("nan")}, {"sigma_hi": float("nan")},
+    {"sigma_target_dev": 0.0}, {"sigma_target_dev": float("nan")},
+    {"margin_percentile": 1.01}, {"margin_percentile": -0.1},
+    {"spectral_max_iters": 0},
+])
+def test_measure_config_rejects_degenerate_settings(fields):
+    with pytest.raises(ConfigError, match=next(iter(fields)) if len(fields) == 1
+                       else "sigma_hi"):
+        MeasureConfig(**fields)
+
+
+def test_measure_config_accepts_boundary_settings():
+    for fields in ({"sigma_iters": 0}, {"sigma_mc_draws": 1},
+                   {"margin_percentile": 0.0}, {"margin_percentile": 1.0},
+                   {"spectral_max_iters": 1}):
+        MeasureConfig(**fields)
+
+
 # --- compute_all ----------------------------------------------------------------
 
 def test_compute_all_zero_tags_at_initialization():
