@@ -107,14 +107,11 @@ def _measure_config(cfg: dict) -> MeasureConfig:
         sigma_target_dev=float(m.get("target_dev", 0.1)),
         sigma_mc_draws=int(m.get("mc_draws", 15)),
         sigma_iters=int(m.get("iters", 20)),
-        sigma_lo=float(m.get("sigma_lo", 1e-5)),
-        sigma_hi=float(m.get("sigma_hi", 10.0)),
         kappa=float(m.get("kappa", 1e-3)),
         delta=float(m.get("delta", 0.05)),
         seed=int(m.get("seed", 0)),
         spectral_tol=float(m.get("spectral_tol", 1e-10)),
         spectral_max_iters=int(m.get("spectral_max_iters", 20000)),
-        margin_percentile=float(m.get("margin_percentile", 0.10)),
     )
 
 
@@ -220,39 +217,45 @@ def _iter_records(path):
 NOISE_BUDGET = 1 << 15
 
 
-def _with_noise(block, width, words):
+def _with_noise(block, width):
     """The runs of block, each with its noise rows from one shared fill."""
-    if words > NOISE_BUDGET:  # a lone run over the budget: its searches draw
-        noise = [None]
-    else:
-        noise = sigma_noise([cfg for _, _, _, cfg in block], width)
-    for run, rows in zip(block, noise):
-        yield run + (rows,)
+    noise = sigma_noise([cfg for _, _, _, cfg in block], width)
+    return [run + (rows,) for run, rows in zip(block, noise, strict=True)]
 
 
 def _measured_runs(out, records, mcfg):
     """(record, spec, checkpoint, config, noise) of each run to measure, in order.
 
     Consecutive runs with one parameter count P share a noise fill while it
-    stays within NOISE_BUDGET words; a change in P closes the block.
+    stays within NOISE_BUDGET words; a change in P closes the block. A run
+    whose own noise is over the budget gets noise None: its searches draw.
     """
     block, width, words = [], None, 0
     for rec in records:
         if not rec.status.startswith("ok") and rec.status != "stop_rule_not_met":
             continue
         ckpt_path = out / "runs" / rec.group / rec.run_id / "ckpt.bin"
-        ck_spec, ckpt = load_checkpoint(ckpt_path)
+        try:
+            ck_spec, ckpt = load_checkpoint(ckpt_path)
+        except Exception:
+            # the runs before a checkpoint that fails to load are still measured
+            if block:
+                yield from _with_noise(block, width)
+            raise
         run_mcfg = replace(mcfg, seed=Rng(mcfg.seed).spawn_key(rec.run_id).next_u64())
         p = flatten_params(ck_spec, ckpt.weights, ckpt.biases).size
         need = 2 * mcfg.sigma_mc_draws * (p + p % 2)  # rows hold whole word pairs
         if block and (p != width or words + need > NOISE_BUDGET):
-            yield from _with_noise(block, width, words)
+            yield from _with_noise(block, width)
             block, words = [], 0
+        if need > NOISE_BUDGET:
+            yield rec, ck_spec, ckpt, run_mcfg, None
+            continue
         block.append((rec, ck_spec, ckpt, run_mcfg))
         width = p
         words += need
     if block:
-        yield from _with_noise(block, width, words)
+        yield from _with_noise(block, width)
 
 
 def cmd_measure(cfg, out, args):
