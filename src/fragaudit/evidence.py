@@ -5,10 +5,16 @@ Gaussian weights). P(C(S)) -- the prior mass of nets with zero training error
 -- is estimated by counting exact-fit draws; the posterior is realized by
 rejection sampling, which returns the prior restricted to the consistency set.
 Draw k always uses the stream spawned at index k, so sharding the draw budget
-across workers cannot change any result.
+cannot change any result, and neither can running the shards of the mass
+estimate on forked worker processes: each worker returns its shards' integer
+hit counts, which the parent adds in shard order.
 """
 
+import contextlib
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +29,7 @@ from .rng import Rng, child_seeds, gaussian_matrix, states_from_seeds
 from . import rng as _rng_mod
 
 _WILSON_Z = 1.96
+_MASS_SHARD = 4096  # draws per shard of the mass estimate
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,27 @@ def _resolve_fixed_readout(spec: NetSpec, seed: int, prior: PriorConfig,
         fan_out * fan_in).reshape(fan_out, fan_in) * std
 
 
+def _require_plain(spec: NetSpec) -> None:
+    if spec.bias_enabled or spec.normalize_hidden:
+        raise ConfigError("prior sampling supports plain (bias-free) nets")
+
+
+def _check_sampler(spec: NetSpec, ds: Dataset, what: str, count: int, unit: str,
+                   shard_size: int) -> None:
+    """Every input check of a sampler, run before any shard is drawn."""
+    if ds.num_classes != 2:
+        raise InvalidDataset(f"{what} is binary-only")
+    if count < 1:
+        raise ConfigError(f"need at least one {unit}")
+    if shard_size < 1:
+        raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
+    if ds.dim != spec.layer_dims[0]:
+        raise ConfigError(
+            f"dataset dim {ds.dim} does not match the net's input width "
+            f"{spec.layer_dims[0]}")
+    _require_plain(spec)
+
+
 def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
                       prior: PriorConfig = PriorConfig(),
                       fixed_readout=None) -> np.ndarray:
@@ -92,8 +120,7 @@ def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
     Each seed's weight layout matches the scalar initialization stream exactly,
     so draw k can be re-materialized with spawn_index(k).
     """
-    if spec.bias_enabled or spec.normalize_hidden:
-        raise ConfigError("prior sampling supports plain (bias-free) nets")
+    _require_plain(spec)
     sizes, stds, shapes = _layer_plan(spec, prior)
     K = len(seeds)
     states = states_from_seeds(seeds)
@@ -123,27 +150,65 @@ def draw_checkpoint(spec: NetSpec, seed: int, index: int,
     return ck
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _shard_pool(n_shards: int):
+    """A forked pool of min(CPUs, n_shards) workers, or None to run in-process.
+
+    Fork is used because a worker then needs no fresh interpreter or imports.
+    It is skipped where the platform lacks it, and while another thread runs,
+    which could hold a lock across the fork. The pool is joined before the
+    block exits, on errors too.
+    """
+    workers = min(_cpu_count(), n_shards)
+    if workers < 2 or threading.active_count() > 1:
+        yield None
+        return
+    import multiprocessing  # only here: the import costs 20-50 ms
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, lo: int,
+                hi: int, prior: PriorConfig, readout) -> int:
+    """Exact-fit draws among draws lo..hi-1 (one shard, in-process or in a worker)."""
+    preds = prior_predictions(spec, X, child_seeds(seed, lo, hi), prior, readout)
+    return int((preds == y[None, :]).all(axis=1).sum())
+
+
 def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
                               prior: PriorConfig = PriorConfig(),
                               fixed_readout=None,
-                              shard_size: int = 4096) -> ConsistencyEstimate:
-    """Hit fraction of exact-interpolation prior draws, with a Wilson interval."""
-    if ds.num_classes != 2:
-        raise InvalidDataset("consistency mass estimation is binary-only")
-    if draws < 1:
-        raise ConfigError("need at least one draw")
-    if ds.dim != spec.layer_dims[0]:
-        raise ConfigError(
-            f"dataset dim {ds.dim} does not match the net's input width "
-            f"{spec.layer_dims[0]}")
+                              shard_size: int = _MASS_SHARD,
+                              pool=None) -> ConsistencyEstimate:
+    """Hit fraction of exact-interpolation prior draws, with a Wilson interval.
+
+    The shards run on `pool` when one is given (see `_shard_pool`), otherwise
+    on a pool opened and closed by this call; the result does not depend on it.
+    """
+    _check_sampler(spec, ds, "consistency mass estimation", draws, "draw",
+                   shard_size)
     ro = _resolve_fixed_readout(spec, seed, prior, fixed_readout)
-    hits = 0
-    y = ds.labels
-    for lo in range(0, draws, shard_size):
-        hi = min(lo + shard_size, draws)
-        seeds = child_seeds(seed, lo, hi)
-        preds = prior_predictions(spec, ds.features, seeds, prior, ro)
-        hits += int((preds == y[None, :]).all(axis=1).sum())
+    shards = [(spec, ds.features, ds.labels, seed, lo, min(lo + shard_size, draws),
+               prior, ro) for lo in range(0, draws, shard_size)]
+    opened = _shard_pool(len(shards)) if pool is None else contextlib.nullcontext(pool)
+    with opened as workers:
+        run = itertools.starmap if workers is None else workers.starmap
+        hits = sum(run(_shard_hits, shards))
     est = ConsistencyEstimate(
         hits=hits,
         draws=draws,
@@ -204,8 +269,8 @@ def gibbs_sample_consistent(spec: NetSpec, ds: Dataset, max_attempts: int,
     Returns (checkpoint, attempts). Uses its own stream family ('gibbs'), kept
     independent from the mass estimator's draws.
     """
-    if ds.num_classes != 2:
-        raise InvalidDataset("rejection sampling is binary-only")
+    _check_sampler(spec, ds, "rejection sampling", max_attempts, "attempt",
+                   shard_size)
     root = Rng(seed).spawn_key("gibbs")
     ro = _resolve_fixed_readout(spec, root.seed, prior, fixed_readout)
     y = ds.labels
@@ -249,7 +314,8 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
     """Fresh data per repetition: estimate mass, bound, posterior sample, true error.
 
     Per-repetition failures (zero hits, rejection exhausted) are recorded and
-    skipped in the violation count, never fatal.
+    skipped in the violation count, never fatal. One worker pool serves the mass
+    estimates of every repetition.
     """
     if task.dim != spec.layer_dims[0]:
         raise ConfigError(
@@ -257,44 +323,47 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
             f"{spec.layer_dims[0]}")
     rows = []
     root = Rng(seed)
-    for p in task.corruptions:
-        for rep in range(task.repetitions):
-            rs = root.spawn_key(f"rep={rep}|p={p!r}")
-            full = synth_blobs(task.n_train + task.n_heldout, task.dim,
-                               task.num_classes, task.separation,
-                               seed=rs.spawn_key("data").next_u64())
-            train, heldout = split_train_test(full, task.n_train,
-                                              seed=rs.spawn_key("split").next_u64())
-            if p > 0:
-                train = corrupt_labels(train, p, seed=rs.spawn_key("corrupt").next_u64())
-            est = estimate_consistency_mass(spec, train, task.draws,
-                                            seed=rs.spawn_key("mc").next_u64(),
-                                            prior=prior)
-            row = {
-                "rep": rep, "corruption": p, "hits": est.hits, "draws": est.draws,
-                "p_hat": est.p_hat, "bound": None, "sample_error": None,
-                "violation": None, "status": "ok",
-            }
-            if est.p_hat is None:
-                row["status"] = "zero_hits"
+    with _shard_pool(-(-task.draws // _MASS_SHARD)) as pool:
+        for p in task.corruptions:
+            for rep in range(task.repetitions):
+                rs = root.spawn_key(f"rep={rep}|p={p!r}")
+                full = synth_blobs(task.n_train + task.n_heldout, task.dim,
+                                   task.num_classes, task.separation,
+                                   seed=rs.spawn_key("data").next_u64())
+                train, heldout = split_train_test(full, task.n_train,
+                                                  seed=rs.spawn_key("split").next_u64())
+                if p > 0:
+                    train = corrupt_labels(train, p,
+                                           seed=rs.spawn_key("corrupt").next_u64())
+                est = estimate_consistency_mass(spec, train, task.draws,
+                                                seed=rs.spawn_key("mc").next_u64(),
+                                                prior=prior, pool=pool)
+                row = {
+                    "rep": rep, "corruption": p, "hits": est.hits, "draws": est.draws,
+                    "p_hat": est.p_hat, "bound": None, "sample_error": None,
+                    "violation": None, "status": "ok",
+                }
+                if est.p_hat is None:
+                    row["status"] = "zero_hits"
+                    rows.append(row)
+                    continue
+                bound = ml_pacbayes_bound(BoundInput(task.n_train, est.p_hat,
+                                                     task.delta_conf, task.gamma_conf))
+                row["bound"] = bound.epsilon_bound
+                try:
+                    ck, attempts = gibbs_sample_consistent(
+                        spec, train, task.max_attempts,
+                        seed=rs.spawn_key("posterior").next_u64(), prior=prior)
+                except RejectionExhausted:
+                    row["status"] = "rejection_exhausted"
+                    rows.append(row)
+                    continue
+                err = float(
+                    (predict(spec, ck, heldout.features) != heldout.labels).mean())
+                row["sample_error"] = err
+                row["violation"] = bool(err > bound.epsilon_bound)
+                row["attempts"] = attempts
                 rows.append(row)
-                continue
-            bound = ml_pacbayes_bound(BoundInput(task.n_train, est.p_hat,
-                                                 task.delta_conf, task.gamma_conf))
-            row["bound"] = bound.epsilon_bound
-            try:
-                ck, attempts = gibbs_sample_consistent(
-                    spec, train, task.max_attempts,
-                    seed=rs.spawn_key("posterior").next_u64(), prior=prior)
-            except RejectionExhausted:
-                row["status"] = "rejection_exhausted"
-                rows.append(row)
-                continue
-            err = float((predict(spec, ck, heldout.features) != heldout.labels).mean())
-            row["sample_error"] = err
-            row["violation"] = bool(err > bound.epsilon_bound)
-            row["attempts"] = attempts
-            rows.append(row)
     evaluated = [r for r in rows if r["violation"] is not None]
     violations = sum(1 for r in evaluated if r["violation"])
     medians = {}

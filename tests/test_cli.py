@@ -1,9 +1,12 @@
 """CLI end-to-end: every subcommand, byte-stable reruns, pipeline composition."""
 
 import json
+import multiprocessing
+import shutil
 
 import pytest
 
+from fragaudit import evidence
 from fragaudit.cli import main
 from fragaudit.measures import MeasureConfig, compute_all
 from fragaudit.persist import json_ready, read_jsonl
@@ -245,6 +248,25 @@ def test_evidence_experiment_command(tmp_path):
         (tmp_path / "out" / "reports" / "evidence" / "experiment.json").read_text())
     assert len(body["rows"]) == 2
     assert (tmp_path / "out" / "reports" / "evidence" / "experiment.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["bound", "experiment"])
+def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                            pools_made, mode):
+    cfg = base_config(tmp_path)
+    cfg["data"]["split"] = {"n_train": 8, "seed": 12}
+    cfg["evidence"]["draws"] = 9000  # three shards of 4096
+    cp = write_config(tmp_path, cfg)
+    rdir = tmp_path / "out" / "reports" / "evidence"
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evidence, "_cpu_count", lambda: workers)
+        assert main(["evidence", "--config", cp, "--mode", mode]) == 0
+        assert multiprocessing.active_children() == []
+        reports.append({p.name: p.read_bytes() for p in sorted(rdir.iterdir())})
+        shutil.rmtree(rdir)
+    assert pools_made == [2]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("mode", ["experiment", "bound"])

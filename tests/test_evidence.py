@@ -1,10 +1,16 @@
 """Evidence module: bound fixtures, Monte Carlo estimator, rejection sampler."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fragaudit import evidence
 from fragaudit.data import Dataset, synth_blobs
 from fragaudit.errors import BoundUndefined, ConfigError, InvalidDataset, \
     RejectionExhausted, ZeroHits
@@ -223,3 +229,97 @@ def test_experiment_skips_failures_without_aborting():
     assert len(report["rows"]) == 4
     assert report["skipped"]["zero_hits"] + report["skipped"]["rejection_exhausted"] \
         + report["evaluated"] == 4
+
+
+def _samplers():
+    ds = synth_blobs(8, 2, 2, 4.0, seed=5)
+    return ds, {
+        "mass": lambda spec, data, n, **kw: estimate_consistency_mass(
+            spec, data, draws=n, seed=6, **kw),
+        "gibbs": lambda spec, data, n, **kw: gibbs_sample_consistent(
+            spec, data, max_attempts=n, seed=6, **kw),
+    }
+
+
+@pytest.mark.parametrize("sampler", ["mass", "gibbs"])
+@pytest.mark.parametrize("shard_size", [0, -5])
+def test_samplers_reject_shard_size_below_one(sampler, shard_size):
+    ds, run = _samplers()
+    with pytest.raises(ConfigError, match="shard_size must be >= 1"):
+        run[sampler](NetSpec((2, 4, 2)), ds, 100, shard_size=shard_size)
+
+
+def test_gibbs_rejects_dataset_of_other_width_and_zero_attempts():
+    ds, run = _samplers()
+    with pytest.raises(ConfigError, match="dataset dim 2 does not match the net's "
+                                          "input width 3"):
+        run["gibbs"](NetSpec((3, 6, 2)), ds, 100)
+    for sampler, unit in (("mass", "draw"), ("gibbs", "attempt")):
+        with pytest.raises(ConfigError, match=f"need at least one {unit}"):
+            run[sampler](NetSpec((2, 4, 2)), ds, 0)
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(evidence, "_cpu_count", lambda: n)
+
+
+def test_mass_hits_do_not_depend_on_the_worker_count(monkeypatch, pools_made):
+    ds = synth_blobs(8, 2, 2, 6.0, seed=5)
+    spec = NetSpec((2, 4, 2))
+    hits = []
+    for n in (1, 2, 3):
+        _workers(monkeypatch, n)
+        hits.append(estimate_consistency_mass(spec, ds, draws=3000, seed=6,
+                                              shard_size=7).hits)
+        assert multiprocessing.active_children() == []
+    assert pools_made == [2, 3]
+    assert hits[0] > 0 and hits == [hits[0]] * 3
+
+
+def test_one_shard_or_a_running_thread_starts_no_process(monkeypatch, pools_made):
+    _workers(monkeypatch, 2)
+    ds = synth_blobs(8, 2, 2, 4.0, seed=5)
+    spec = NetSpec((2, 4, 2))
+    one = estimate_consistency_mass(spec, ds, draws=4096, seed=6)
+    task = EvidenceTask(n_train=8, n_heldout=50, draws=4096, repetitions=1,
+                        max_attempts=100)
+    bound_vs_error_experiment(spec, task, seed=1)
+    # fork is unsafe while another thread may hold a lock
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        many = estimate_consistency_mass(spec, ds, draws=4096, seed=6, shard_size=512)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert one.hits == many.hits
+    assert pools_made == []
+
+
+def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_made):
+    parent = os.getpid()
+    real = evidence.prior_predictions
+
+    def fail_in_worker(*args):
+        if os.getpid() != parent:
+            raise InvalidDataset("raised in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(evidence, "prior_predictions", fail_in_worker)
+    _workers(monkeypatch, 2)
+    ds = synth_blobs(8, 2, 2, 4.0, seed=5)
+    with pytest.raises(InvalidDataset, match="raised in a worker"):
+        estimate_consistency_mass(NetSpec((2, 4, 2)), ds, draws=3000, seed=6,
+                                  shard_size=1000)
+    assert pools_made == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_package_import_leaves_multiprocessing_unloaded():
+    code = "import sys, fragaudit.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
