@@ -9,6 +9,7 @@ embeds the config hash and tool version; reruns are byte-identical.
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,7 +196,10 @@ def cmd_sweep(cfg, out, args):
                     on_result=lambda r: _persist_result(out, spec, r, cfg_hash),
                     seed_offset=args.seed_offset, jobs=args.jobs)
     _write_records(out, [r.record.to_dict() for r in results], cfg_hash)
-    print(f"sweep complete: {len(results)} records -> {out / 'records.jsonl'}")
+    counts = Counter(r.record.status for r in results)
+    by_status = ", ".join(f"{counts[s]} {s}" for s in sorted(counts))
+    print(f"sweep complete: {len(results)} records ({by_status}) -> "
+          f"{out / 'records.jsonl'}")
     if results and all(r.record.status.startswith("error:") for r in results):
         raise AllRunsFailed(len(results))
     return 0

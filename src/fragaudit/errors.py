@@ -103,5 +103,9 @@ class AllRunsFailed(FragAuditError):
         super().__init__(f"all {count} runs failed with a toolkit error")
         self.count = count
 
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the message, not the count
+        return type(self), (self.count,), self.__dict__
+
     def payload(self) -> dict:
         return dict(super().payload(), count=self.count)

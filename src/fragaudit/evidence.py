@@ -13,8 +13,6 @@ hit counts, which the parent adds in shard order.
 import contextlib
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +24,7 @@ from .fragility import median
 from .net import Checkpoint, NetSpec, _class_argmax, forward_batch, init_checkpoint, \
     predict
 from .rng import Rng, child_seeds, gaussian_matrix, states_from_seeds
+from .workers import forked_pool
 from . import rng as _rng_mod
 
 _WILSON_Z = 1.96
@@ -150,39 +149,6 @@ def draw_checkpoint(spec: NetSpec, seed: int, index: int,
     return ck
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _shard_pool(n_shards: int):
-    """A forked pool of min(CPUs, n_shards) workers, or None to run in-process.
-
-    Fork is used because a worker then needs no fresh interpreter or imports.
-    It is skipped where the platform lacks it, and while another thread runs,
-    which could hold a lock across the fork. The pool is joined before the
-    block exits, on errors too.
-    """
-    workers = min(_cpu_count(), n_shards)
-    if workers < 2 or threading.active_count() > 1:
-        yield None
-        return
-    import multiprocessing  # only here: the import costs 20-50 ms
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield None
-        return
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        yield pool
-    finally:
-        pool.terminate()
-        pool.join()
-
-
 def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, lo: int,
                 hi: int, prior: PriorConfig, readout) -> int:
     """Exact-fit draws among draws lo..hi-1 (one shard, in-process or in a worker)."""
@@ -197,15 +163,16 @@ def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
                               pool=None) -> ConsistencyEstimate:
     """Hit fraction of exact-interpolation prior draws, with a Wilson interval.
 
-    The shards run on `pool` when one is given (see `_shard_pool`), otherwise
-    on a pool opened and closed by this call; the result does not depend on it.
+    The shards run on `pool` when one is given (see `workers.forked_pool`),
+    otherwise on a pool opened and closed by this call; the result does not
+    depend on it.
     """
     _check_sampler(spec, ds, "consistency mass estimation", draws, "draw",
                    shard_size)
     ro = _resolve_fixed_readout(spec, seed, prior, fixed_readout)
     shards = [(spec, ds.features, ds.labels, seed, lo, min(lo + shard_size, draws),
                prior, ro) for lo in range(0, draws, shard_size)]
-    opened = _shard_pool(len(shards)) if pool is None else contextlib.nullcontext(pool)
+    opened = forked_pool(len(shards)) if pool is None else contextlib.nullcontext(pool)
     with opened as workers:
         run = itertools.starmap if workers is None else workers.starmap
         hits = sum(run(_shard_hits, shards))
@@ -323,7 +290,7 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
             f"{spec.layer_dims[0]}")
     rows = []
     root = Rng(seed)
-    with _shard_pool(-(-task.draws // _MASS_SHARD)) as pool:
+    with forked_pool(-(-task.draws // _MASS_SHARD)) as pool:
         for p in task.corruptions:
             for rep in range(task.repetitions):
                 rs = root.spawn_key(f"rep={rep}|p={p!r}")

@@ -11,6 +11,7 @@ The momentum update keeps explicit (theta, lr) buffers from the previous step:
 so schedule-equivalence runs can override the t=0 buffers directly.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,7 @@ from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
     flatten_params, init_checkpoint, param_views, unflatten_params
 from .records import RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
+from .workers import forked_pool
 
 STOP_RULES = ("train_acc_100", "train_ce_below", "max_epochs")
 
@@ -512,7 +514,7 @@ def _sweep_stacks(spec: NetSpec, cfg: SweepConfig, subsets: dict) -> list:
     return stacks
 
 
-def _sweep_stack(spec, subsets, ds_test, cfg, stack, seed_offset) -> list:
+def _sweep_stack(spec, subsets, ds_test, cfg, seed_offset, stack) -> list:
     """TrainResults of one stack of grid items, in grid order.
 
     A run that fails with a FragAuditError becomes an "error:<name>" record.
@@ -572,35 +574,44 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     Runs sharing a training subset and an optimizer train in lockstep stacks
     (see _sweep_stacks). A run that fails with a FragAuditError becomes an
     "error:<name>" record. ConfigError and any other exception (a bug)
-    propagate and end the sweep.
+    propagate and end the sweep; on_result has then seen the results of every
+    stack before the failing one.
 
-    Stacks share no mutable state, so jobs > 1 trains that many at once;
-    results are returned sorted by run id either way, so reruns are
-    order-stable byte for byte.
+    Stacks share no mutable state, so with jobs > 1 they train on a forked
+    pool of min(jobs, CPUs, stacks) workers (see workers.forked_pool), which
+    inherit the shared arguments and return each stack's results in stack
+    order. on_result sees every result in that order as it arrives, and the
+    results are returned sorted by run id, so the outputs do not depend on
+    the worker count.
     """
     if not cfg.lrs:
         raise ConfigError("sweep grid is empty")
     subsets = train_subsets(base_train, cfg.train_sizes or (0,), cfg.subsample_seed)
     stacks = _sweep_stacks(spec, cfg, subsets)
-
-    def run(stack):
-        return _sweep_stack(spec, subsets, ds_test, cfg, stack, seed_offset)
-
+    shared = (spec, subsets, ds_test, cfg, seed_offset)
     results = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(run, stacks):
-                results += part
-        if on_result is not None:
-            for res in results:
-                on_result(res)
-    else:
-        for stack in stacks:
-            for res in run(stack):
+    with forked_pool(min(jobs, len(stacks)), _share, shared) as pool:
+        if pool is None:
+            parts = map(functools.partial(_sweep_stack, *shared), stacks)
+        else:
+            parts = pool.imap(_worker_stack, stacks)
+        for part in parts:
+            for res in part:
                 if on_result is not None:
                     on_result(res)
                 results.append(res)
     results.sort(key=lambda r: r.record.run_id)
     return results
+
+
+_shared_stack = None  # in a sweep worker: _sweep_stack bound to the shared arguments
+
+
+def _share(*shared) -> None:
+    """Pool initializer: bind the sweep's shared arguments in the worker."""
+    global _shared_stack
+    _shared_stack = functools.partial(_sweep_stack, *shared)
+
+
+def _worker_stack(stack) -> list:
+    return _shared_stack(stack)

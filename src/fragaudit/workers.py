@@ -1,0 +1,43 @@
+"""Forked worker pools, shared by the sweep and the evidence mass estimate.
+
+Both callers map a pure function over independent tasks and consume the
+results in task order, so where a task runs never changes an output.
+"""
+
+import contextlib
+import os
+import threading
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def forked_pool(limit: int, initializer=None, initargs=()):
+    """A forked pool of min(limit, CPUs) workers, or None to run in-process.
+
+    Fork is used because a worker then needs no fresh interpreter or imports,
+    and inherits initargs instead of receiving them pickled. It is skipped
+    below two workers, where the platform lacks it, and while another thread
+    runs, which could hold a lock across the fork. The pool is terminated and
+    joined before the block exits, on errors too.
+    """
+    workers = min(limit, cpu_count())
+    if workers < 2 or threading.active_count() > 1:
+        yield None
+        return
+    import multiprocessing  # only here: the import costs 20-50 ms
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers, initializer, initargs)
+    try:
+        yield pool
+    finally:
+        pool.terminate()
+        pool.join()

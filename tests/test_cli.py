@@ -3,10 +3,11 @@
 import json
 import multiprocessing
 import shutil
+from collections import Counter
 
 import pytest
 
-from fragaudit import evidence
+from fragaudit import workers as workers_mod
 from fragaudit.cli import main
 from fragaudit.measures import MeasureConfig, compute_all
 from fragaudit.persist import json_ready, read_jsonl
@@ -41,6 +42,10 @@ def base_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(workers_mod, "cpu_count", lambda: n)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -260,7 +265,7 @@ def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
     rdir = tmp_path / "out" / "reports" / "evidence"
     reports = []
     for workers in (1, 2):
-        monkeypatch.setattr(evidence, "_cpu_count", lambda: workers)
+        _workers(monkeypatch, workers)
         assert main(["evidence", "--config", cp, "--mode", mode]) == 0
         assert multiprocessing.active_children() == []
         reports.append({p.name: p.read_bytes() for p in sorted(rdir.iterdir())})
@@ -389,6 +394,40 @@ def test_sweep_labels_wider_than_net_outputs_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def test_sweep_config_error_in_a_worker_matches_in_process(tmp_path, capsys,
+                                                           monkeypatch, pools_made):
+    cfg = base_config(tmp_path)
+    cfg["net"]["layer_dims"] = [2, 4, 2]
+    cfg["data"]["source"]["num_classes"] = 3
+    cfg["sweep"].update(optimizers=["sgdm", "adam"], max_epochs=3)  # two stacks
+    cp = write_config(tmp_path, cfg)
+    _workers(monkeypatch, 2)
+    errs = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", cp, "--jobs", jobs]) == 2
+        assert multiprocessing.active_children() == []
+        errs.append(capsys.readouterr().err)
+    assert pools_made == [2]
+    assert errs[0] == errs[1]
+    assert json.loads(errs[1])["error"] == "ConfigError"
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_sweep_summary_counts_runs_by_status(tmp_path, capsys, monkeypatch):
+    _train_failing_for(monkeypatch, {2})
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(lrs=[0.1, 1e300], max_epochs=20)
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    records = tmp_path / "out" / "records.jsonl"
+    statuses = Counter(r["status"] for r in read_jsonl(records))
+    assert statuses == {"ok": 2, "diverged": 1, "stop_rule_not_met": 1,
+                        "error:NumericalDivergence": 2}
+    assert capsys.readouterr().out == (
+        "sweep complete: 6 records (1 diverged, 2 error:NumericalDivergence, 2 ok, "
+        f"1 stop_rule_not_met) -> {records}\n")
+
+
 def _train_failing_for(monkeypatch, failing_seeds):
     """Make runs whose seed is listed raise a toolkit error as they initialize."""
     import fragaudit.optim as optim
@@ -446,8 +485,8 @@ LOCKSTEP_NETS = {
 
 @pytest.mark.parametrize("batch_size", [0, 32])
 @pytest.mark.parametrize("net", sorted(LOCKSTEP_NETS))
-def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch, net,
-                                                        batch_size):
+def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch,
+                                                        pools_made, net, batch_size):
     import fragaudit.optim as optim
     from fragaudit.rng import Rng
 
@@ -468,12 +507,15 @@ def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch, n
                     "train_sizes": [96, 128], "seeds": [0, 1], "max_epochs": 25,
                     "batch_size": batch_size, "subsample_seed": 5}
     cp = write_config(tmp_path, cfg)
+    _workers(monkeypatch, 2)
     outputs = {}
     for budget, jobs in ((optim.BUDGET, 1), (1, 1), (optim.BUDGET, 2)):
         monkeypatch.setattr(optim, "BUDGET", budget)
         out = tmp_path / f"out-{budget}-{jobs}"
         assert main(["sweep", "--config", cp, "--out", str(out), "--jobs", str(jobs)]) == 0
         outputs[budget, jobs] = _output_bytes(out)
+    assert pools_made == [2]  # only --jobs 2 forks
+    assert multiprocessing.active_children() == []
     first, *rest = outputs.values()
     assert all(other == first for other in rest)
     records = read_jsonl(tmp_path / f"out-{optim.BUDGET}-1" / "records.jsonl")

@@ -1,5 +1,6 @@
 """Evidence module: bound fixtures, Monte Carlo estimator, rejection sampler."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from fragaudit import evidence
+from fragaudit import evidence, workers
 from fragaudit.data import Dataset, synth_blobs
 from fragaudit.errors import BoundUndefined, ConfigError, InvalidDataset, \
     RejectionExhausted, ZeroHits
@@ -260,7 +261,7 @@ def test_gibbs_rejects_dataset_of_other_width_and_zero_attempts():
 
 
 def _workers(monkeypatch, n):
-    monkeypatch.setattr(evidence, "_cpu_count", lambda: n)
+    monkeypatch.setattr(workers, "cpu_count", lambda: n)
 
 
 def test_mass_hits_do_not_depend_on_the_worker_count(monkeypatch, pools_made):
@@ -317,9 +318,22 @@ def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_ma
     assert multiprocessing.active_children() == []
 
 
-def test_package_import_leaves_multiprocessing_unloaded():
-    code = "import sys, fragaudit.cli; print('multiprocessing' in sys.modules)"
+def test_package_import_leaves_multiprocessing_unloaded(tmp_path):
+    # a two-stack sweep with --jobs 1 trains in-process and loads no pool either
+    cfg = {"out_dir": str(tmp_path / "out"), "net": {"layer_dims": [2, 4, 2]},
+           "data": {"source": {"kind": "blobs", "n": 32, "dim": 2, "num_classes": 2,
+                               "separation": 6.0, "seed": 1},
+                    "split": {"n_train": 16, "seed": 2}},
+           "sweep": {"lrs": [0.1], "optimizers": ["sgdm", "adam"], "max_epochs": 2}}
+    cp = tmp_path / "config.json"
+    cp.write_text(json.dumps(cfg))
+    code = ("import sys, fragaudit.cli as cli\n"
+            "print('multiprocessing' in sys.modules)\n"
+            f"print(cli.main(['sweep', '--config', {str(cp)!r}, '--jobs', '1']))\n"
+            "print('multiprocessing' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    first, summary, rc, last = out.stdout.splitlines()
+    assert summary.startswith("sweep complete: 2 records") and rc == "0"
+    assert first == last == "False"

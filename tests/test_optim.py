@@ -1,9 +1,13 @@
 """Optimizer update fixtures, stop rules, traces, resume, sweeps."""
 
+import multiprocessing
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fragaudit import optim
+from fragaudit import optim, workers
 from fragaudit.data import split_train_test, synth_blobs
 from fragaudit.errors import ConfigError, IncompatibleCheckpoint, LogDomainError, \
     NormalizationSingularity, NumericalDivergence, SlopeUndefined
@@ -297,15 +301,46 @@ def test_sweep_product_count_and_determinism():
     assert [r.record.run_id for r in a] == sorted(r.record.run_id for r in a)
 
 
-def test_sweep_jobs_parallel_matches_sequential():
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(workers, "cpu_count", lambda: n)
+
+
+def test_sweep_jobs_parallel_matches_sequential(monkeypatch, pools_made):
     tr, te = _blob_task(n=32)
     spec = NetSpec((2, 4, 2))
-    cfg = SweepConfig(lrs=(0.05, 0.1), seeds=(0, 1), max_epochs=3,
+    cfg = SweepConfig(lrs=(0.05, 0.1), optimizers=("sgdm", "adam"), seeds=(0, 1),
+                      train_sizes=(16, 32), max_epochs=3,
                       stop_rules=(("max_epochs", 0.01),),
                       dataset="blobs", arch="fcn")
+    _workers(monkeypatch, 3)
     seq = sweep(spec, tr, te, cfg)
     par = sweep(spec, tr, te, cfg, jobs=4)
+    assert pools_made == [3]  # four stacks, capped by the CPU count
     assert [r.record.to_dict() for r in seq] == [r.record.to_dict() for r in par]
+    assert all(np.array_equal(a, b) for rs, rp in zip(seq, par)
+               for a, b in zip(rs.checkpoint.weights, rp.checkpoint.weights))
+
+
+def test_sweep_jobs_1_one_stack_or_a_running_thread_starts_no_process(monkeypatch,
+                                                                       pools_made):
+    tr, te = _blob_task(n=16)
+    spec = NetSpec((2, 4, 2))
+    two_stacks = replace(_tiny_sweep_config(), optimizers=("sgdm", "adam"))
+    _workers(monkeypatch, 2)
+    first = sweep(spec, tr, te, two_stacks, jobs=1)
+    sweep(spec, tr, te, _tiny_sweep_config(), jobs=2)
+    # fork is unsafe while another thread may hold a lock
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        again = sweep(spec, tr, te, two_stacks, jobs=2)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert pools_made == []
+    assert [r.record.to_dict() for r in first] == [r.record.to_dict() for r in again]
 
 
 def test_sweep_full_protocol_grid_shape():
@@ -332,15 +367,26 @@ def _tiny_sweep_config():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_propagates_programming_errors(monkeypatch, jobs):
+def test_sweep_propagates_programming_errors(monkeypatch, pools_made, jobs):
     tr, te = _blob_task(n=16)
+    real = optim._new_run
 
-    def broken(*args, **kwargs):
-        raise TypeError("injected bug")
+    def broken(spec, H, *args):
+        if H.optimizer == "adam":  # the second stack
+            raise TypeError("injected bug")
+        return real(spec, H, *args)
 
-    monkeypatch.setattr(optim, "init_checkpoint", broken)
+    monkeypatch.setattr(optim, "_new_run", broken)
+    _workers(monkeypatch, 2)
+    seen = []
+    cfg = replace(_tiny_sweep_config(), optimizers=("sgdm", "adam"))
     with pytest.raises(TypeError, match="injected bug"):
-        sweep(NetSpec((2, 4, 2)), tr, te, _tiny_sweep_config(), jobs=jobs)
+        sweep(NetSpec((2, 4, 2)), tr, te, cfg, on_result=seen.append, jobs=jobs)
+    # the first stack's results reach on_result before the error, as in-process
+    assert [(r.record.optimizer, r.record.seed) for r in seen] == \
+        [("sgdm", 0), ("sgdm", 1)]
+    assert pools_made == ([2] if jobs == 2 else [])
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_records_toolkit_errors_per_run(monkeypatch):
