@@ -24,6 +24,7 @@ from .net import NetSpec, flatten_params, load_checkpoint, save_checkpoint
 from .optim import Hyperparams, SweepConfig, resume, sweep, train, train_subsets
 from .records import RunRecord, post_interp_slope
 from .rng import Rng
+from .workers import ordered_map
 
 
 def _load_config(path) -> dict:
@@ -137,8 +138,12 @@ def _tags(cfg: dict):
     return dcfg.get("tag", default), cfg.get("net", {}).get("tag", "fcn")
 
 
+def _run_dir(out: Path, rec) -> Path:
+    return out / "runs" / rec.group / rec.run_id
+
+
 def _persist_result(out: Path, spec, res, cfg_hash: str) -> None:
-    d = out / "runs" / res.record.group / res.record.run_id
+    d = _run_dir(out, res.record)
     d.mkdir(parents=True, exist_ok=True)
     persist.write_json(d / "record.json", res.record.to_dict(), cfg_hash)
     if res.checkpoint is not None:
@@ -196,13 +201,17 @@ def cmd_sweep(cfg, out, args):
                     on_result=lambda r: _persist_result(out, spec, r, cfg_hash),
                     seed_offset=args.seed_offset, jobs=args.jobs)
     _write_records(out, [r.record.to_dict() for r in results], cfg_hash)
-    counts = Counter(r.record.status for r in results)
-    by_status = ", ".join(f"{counts[s]} {s}" for s in sorted(counts))
+    by_status = _by_count(Counter(r.record.status for r in results))
     print(f"sweep complete: {len(results)} records ({by_status}) -> "
           f"{out / 'records.jsonl'}")
     if results and all(r.record.status.startswith("error:") for r in results):
         raise AllRunsFailed(len(results))
     return 0
+
+
+def _by_count(counts: Counter) -> str:
+    """'2 a, 1 b' for Counter(a=2, b=1), keys sorted; 'none' when empty."""
+    return ", ".join(f"{counts[k]} {k}" for k in sorted(counts)) or "none"
 
 
 def _iter_records(path):
@@ -221,45 +230,65 @@ def _iter_records(path):
 NOISE_BUDGET = 1 << 15
 
 
-def _with_noise(block, width):
-    """The runs of block, each with its noise rows from one shared fill."""
-    noise = sigma_noise([cfg for _, _, _, cfg in block], width)
-    return [run + (rows,) for run, rows in zip(block, noise, strict=True)]
+def _measurable(rec) -> bool:
+    return rec.status.startswith("ok") or rec.status == "stop_rule_not_met"
 
 
-def _measured_runs(out, records, mcfg):
-    """(record, spec, checkpoint, config, noise) of each run to measure, in order.
+def _measure_plan(out, records, mcfg):
+    """(blocks, load_error): the noise blocks of the runs to measure, in order.
 
-    Consecutive runs with one parameter count P share a noise fill while it
-    stays within NOISE_BUDGET words; a change in P closes the block. A run
-    whose own noise is over the budget gets noise None: its searches draw.
+    A block is (runs, p), runs a list of (record, measure config). Consecutive
+    runs with one parameter count p share a noise fill while it stays within
+    NOISE_BUDGET words; a change in p closes the block. A run whose own noise
+    is over the budget is a block of its own with p None: its searches draw.
+    Each checkpoint is loaded here only to check it and read p. The plan ends
+    at the first one that fails to load, and load_error is its exception (None
+    if every checkpoint loaded): the runs before it are still measured.
     """
-    block, width, words = [], None, 0
-    for rec in records:
-        if not rec.status.startswith("ok") and rec.status != "stop_rule_not_met":
-            continue
-        ckpt_path = out / "runs" / rec.group / rec.run_id / "ckpt.bin"
+    blocks, block, width, words = [], [], None, 0
+    for rec in filter(_measurable, records):
         try:
-            ck_spec, ckpt = load_checkpoint(ckpt_path)
-        except Exception:
-            # the runs before a checkpoint that fails to load are still measured
+            ck_spec, ckpt = load_checkpoint(_run_dir(out, rec) / "ckpt.bin")
+        except Exception as exc:
+            # raised by cmd_measure once the runs before it are written
             if block:
-                yield from _with_noise(block, width)
-            raise
+                blocks.append((block, width))
+            return blocks, exc
         run_mcfg = replace(mcfg, seed=Rng(mcfg.seed).spawn_key(rec.run_id).next_u64())
         p = flatten_params(ck_spec, ckpt.weights, ckpt.biases).size
         need = 2 * mcfg.sigma_mc_draws * (p + p % 2)  # rows hold whole word pairs
         if block and (p != width or words + need > NOISE_BUDGET):
-            yield from _with_noise(block, width)
+            blocks.append((block, width))
             block, words = [], 0
         if need > NOISE_BUDGET:
-            yield rec, ck_spec, ckpt, run_mcfg, None
+            blocks.append(([(rec, run_mcfg)], None))
             continue
-        block.append((rec, ck_spec, ckpt, run_mcfg))
+        block.append((rec, run_mcfg))
         width = p
         words += need
     if block:
-        yield from _with_noise(block, width)
+        blocks.append((block, width))
+    return blocks, None
+
+
+def _measure_block(out, subsets, blocks, i) -> list:
+    """(values, errors, diagnostics) of each run of blocks[i], in order.
+
+    Runs in a worker or in-process. It reloads the block's checkpoints and
+    draws the block's noise itself, so no checkpoint or noise row crosses a
+    pipe.
+    """
+    runs, width = blocks[i]
+    if width is None:
+        noise = [None] * len(runs)
+    else:
+        noise = sigma_noise([run_mcfg for _, run_mcfg in runs], width)
+    results = []
+    for (rec, run_mcfg), rows in zip(runs, noise, strict=True):
+        ck_spec, ckpt = load_checkpoint(_run_dir(out, rec) / "ckpt.bin")
+        ms = compute_all(ck_spec, ckpt, subsets[rec.n_train or 0], run_mcfg, noise=rows)
+        results.append((ms.values, ms.errors, ms.diagnostics))
+    return results
 
 
 def cmd_measure(cfg, out, args):
@@ -271,17 +300,27 @@ def cmd_measure(cfg, out, args):
     subsample_seed = int(cfg.get("sweep", {}).get("subsample_seed", 1))
     subsets = train_subsets(base_train, {r.n_train or 0 for r in records}, subsample_seed)
     cfg_hash = persist.config_hash(cfg)
-    for rec, ck_spec, ckpt, run_mcfg, noise in _measured_runs(out, records, mcfg):
-        ds = subsets[rec.n_train or 0]
-        ms = compute_all(ck_spec, ckpt, ds, run_mcfg, noise=noise)
-        rec.measures = ms.values
-        rec.measure_errors = ms.errors
-        d = out / "runs" / rec.group / rec.run_id
-        # record.json also keeps the search and solver diagnostics; records.jsonl does not
-        persist.write_json(d / "record.json", dict(
-            rec.to_dict(), diagnostics=persist.json_ready(ms.diagnostics)), cfg_hash)
+    blocks, load_error = _measure_plan(out, records, mcfg)
+    # one worker per CPU, never more than blocks: the outputs do not depend on it
+    shared = (out, subsets, blocks)
+    with ordered_map(_measure_block, shared, range(len(blocks)), len(blocks)) as parts:
+        for (runs, _), part in zip(blocks, parts, strict=True):
+            for (rec, _), (values, errors, diagnostics) in zip(runs, part, strict=True):
+                rec.measures, rec.measure_errors = values, errors
+                # record.json also keeps the search and solver diagnostics;
+                # records.jsonl does not
+                persist.write_json(_run_dir(out, rec) / "record.json", dict(
+                    rec.to_dict(), diagnostics=persist.json_ready(diagnostics)),
+                    cfg_hash)
+    if load_error is not None:
+        raise load_error
     _write_records(out, [rec.to_dict() for rec in records], cfg_hash)
-    print(f"measured {len(records)} records")
+    measured = [rec for rec in records if _measurable(rec)]
+    skipped = Counter(rec.status for rec in records if not _measurable(rec))
+    errors = Counter(tag for rec in measured for tag in rec.measure_errors.values())
+    print(f"measured {len(measured)} of {len(records)} runs (skipped: "
+          f"{_by_count(skipped)}; measure errors: {_by_count(errors)}) -> "
+          f"{out / 'records.jsonl'}")
     return 0
 
 

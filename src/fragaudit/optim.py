@@ -11,7 +11,6 @@ The momentum update keeps explicit (theta, lr) buffers from the previous step:
 so schedule-equivalence runs can override the t=0 buffers directly.
 """
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
     flatten_params, init_checkpoint, param_views, unflatten_params
 from .records import RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
-from .workers import forked_pool
+from .workers import ordered_map
 
 STOP_RULES = ("train_acc_100", "train_ce_below", "max_epochs")
 
@@ -578,7 +577,7 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     stack before the failing one.
 
     Stacks share no mutable state, so with jobs > 1 they train on a forked
-    pool of min(jobs, CPUs, stacks) workers (see workers.forked_pool), which
+    pool of min(jobs, CPUs, stacks) workers (see workers.ordered_map), which
     inherit the shared arguments and return each stack's results in stack
     order. on_result sees every result in that order as it arrives, and the
     results are returned sorted by run id, so the outputs do not depend on
@@ -590,11 +589,7 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     stacks = _sweep_stacks(spec, cfg, subsets)
     shared = (spec, subsets, ds_test, cfg, seed_offset)
     results = []
-    with forked_pool(min(jobs, len(stacks)), _share, shared) as pool:
-        if pool is None:
-            parts = map(functools.partial(_sweep_stack, *shared), stacks)
-        else:
-            parts = pool.imap(_worker_stack, stacks)
+    with ordered_map(_sweep_stack, shared, stacks, min(jobs, len(stacks))) as parts:
         for part in parts:
             for res in part:
                 if on_result is not None:
@@ -603,15 +598,3 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     results.sort(key=lambda r: r.record.run_id)
     return results
 
-
-_shared_stack = None  # in a sweep worker: _sweep_stack bound to the shared arguments
-
-
-def _share(*shared) -> None:
-    """Pool initializer: bind the sweep's shared arguments in the worker."""
-    global _shared_stack
-    _shared_stack = functools.partial(_sweep_stack, *shared)
-
-
-def _worker_stack(stack) -> list:
-    return _shared_stack(stack)

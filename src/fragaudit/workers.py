@@ -1,10 +1,12 @@
-"""Forked worker pools, shared by the sweep and the evidence mass estimate.
+"""Forked worker pools, shared by the sweep, the measure stage and the
+evidence mass estimate.
 
-Both callers map a pure function over independent tasks and consume the
+Every caller maps a pure function over independent tasks and consumes the
 results in task order, so where a task runs never changes an output.
 """
 
 import contextlib
+import functools
 import os
 import threading
 
@@ -41,3 +43,32 @@ def forked_pool(limit: int, initializer=None, initargs=()):
     finally:
         pool.terminate()
         pool.join()
+
+
+@contextlib.contextmanager
+def ordered_map(fn, shared, tasks, limit: int):
+    """An iterator of fn(*shared, task) for each task, in task order.
+
+    The tasks run on forked_pool(limit), whose workers inherit shared through
+    the pool initializer, so only a task and its result are pickled; without a
+    pool they run in-process as the iterator is read. An exception raised by
+    task i is raised, with its type, when result i is read.
+    """
+    with forked_pool(limit, _bind, (fn, shared)) as pool:
+        if pool is None:
+            yield map(functools.partial(fn, *shared), tasks)
+        else:
+            yield pool.imap(_call_bound, tasks)
+
+
+_bound = None  # in a worker: the mapped function bound to its shared arguments
+
+
+def _bind(fn, shared) -> None:
+    """Pool initializer: bind the shared arguments in the worker."""
+    global _bound
+    _bound = functools.partial(fn, *shared)
+
+
+def _call_bound(task):
+    return _bound(task)

@@ -661,7 +661,8 @@ def _mixed_width_runs(tmp_path, order):
 
 
 def _measure_with_budget(monkeypatch, cp, out, records, budget):
-    """Measure with NOISE_BUDGET = budget; returns the (rows, P) of every fill."""
+    """Measure in-process with NOISE_BUDGET = budget; returns the (rows, P) of
+    every fill. The fills are counted in this process, so one worker."""
     from fragaudit import cli, measures
 
     fills = []
@@ -671,6 +672,7 @@ def _measure_with_budget(monkeypatch, cp, out, records, budget):
         fills.append((len(seeds), m))
         return real(seeds, m)
 
+    _workers(monkeypatch, 1)
     monkeypatch.setattr(cli, "NOISE_BUDGET", budget)
     monkeypatch.setattr(measures, "gaussian_matrix", counting)
     assert main(["measure", "--config", cp, "--out", str(out),
@@ -772,3 +774,114 @@ def test_measure_stops_at_a_bad_checkpoint_after_the_runs_before_it(
         # it and every run after it keep their unmeasured record.json
         assert after[name] == (measured[name] if i < 3 else before[name])
         assert (after[name] != before[name]) == (i < 3), name
+
+
+# --- measure: noise blocks on the forked worker pool -----------------------------
+
+def _measure_cmd(cp, out, records):
+    return ["measure", "--config", cp, "--out", str(out), "--records", str(records)]
+
+
+def test_measure_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                           pools_made):
+    from fragaudit import cli
+
+    cp, out, records = _mixed_width_runs(tmp_path, "grouped")
+    outputs = {}
+    for workers in (1, 2, 3):
+        for budget in (0, 1700, 1 << 30):  # 12, 5 and 2 blocks
+            run_out = tmp_path / f"workers-{workers}-budget-{budget}"
+            shutil.copytree(out, run_out)
+            _workers(monkeypatch, workers)
+            monkeypatch.setattr(cli, "NOISE_BUDGET", budget)
+            assert main(_measure_cmd(cp, run_out, records)) == 0
+            outputs[workers, budget] = _measure_outputs(run_out)
+    assert pools_made == [2, 2, 2, 3, 3, 2]
+    assert multiprocessing.active_children() == []
+    first, *rest = outputs.values()
+    assert len(first) == 13 and all(other == first for other in rest)
+
+
+@pytest.mark.parametrize("budget, bad", [(0, 3), (1700, 8)])
+def test_measure_on_a_pool_stops_at_a_bad_checkpoint_after_the_runs_before_it(
+        tmp_path, monkeypatch, pools_made, budget, bad):
+    from pathlib import Path
+
+    from fragaudit import cli
+
+    cp, out, records = _mixed_width_runs(tmp_path, "grouped")
+    clean = tmp_path / "clean"
+    shutil.copytree(out, clean)
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "NOISE_BUDGET", budget)
+    assert main(_measure_cmd(cp, clean, records)) == 0
+    measured = _measure_outputs(clean)
+    listed = read_jsonl(records)
+    rec = listed[bad]  # three blocks before it at either budget
+    (out / "runs" / rec["group"] / rec["run_id"] / "ckpt.bin").write_bytes(b"garbage")
+    before = _measure_outputs(out)
+    assert main(_measure_cmd(cp, out, records)) == 1
+    assert pools_made == [2, 2]
+    after = _measure_outputs(out)
+    assert after["records.jsonl"] == before["records.jsonl"]
+    for i, rec in enumerate(listed):
+        name = str(Path("runs", rec["group"], rec["run_id"], "record.json"))
+        assert after[name] == (measured[name] if i < bad else before[name])
+        assert (after[name] != before[name]) == (i < bad), name
+
+
+def test_measure_bug_in_a_worker_matches_in_process(tmp_path, monkeypatch, pools_made):
+    from fragaudit import cli
+
+    cp, out, records = _mixed_width_runs(tmp_path, "grouped")
+    real = cli.compute_all
+
+    def compute_all(spec, *args, **kwargs):
+        if spec.layer_dims == (2, 16, 2):
+            raise RuntimeError("planted in the first wide run")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_all", compute_all)
+    monkeypatch.setattr(cli, "NOISE_BUDGET", 0)
+    outputs, errors = [], []
+    for workers in (1, 2):
+        run_out = tmp_path / f"workers-{workers}"
+        shutil.copytree(out, run_out)
+        _workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError) as exc:
+            main(_measure_cmd(cp, run_out, records))
+        errors.append(str(exc.value))
+        outputs.append(_measure_outputs(run_out))
+    assert pools_made == [2]
+    assert multiprocessing.active_children() == []
+    assert errors == ["planted in the first wide run"] * 2
+    assert outputs[0] == outputs[1]
+    unmeasured = _measure_outputs(out)
+    assert outputs[0]["records.jsonl"] == unmeasured["records.jsonl"]
+    assert sum(outputs[0][k] != unmeasured[k] for k in unmeasured) == 6  # the narrow runs
+
+
+def test_measure_of_one_block_forks_nothing(tmp_path, monkeypatch, pools_made):
+    cp = write_config(tmp_path, base_config(tmp_path))  # six P = 32 runs: one block
+    _workers(monkeypatch, 2)
+    assert main(["sweep", "--config", cp]) == 0
+    assert main(["measure", "--config", cp]) == 0
+    assert pools_made == []
+
+
+def test_measure_summary_counts_runs_skipped_by_status_and_errors_by_tag(
+        tmp_path, capsys, monkeypatch):
+    _train_failing_for(monkeypatch, {2})
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(lrs=[0.1, 1e300], max_epochs=20)
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    capsys.readouterr()
+    assert main(["measure", "--config", cp]) == 0
+    path = tmp_path / "out" / "records.jsonl"
+    records = read_jsonl(path)
+    errors = Counter(tag for r in records for tag in r["measure_errors"].values())
+    assert errors == {"MarginNotPositive": 8, "NonFinite": 13}
+    assert capsys.readouterr().out == (
+        "measured 3 of 6 runs (skipped: 1 diverged, 2 error:NumericalDivergence; "
+        f"measure errors: 8 MarginNotPositive, 13 NonFinite) -> {path}\n")
