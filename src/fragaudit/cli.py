@@ -7,6 +7,7 @@ embeds the config hash and tool version; reruns are byte-identical.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from collections import Counter
@@ -26,116 +27,188 @@ from .records import RunRecord, post_interp_slope
 from .rng import Rng
 from .workers import ordered_map
 
+# --- config schema -----------------------------------------------------------
+
+def _value(v, kind, path):
+    """The JSON value v at path read as kind, or a ConfigError naming path.
+
+    A kind is a type (a JSON int is a float too, a bool is neither),
+    MEASURE_NAMES for one of them, [kind] for a list (read as a tuple),
+    [kind, kind, ...] for a list of exactly those, an _Obj, or {tag key: {tag:
+    _Obj}} for an object read as (its _Obj's datakit function, fields)."""
+    if isinstance(kind, _Obj):
+        return kind.read(v, path)
+    if type(kind) is dict:
+        [(tag, choices)] = kind.items()
+        if type(v) is not dict or v.get(tag) not in list(choices):
+            raise ConfigError(f"config key {path}.{tag} must be one of {', '.join(choices)}")
+        obj = choices[v[tag]]
+        return obj.owners[0], obj.read({k: x for k, x in v.items() if k != tag}, path)
+    if type(kind) is list and type(v) is list and len(kind) in (1, len(v)):
+        return tuple(_value(x, kind[i % len(kind)], f"{path}[{i}]") for i, x in enumerate(v))
+    if kind is MEASURE_NAMES and v in kind:
+        return v
+    if type(v) is kind or (kind is float and type(v) is int):
+        return kind(v)
+    what = ("a list" if len(kind) == 1 else f"a list of {len(kind)}") if type(kind) is list \
+        else getattr(kind, "__name__", "a measure name")
+    raise ConfigError(f"config key {path} must be {what}, got {v!r}")
+
+
+class _Obj:
+    """A JSON object: each key with its kind, or (kind, field) where the field it
+    feeds has another name. Reading gives {field: value}. A key left out takes its
+    field's default in `owners` (dataclasses or functions; a str names a datakit
+    function, looked up when used), else in `defaults`; else it is required."""
+
+    def __init__(self, keys, *owners, **defaults):
+        self.keys, self.owners, self.defaults = keys, owners, defaults
+
+    def read(self, doc, path):
+        if type(doc) is not dict:
+            raise ConfigError(f"config {path or 'document'} must be an object, got {doc!r}")
+        at = f"{path}." if path else ""
+        for key in doc:
+            if key not in self.keys:
+                raise ConfigError(f"config key {at}{key} is not known")
+        defaults = dict(self.defaults)
+        for owner in self.owners:
+            owner = getattr(datakit, owner) if type(owner) is str else owner
+            params = inspect.signature(owner).parameters.values()
+            defaults.update((p.name, p.default) for p in params if p.default is not p.empty)
+        out = {}
+        for key, kind in self.keys.items():
+            kind, field = kind if type(kind) is tuple else (kind, key)
+            if key not in doc and field not in defaults:
+                raise ConfigError(f"config key {at}{key} is missing")
+            out[field] = _value(doc[key], kind, at + key) if key in doc else defaults[field]
+        return out
+
+
+_NET = {"layer_dims": [int], "activation": str, "normalize_hidden": bool,
+        "frozen_readout": bool, "bias_enabled": bool}
+_SOURCE = {"kind": {
+    "blobs": _Obj({"n": int, "dim": int, "num_classes": int, "separation": float,
+                   "seed": int}, "synth_blobs"),
+    "images": _Obj({"n": int, "num_classes": int, "seed": int, "side": int,
+                    "active_pixels": int, "noise": float}, "synth_images"),
+    "idx": _Obj({"images": (str, "images_path"), "labels": (str, "labels_path"),
+                 "num_classes": int}, "load_idx"),
+    "cache": _Obj({"path": str}, "load_cache"),
+}}
+_CORRUPT, _PERMUTE = _Obj({"p": float, "seed": int}, "corrupt_labels"), \
+    _Obj({"seed": int}, "make_permutation")
+_OP = {"op": {
+    "binarize": _Obj({"positive": ([int], "positive_classes")}, "binarize"),
+    "corrupt": _CORRUPT, "corrupt_labels": _CORRUPT,
+    "permute": _PERMUTE, "permute_pixels": _PERMUTE,
+    "subsample": _Obj({"m": int, "seed": int}, "subsample"),
+}}
+_TRAIN = _Obj({"optimizer": str, "lr": float, "momentum": (float, "momentum_gamma"),
+               "weight_decay": float, "batch_size": int, "stop_rule": str,
+               "stop_threshold": float, "max_epochs": int, "seed": int,
+               "trace_measures": [MEASURE_NAMES]}, Hyperparams, train, seed=0)
+# Every top-level key. A command raises for a section it needs that is left out.
+SCHEMA = {
+    "out_dir": str,
+    "net": _Obj(dict(_NET, tag=str), NetSpec, tag="fcn"),
+    "data": _Obj({"source": _SOURCE, "transforms": [_OP],
+                  "split": _Obj({"n_train": int, "seed": int}),
+                  "permute": _Obj({"mode": str, "seed": int}, mode="none"),
+                  "train_transforms": [_OP], "test_transforms": [_OP], "tag": str},
+                 transforms=(), permute={"mode": "none"}, train_transforms=(),
+                 test_transforms=(), tag=None),
+    "train": _TRAIN,
+    "sweep": _Obj({"lrs": [float], "optimizers": [str], "stop_rules": [[str, float]],
+                   "train_sizes": [int], "seeds": [int], "momentum": float,
+                   "weight_decay": float, "batch_size": int, "max_epochs": int,
+                   "subsample_seed": int}, SweepConfig),
+    "measure": _Obj({"target_dev": (float, "sigma_target_dev"),
+                     "mc_draws": (int, "sigma_mc_draws"), "iters": (int, "sigma_iters"),
+                     "kappa": float, "delta": float, "seed": int, "spectral_tol": float,
+                     "spectral_max_iters": int}, MeasureConfig),
+    "fragility": _Obj({"deltas": [float], "pair_budget": int, "subsample_seed": int,
+                       "measures": [MEASURE_NAMES]}, frag.FragilityConfig,
+                      measures=MEASURE_NAMES),
+    "temporal": _Obj({"measures": [MEASURE_NAMES]},
+                     measures=("PATH_NORM", "PARAM_NORM", "FRO_DIST")),
+    # new: the train keys that the resumed run changes
+    "hysteresis": _Obj({"new": _TRAIN, "seed": int}, new=None, seed=None),
+    "exppp": _Obj({"eta0": float, "gamma": float, "lambda": (float, "lam"), "alpha": float,
+                   "alphas": [float], "steps": (int, "T"), "tol": float, "logit_tol": float,
+                   "seed": int, "demo_count": (int, "count")},
+                  xp.verify_equivalence, xp.demo_alphas,
+                  eta0=0.01, gamma=0.9, lam=0.0, alpha=0.9, alphas=(), T=200),
+    "evidence": _Obj({"net": _Obj(_NET, NetSpec), "n_train": int, "n_heldout": int,
+                      "dim": int, "separation": float, "draws": int, "repetitions": int,
+                      "delta": (float, "delta_conf"), "gamma": (float, "gamma_conf"),
+                      "corruptions": [float], "max_attempts": int, "seed": int},
+                     ev.EvidenceTask, net=None, seed=0),
+    "transform": _Obj({"input": _SOURCE, "ops": [_OP], "output": str},
+                      ops=(), output="dataset.dsc"),
+}
+_DOC = _Obj(SCHEMA, **dict.fromkeys(SCHEMA))
+
 
 def _load_config(path) -> dict:
+    """The config document at path, after every section in it is checked."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    _DOC.read(cfg, "")
+    return cfg
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    if name not in cfg:
-        if required:
-            raise ConfigError(f"config is missing the {name!r} section")
-        return {}
-    return cfg[name]
+    """Section name of the config, read through the schema."""
+    if name not in cfg and required:
+        raise ConfigError(f"config is missing the {name!r} section")
+    return SCHEMA[name].read(cfg.get(name, {}), name)
 
 
-def _net_spec(cfg: dict) -> NetSpec:
-    return NetSpec.from_dict(_section(cfg, "net"))
+def _make(owner, fields: dict, **extra):
+    """owner called on the fields that are its parameters, and on extra."""
+    params = inspect.signature(owner).parameters
+    return owner(**{k: v for k, v in fields.items() if k in params}, **extra)
+
+
+def _tags(cfg: dict) -> dict:
+    """The run tags; the dataset's defaults to the kind of its source."""
+    tag = _section(cfg, "data")["tag"]
+    return {"dataset": cfg["data"]["source"]["kind"] if tag is None else tag,
+            "arch": _section(cfg, "net")["tag"]}
 
 
 def _apply_ops(ds, ops):
-    for op in ops:
-        kind = op.get("op")
-        if kind in ("binarize",):
-            ds = datakit.binarize(ds, set(op["positive"]) if "positive" in op else None)
-        elif kind in ("corrupt", "corrupt_labels"):
-            ds = datakit.corrupt_labels(ds, float(op["p"]), int(op["seed"]))
-        elif kind in ("permute", "permute_pixels"):
-            perm = datakit.make_permutation(ds.dim, int(op["seed"]))
-            ds = datakit.permute_pixels(ds, perm)
-        elif kind == "subsample":
-            ds = datakit.subsample(ds, int(op["m"]), int(op["seed"]))
+    """ds after each read transform op."""
+    for fn, fields in ops:
+        if fn == "make_permutation":
+            ds = datakit.permute_pixels(ds, datakit.make_permutation(ds.dim, **fields))
         else:
-            raise ConfigError(f"unknown transform op {kind!r}")
+            ds = getattr(datakit, fn)(ds, **fields)
     return ds
-
-
-def _build_source(src: dict):
-    kind = src.get("kind")
-    if kind == "blobs":
-        return datakit.synth_blobs(int(src["n"]), int(src["dim"]),
-                                   int(src["num_classes"]),
-                                   float(src["separation"]), int(src["seed"]))
-    if kind == "images":
-        return datakit.synth_images(int(src["n"]), int(src["num_classes"]),
-                                    int(src["seed"]), int(src.get("side", 28)),
-                                    int(src.get("active_pixels", 64)),
-                                    float(src.get("noise", 0.08)))
-    if kind == "idx":
-        return datakit.load_idx(src["images"], src["labels"],
-                                src.get("num_classes"))
-    if kind == "cache":
-        return datakit.load_cache(src["path"])
-    raise ConfigError(f"unknown dataset source kind {kind!r}")
 
 
 def _build_data(cfg: dict):
     """(train, test) per the data section: source, transforms, split, permute."""
-    dcfg = _section(cfg, "data")
-    ds = _build_source(_section(dcfg, "source"))
-    ds = _apply_ops(ds, dcfg.get("transforms", []))
-    split = _section(dcfg, "split")
-    train_ds, test_ds = datakit.split_train_test(ds, int(split["n_train"]),
-                                                 int(split["seed"]))
-    pcfg = dcfg.get("permute", {})
-    mode = pcfg.get("mode", "none")
+    d = _section(cfg, "data")
+    fn, fields = d["source"]
+    ds = _apply_ops(getattr(datakit, fn)(**fields), d["transforms"])
+    train_ds, test_ds = datakit.split_train_test(ds, **d["split"])
+    mode = d["permute"]["mode"]
     if mode != "none":
         p_train, p_test = datakit.permutation_pair(
-            train_ds.dim, int(pcfg["seed"]), independent=(mode == "independent"))
+            train_ds.dim, d["permute"]["seed"], independent=(mode == "independent"))
         train_ds = datakit.permute_pixels(train_ds, p_train)
         test_ds = datakit.permute_pixels(test_ds, p_test)
-    train_ds = _apply_ops(train_ds, dcfg.get("train_transforms", []))
-    test_ds = _apply_ops(test_ds, dcfg.get("test_transforms", []))
-    return train_ds, test_ds
+    return (_apply_ops(train_ds, d["train_transforms"]),
+            _apply_ops(test_ds, d["test_transforms"]))
 
 
 def _measure_config(cfg: dict) -> MeasureConfig:
-    m = cfg.get("measure", {})
-    return MeasureConfig(
-        sigma_target_dev=float(m.get("target_dev", 0.1)),
-        sigma_mc_draws=int(m.get("mc_draws", 15)),
-        sigma_iters=int(m.get("iters", 20)),
-        kappa=float(m.get("kappa", 1e-3)),
-        delta=float(m.get("delta", 0.05)),
-        seed=int(m.get("seed", 0)),
-        spectral_tol=float(m.get("spectral_tol", 1e-10)),
-        spectral_max_iters=int(m.get("spectral_max_iters", 20000)),
-    )
-
-
-def _hyperparams(tcfg: dict, dataset_tag: str, arch_tag: str) -> Hyperparams:
-    return Hyperparams(
-        optimizer=tcfg.get("optimizer", "sgdm"),
-        lr=float(tcfg.get("lr", 0.01)),
-        momentum_gamma=float(tcfg.get("momentum", 0.9)),
-        weight_decay=float(tcfg.get("weight_decay", 0.0)),
-        batch_size=int(tcfg.get("batch_size", 0)),
-        stop_rule=tcfg.get("stop_rule", "train_acc_100"),
-        stop_threshold=float(tcfg.get("stop_threshold", 0.01)),
-        max_epochs=int(tcfg.get("max_epochs", 200)),
-        dataset=dataset_tag,
-        arch=arch_tag,
-    )
-
-
-def _tags(cfg: dict):
-    dcfg = _section(cfg, "data")
-    default = dcfg.get("source", {}).get("kind", "data")
-    return dcfg.get("tag", default), cfg.get("net", {}).get("tag", "fcn")
+    return MeasureConfig(**_section(cfg, "measure", required=False))
 
 
 def _run_dir(out: Path, rec) -> Path:
@@ -157,18 +230,33 @@ def _write_records(out: Path, records, cfg_hash: str) -> None:
     persist.write_jsonl(out / "records.jsonl", records, cfg_hash)
 
 
+def _train_run(cfg, args, names=None, **kwargs):
+    """(spec, (train, test), train section, result) of the train section's run;
+    it traces names, or the section's trace_measures if names is None."""
+    spec, data = NetSpec.from_dict(_section(cfg, "net")), _build_data(cfg)
+    tcfg = _section(cfg, "train")
+    res = train(spec, *data, _make(Hyperparams, tcfg, **_tags(cfg)),
+                tcfg["seed"] + args.seed_offset,
+                trace_measures=tcfg["trace_measures"] if names is None else names,
+                measure_config=_measure_config(cfg), **kwargs)
+    return spec, data, tcfg, res
+
+
+def _run_report(res, names) -> dict:
+    """A run's t_int, test error and post-interpolation slopes (or their errors)."""
+    slopes = {}
+    for name in names:
+        try:
+            slopes[name] = post_interp_slope(res.trace, name)
+        except FragAuditError as exc:
+            slopes[name] = f"{type(exc).__name__}: {exc}"
+    return {"t_int": res.record.t_int, "slopes": slopes, "test_error": res.record.test_error}
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_train(cfg, out, args):
-    spec = _net_spec(cfg)
-    train_ds, test_ds = _build_data(cfg)
-    dtag, atag = _tags(cfg)
-    tcfg = _section(cfg, "train")
-    H = _hyperparams(tcfg, dtag, atag)
-    seed = int(tcfg.get("seed", 0)) + args.seed_offset
-    res = train(spec, train_ds, test_ds, H, seed,
-                trace_measures=tuple(tcfg.get("trace_measures", ())),
-                measure_config=_measure_config(cfg))
+    spec, _, _, res = _train_run(cfg, args)
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, res, cfg_hash)
     _write_records(out, [res.record.to_dict()], cfg_hash)
@@ -178,24 +266,9 @@ def cmd_train(cfg, out, args):
 
 
 def cmd_sweep(cfg, out, args):
-    spec = _net_spec(cfg)
+    spec = NetSpec.from_dict(_section(cfg, "net"))
     train_ds, test_ds = _build_data(cfg)
-    dtag, atag = _tags(cfg)
-    s = _section(cfg, "sweep")
-    scfg = SweepConfig(
-        lrs=tuple(float(x) for x in s["lrs"]),
-        optimizers=tuple(s.get("optimizers", ("sgdm",))),
-        stop_rules=tuple((r[0], float(r[1])) for r in
-                         s.get("stop_rules", [["train_acc_100", 0.01]])),
-        train_sizes=tuple(int(x) for x in s.get("train_sizes", ())),
-        seeds=tuple(int(x) for x in s.get("seeds", (0,))),
-        momentum=float(s.get("momentum", 0.9)),
-        weight_decay=float(s.get("weight_decay", 0.0)),
-        batch_size=int(s.get("batch_size", 0)),
-        max_epochs=int(s.get("max_epochs", 200)),
-        dataset=dtag, arch=atag,
-        subsample_seed=int(s.get("subsample_seed", 1)),
-    )
+    scfg = SweepConfig(**_section(cfg, "sweep"), **_tags(cfg))
     cfg_hash = persist.config_hash(cfg)
     results = sweep(spec, train_ds, test_ds, scfg,
                     on_result=lambda r: _persist_result(out, spec, r, cfg_hash),
@@ -214,9 +287,14 @@ def _by_count(counts: Counter) -> str:
     return ", ".join(f"{counts[k]} {k}" for k in sorted(counts)) or "none"
 
 
-def _iter_records(path):
-    for d in persist.read_jsonl(path):
-        yield RunRecord.from_dict(d)
+def _read_records(out, args) -> list:
+    """The run records of --records, by default out/records.jsonl."""
+    path = Path(args.records) if args.records else out / "records.jsonl"
+    try:
+        rows = persist.read_jsonl(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read records {path}: {exc}")
+    return [RunRecord.from_dict(d) for d in rows]
 
 
 # cmd_measure draws the sigma-search noise of consecutive runs with the same P
@@ -292,12 +370,12 @@ def _measure_block(out, subsets, blocks, i) -> list:
 
 
 def cmd_measure(cfg, out, args):
-    spec = _net_spec(cfg)
+    spec = NetSpec.from_dict(_section(cfg, "net"))
     base_train, _ = _build_data(cfg)
     mcfg = _measure_config(cfg)
-    records_path = Path(args.records) if args.records else out / "records.jsonl"
-    records = list(_iter_records(records_path))
-    subsample_seed = int(cfg.get("sweep", {}).get("subsample_seed", 1))
+    records = _read_records(out, args)
+    subsample_seed = _section(cfg, "sweep")["subsample_seed"] if "sweep" in cfg \
+        else SweepConfig.subsample_seed
     subsets = train_subsets(base_train, {r.n_train or 0 for r in records}, subsample_seed)
     cfg_hash = persist.config_hash(cfg)
     blocks, load_error = _measure_plan(out, records, mcfg)
@@ -325,40 +403,27 @@ def cmd_measure(cfg, out, args):
 
 
 def cmd_audit(cfg, out, args):
-    fcfg_raw = cfg.get("fragility", {})
-    fcfg = frag.FragilityConfig(
-        deltas=tuple(float(d) for d in fcfg_raw.get("deltas", (0.01, 0.02, 0.05))),
-        pair_budget=int(fcfg_raw.get("pair_budget", 10000)),
-        subsample_seed=int(fcfg_raw.get("subsample_seed", 0)),
-    )
-    measures = tuple(fcfg_raw.get("measures", MEASURE_NAMES))
-    records_path = Path(args.records) if args.records else out / "records.jsonl"
-    records = list(_iter_records(records_path))
+    f = _section(cfg, "fragility", required=False)
+    fcfg, measures = _make(frag.FragilityConfig, f), f["measures"]
+    records = _read_records(out, args)
     group_scores, aggregates = frag.score_records(records, measures, fcfg)
     cfg_hash = persist.config_hash(cfg)
     rdir = out / "reports" / f"audit-{cfg_hash}"
     rdir.mkdir(parents=True, exist_ok=True)
     groups = sorted(group_scores)
     for delta in fcfg.deltas:
-        csv_text = frag.emit_table_csv(aggregates, groups, measures, delta)
         stem = f"cms_delta_{repr(delta).replace('.', '_')}"
-        with open(rdir / f"{stem}.csv", "w") as fh:
-            fh.write(f"# config_hash={cfg_hash} tool_version={persist.TOOL_VERSION}\n")
-            fh.write(csv_text)
-        with open(rdir / f"{stem}.txt", "w") as fh:
-            fh.write(f"# config_hash={cfg_hash} tool_version={persist.TOOL_VERSION}\n")
-            fh.write(frag.emit_table_text(aggregates, groups, measures, delta))
+        for ext, emit in (("csv", frag.emit_table_csv), ("txt", frag.emit_table_text)):
+            with open(rdir / f"{stem}.{ext}", "w") as fh:
+                fh.write(f"# config_hash={cfg_hash} tool_version={persist.TOOL_VERSION}\n")
+                fh.write(emit(aggregates, groups, measures, delta))
     cells = {
         f"{m}|{delta!r}": {
             "cms_med": agg.cms_med, "ecms_med": agg.ecms_med,
             "cms_coverage": agg.cms_coverage, "ecms_coverage": agg.ecms_coverage,
-            "per_group": {
-                g: {"cms": c.cms, "ecms": c.ecms, "cms_seed": c.cms_seed,
-                    "cms_inter": c.cms_inter, "n_pairs": c.n_pairs,
-                    "n_seed_pairs": c.n_seed_pairs,
-                    "n_inter_pairs": c.n_inter_pairs}
-                for g, c in agg.per_group.items()
-            },
+            "per_group": {g: {k: getattr(c, k) for k in (
+                "cms", "ecms", "cms_seed", "cms_inter", "n_pairs", "n_seed_pairs",
+                "n_inter_pairs")} for g, c in agg.per_group.items()},
         }
         for (m, delta), agg in sorted(aggregates.items())
     }
@@ -373,79 +438,40 @@ def cmd_audit(cfg, out, args):
 
 
 def cmd_temporal(cfg, out, args):
-    spec = _net_spec(cfg)
-    train_ds, test_ds = _build_data(cfg)
-    dtag, atag = _tags(cfg)
-    tcfg = _section(cfg, "train")
-    names = tuple(cfg.get("temporal", {}).get(
-        "measures", ("PATH_NORM", "PARAM_NORM", "FRO_DIST")))
-    H = _hyperparams(tcfg, dtag, atag)
-    seed = int(tcfg.get("seed", 0)) + args.seed_offset
-    res = train(spec, train_ds, test_ds, H, seed, trace_measures=names,
-                measure_config=_measure_config(cfg))
+    names = _section(cfg, "temporal", required=False)["measures"]
+    spec, _, _, res = _train_run(cfg, args, names)
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, res, cfg_hash)
-    slopes = {}
-    for name in names:
-        try:
-            slopes[name] = post_interp_slope(res.trace, name)
-        except FragAuditError as exc:
-            slopes[name] = f"{type(exc).__name__}: {exc}"
     rdir = out / "reports" / "temporal"
     rdir.mkdir(parents=True, exist_ok=True)
-    persist.write_json(rdir / f"{res.record.run_id}.json", {
-        "run_id": res.record.run_id,
-        "t_int": res.record.t_int,
-        "slopes": slopes,
-        "test_error": res.record.test_error,
-    }, cfg_hash)
+    persist.write_json(rdir / f"{res.record.run_id}.json",
+                       dict(_run_report(res, names), run_id=res.record.run_id), cfg_hash)
     print(f"temporal report -> {rdir / (res.record.run_id + '.json')}")
     return 0
 
 
 def cmd_hysteresis(cfg, out, args):
-    spec = _net_spec(cfg)
-    train_ds, test_ds = _build_data(cfg)
-    dtag, atag = _tags(cfg)
-    tcfg = _section(cfg, "train")
-    names = tuple(cfg.get("temporal", {}).get(
-        "measures", ("PATH_NORM", "PARAM_NORM", "FRO_DIST")))
-    H = _hyperparams(tcfg, dtag, atag)
-    seed = int(tcfg.get("seed", 0)) + args.seed_offset
-    mcfg = _measure_config(cfg)
-    parent = train(spec, train_ds, test_ds, H, seed, trace_measures=names,
-                   measure_config=mcfg, want_interp_snapshot=True)
+    names = _section(cfg, "temporal", required=False)["measures"]
+    spec, data, tcfg, parent = _train_run(cfg, args, names, want_interp_snapshot=True)
     if parent.interp_checkpoint is None:
         raise ConfigError("parent run never reached 100% training accuracy")
     hcfg = _section(cfg, "hysteresis")
-    new = dict(tcfg)
-    new.update(hcfg.get("new", {}))
-    H_new = _hyperparams(new, dtag, atag)
-    resumed = resume(spec, parent.interp_checkpoint, train_ds, test_ds, H_new,
-                     seed=int(hcfg.get("seed", seed + 1)), trace_measures=names,
-                     measure_config=mcfg)
+    # the train section with the keys of hysteresis.new in place
+    new = _TRAIN.read(dict(cfg["train"], **cfg["hysteresis"].get("new", {})), "hysteresis.new")
+    seed = tcfg["seed"] + args.seed_offset + 1 if hcfg["seed"] is None else hcfg["seed"]
+    resumed = resume(spec, parent.interp_checkpoint, *data,
+                     _make(Hyperparams, new, **_tags(cfg)), seed=seed, trace_measures=names,
+                     measure_config=_measure_config(cfg))
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, parent, cfg_hash)
     _persist_result(out, spec, resumed, cfg_hash)
     _write_records(out, [parent.record.to_dict(), resumed.record.to_dict()], cfg_hash)
-
-    def slope_block(res):
-        block = {}
-        for name in names:
-            try:
-                block[name] = post_interp_slope(res.trace, name)
-            except FragAuditError as exc:
-                block[name] = f"{type(exc).__name__}: {exc}"
-        return block
-
     report = {
         "parent_run_id": parent.record.run_id,
         "resumed_run_id": resumed.record.run_id,
         "resume_links_parent": resumed.record.parent_run_id == parent.record.run_id,
-        "parent": {"t_int": parent.record.t_int, "slopes": slope_block(parent),
-                   "test_error": parent.record.test_error},
-        "resumed": {"t_int": resumed.record.t_int, "slopes": slope_block(resumed),
-                    "test_error": resumed.record.test_error},
+        "parent": _run_report(parent, names),
+        "resumed": _run_report(resumed, names),
     }
     rdir = out / "reports" / "hysteresis"
     rdir.mkdir(parents=True, exist_ok=True)
@@ -455,26 +481,20 @@ def cmd_hysteresis(cfg, out, args):
 
 
 def cmd_exppp(cfg, out, args):
-    spec = _net_spec(cfg)
+    spec = NetSpec.from_dict(_section(cfg, "net"))
     train_ds, test_ds = _build_data(cfg)
     e = _section(cfg, "exppp")
-    base = dict(eta0=float(e.get("eta0", 0.01)), gamma=float(e.get("gamma", 0.9)),
-                lam=float(e.get("lambda", 0.0)))
-    T = int(e.get("steps", 200))
-    tol = float(e.get("tol", 1e-6))
-    logit_tol = float(e.get("logit_tol", 1e-9))
-    seed = int(e.get("seed", 0)) + args.seed_offset
+    seed = e["seed"] + args.seed_offset
     cfg_hash = persist.config_hash(cfg)
     rdir = out / "reports" / "exppp"
     rdir.mkdir(parents=True, exist_ok=True)
-    der = xp.derive(base["eta0"], base["gamma"], base["lam"])
+    der = xp.derive(e["eta0"], e["gamma"], e["lam"])
     if args.mode == "verify":
-        alphas = [float(a) for a in e.get("alphas", [])] or [float(e.get("alpha", 0.9))]
         reports = []
-        for a in alphas:
-            rep = xp.verify_equivalence(spec, train_ds,
-                                        xp.ExpPPParams(alpha=a, **base), T,
-                                        tol=tol, logit_tol=logit_tol, seed=seed)
+        for a in e["alphas"] or (e["alpha"],):
+            rep = xp.verify_equivalence(spec, train_ds, _make(xp.ExpPPParams, dict(e, alpha=a)),
+                                        e["T"], tol=e["tol"], logit_tol=e["logit_tol"],
+                                        seed=seed)
             reports.append(rep.to_dict())
             stem = f"verify-alpha-{repr(a).replace('.', '_')}"
             persist.write_csv(rdir / f"{stem}.csv",
@@ -486,14 +506,10 @@ def cmd_exppp(cfg, out, args):
         }, cfg_hash)
         print(f"verified {len(reports)} alpha value(s) -> {rdir / 'verify.json'}")
         return 0
-    alphas = [float(a) for a in e.get("alphas", [])] or \
-        list(xp.demo_alphas(der, int(e.get("demo_count", 8))))
-    demos = []
-    for a in alphas:
-        demo = xp.inflation_demo(spec, train_ds, test_ds,
-                                 xp.ExpPPParams(alpha=a, **base), T,
-                                 _measure_config(cfg), tol=tol, seed=seed)
-        demos.append(demo)
+    alphas = list(e["alphas"] or xp.demo_alphas(der, e["count"]))
+    demos = [xp.inflation_demo(spec, train_ds, test_ds, _make(xp.ExpPPParams, dict(e, alpha=a)),
+                               e["T"], _measure_config(cfg), tol=e["tol"], seed=seed)
+             for a in alphas]
     names = sorted(set().union(*(d["ratios"] for d in demos))) if demos else []
     rows = [[repr(a)] + [d["ratios"].get(m) for m in names]
             + [d["test_error_a"], d["test_error_b"]]
@@ -508,14 +524,13 @@ def cmd_exppp(cfg, out, args):
 
 def cmd_evidence(cfg, out, args):
     e = _section(cfg, "evidence")
-    spec = NetSpec.from_dict(e["net"]) if "net" in e else _net_spec(cfg)
+    spec = NetSpec(**e["net"]) if e["net"] else NetSpec.from_dict(_section(cfg, "net"))
     cfg_hash = persist.config_hash(cfg)
     rdir = out / "reports" / "evidence"
     rdir.mkdir(parents=True, exist_ok=True)
     if args.mode == "bound":
         train_ds, _ = _build_data(cfg)
-        est = ev.estimate_consistency_mass(
-            spec, train_ds, int(e.get("draws", 100000)), int(e.get("seed", 0)))
+        est = ev.estimate_consistency_mass(spec, train_ds, e["draws"], e["seed"])
         report = {
             "hits": est.hits, "draws": est.draws, "p_hat": est.p_hat,
             "wilson": [est.wilson_lo, est.wilson_hi],
@@ -523,31 +538,16 @@ def cmd_evidence(cfg, out, args):
         }
         if est.p_hat is not None:
             bound = ev.ml_pacbayes_bound(ev.BoundInput(
-                train_ds.n, est.p_hat, float(e.get("delta", 0.05)),
-                float(e.get("gamma", 0.05))))
+                train_ds.n, est.p_hat, e["delta_conf"], e["gamma_conf"]))
             report["bound"] = bound.to_dict()
         persist.write_json(rdir / "bound.json", report, cfg_hash)
         print(f"evidence bound -> {rdir / 'bound.json'}")
         return 0
-    task = ev.EvidenceTask(
-        n_train=int(e.get("n_train", 16)),
-        n_heldout=int(e.get("n_heldout", 2000)),
-        dim=int(e.get("dim", 2)),
-        separation=float(e.get("separation", 4.0)),
-        draws=int(e.get("draws", 100000)),
-        repetitions=int(e.get("repetitions", 100)),
-        delta_conf=float(e.get("delta", 0.05)),
-        gamma_conf=float(e.get("gamma", 0.05)),
-        corruptions=tuple(float(p) for p in e.get("corruptions", (0.0,))),
-        max_attempts=int(e.get("max_attempts", 200000)),
-    )
-    report = ev.bound_vs_error_experiment(spec, task, int(e.get("seed", 0)))
+    report = ev.bound_vs_error_experiment(spec, _make(ev.EvidenceTask, e), e["seed"])
     persist.write_json(rdir / "experiment.json", report, cfg_hash)
     header = ["rep", "corruption", "hits", "p_hat", "bound", "sample_error",
               "violation", "status"]
-    rows = [[r["rep"], r["corruption"], r["hits"], r["p_hat"], r["bound"],
-             r["sample_error"], r["violation"], r["status"]]
-            for r in report["rows"]]
+    rows = [[r[key] for key in header] for r in report["rows"]]
     persist.write_csv(rdir / "experiment.csv", header, rows, cfg_hash)
     print(f"evidence experiment -> {rdir / 'experiment.json'} "
           f"(violation rate {report['violation_rate']!r})")
@@ -556,10 +556,10 @@ def cmd_evidence(cfg, out, args):
 
 def cmd_transform(cfg, out, args):
     t = _section(cfg, "transform")
-    ds = _build_source(_section(t, "input"))
-    ds = _apply_ops(ds, t.get("ops", []))
+    fn, fields = t["input"]
+    ds = _apply_ops(getattr(datakit, fn)(**fields), t["ops"])
     out.mkdir(parents=True, exist_ok=True)
-    path = out / t.get("output", "dataset.dsc")
+    path = out / t["output"]
     datakit.save_cache(path, ds)
     print(f"dataset cache -> {path} (n={ds.n}, dim={ds.dim}, "
           f"classes={ds.num_classes})")

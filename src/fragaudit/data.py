@@ -266,7 +266,7 @@ def synth_blobs(n: int, dim: int, num_classes: int, separation: float, seed: int
 
 
 def synth_images(n: int, num_classes: int, seed: int, side: int = 28,
-                 active_pixels: int = 392, noise: float = 0.3,
+                 active_pixels: int = 64, noise: float = 0.08,
                  amplitude: float = 0.3) -> Dataset:
     """Digit-like images whose class signal is purely positional.
 

@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
 from .rng import Rng
 
 UNDEFINED = None  # rendered as "Undefined" in reports
@@ -36,9 +37,9 @@ class FragilityConfig:
 
     def __post_init__(self):
         if any(d <= 0 for d in self.deltas):
-            raise ValueError("deltas must be positive")
+            raise ConfigError(f"fragility deltas must be positive, got {self.deltas!r}")
         if self.pair_budget < 0:
-            raise ValueError("pair budget must be >= 0")
+            raise ConfigError(f"fragility pair_budget must be >= 0, got {self.pair_budget!r}")
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
 

@@ -8,7 +8,7 @@ weights; that mode requires a frozen readout and no biases.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,13 +58,8 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetSpec":
-        return cls(
-            layer_dims=tuple(d["layer_dims"]),
-            activation=d.get("activation", "relu"),
-            normalize_hidden=bool(d.get("normalize_hidden", False)),
-            frozen_readout=bool(d.get("frozen_readout", False)),
-            bias_enabled=bool(d.get("bias_enabled", False)),
-        )
+        """The spec of d's entries that are fields; a field left out takes its default."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

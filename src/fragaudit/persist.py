@@ -10,6 +10,8 @@ import json
 import math
 import sys
 
+from .errors import FormatError
+
 TOOL_VERSION = "0.1.0"
 
 
@@ -60,10 +62,12 @@ def write_jsonl(path, dicts, cfg_hash: str) -> None:
 def read_jsonl(path):
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    out.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path} line {number}: {exc}")
     return out
 
 

@@ -331,7 +331,7 @@ def test_criterion_09_ml_pacbayes():
 
 def test_criterion_10_data_complexity_analogue(tmp_path):
     with criterion(10, "Pixel-permutation data-complexity analogue"):
-        raw = synth_images(2400, 10, seed=17)
+        raw = synth_images(2400, 10, seed=17, active_pixels=392, noise=0.3)
         write_idx(tmp_path / "i.idx", tmp_path / "l.idx", raw.features, raw.labels,
                   28, 28)
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")

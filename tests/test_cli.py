@@ -632,6 +632,101 @@ def test_measure_rejects_degenerate_measure_config(tmp_path, capsys, measure):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+# --- config schema: every section checked at load ----------------------------
+DROP = object()  # the key is left out
+
+
+@pytest.mark.parametrize("command, key, value, path", [
+    # each ran with a default before the schema
+    ("measure", "measure.mc_draw", 5, "measure.mc_draw"),
+    ("sweep", "net.bias_enable", True, "net.bias_enable"),
+    ("audit", "fragility.pair_budjet", 10, "fragility.pair_budjet"),
+    ("temporal", "temporal.measures", ["PATH_NROM"], "temporal.measures[0]"),
+    ("sweep", "net.bias_enabled", "false", "net.bias_enabled"),
+    # audited nothing and exited 3 AllUndefined
+    ("audit", "fragility.measures", ["PATH_NROM"], "fragility.measures[0]"),
+    # ended in a traceback
+    ("sweep", "data.split.seed", DROP, "data.split.seed"),
+    ("sweep", "sweep.seeds", 3, "sweep.seeds"),
+    ("sweep", "sweep.lrs", "0.1", "sweep.lrs"),
+    ("sweep", "sweep.stop_rules", [["train_acc_100"]], "sweep.stop_rules[0]"),
+    ("train", "train.lr", "fast", "train.lr"),
+    ("sweep", "net.layer_dims", DROP, "net.layer_dims"),
+    # more kinds: a bool is not an int, a tagged object checks its own keys
+    ("sweep", "sweep.batch_size", True, "sweep.batch_size"),
+    ("train", "train.trace_measures", ["NOPE"], "train.trace_measures[0]"),
+    ("hysteresis", "hysteresis.new", {"lr_x": 0.1}, "hysteresis.new.lr_x"),
+    ("sweep", "data.source.kind", "blob", "data.source.kind"),
+    ("sweep", "data.transforms", [{"op": "subsample", "m": 10}], "data.transforms[0].seed"),
+    ("sweep", "data.transforms", [{"op": "shuffle"}], "data.transforms[0].op"),
+    ("evidence", "evidence.net.tag", "fcn", "evidence.net.tag"),
+    ("measure", "mesure", {}, "mesure"),
+    # a section the command does not read is checked too
+    ("audit", "exppp.stepz", 3, "exppp.stepz"),
+])
+def test_config_schema_errors_name_the_json_path(tmp_path, capsys, command, key, value,
+                                                 path):
+    cfg = base_config(tmp_path)
+    *parents, last = key.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    assert main(argv + (["--mode", "bound"] if command == "evidence" else [])) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and path in err["message"], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_float_keys_read_json_integers_as_floats(tmp_path):
+    from fragaudit import cli
+
+    cfg = base_config(tmp_path)
+    cfg["measure"]["target_dev"] = 1
+    cfg["evidence"]["corruptions"] = [0, 1]
+    mcfg = cli._measure_config(cfg)
+    assert type(mcfg.sigma_target_dev) is float and repr(mcfg.sigma_target_dev) == "1.0"
+    assert cli._section(cfg, "evidence")["corruptions"] == (0.0, 1.0)
+    assert all(type(p) is float for p in cli._section(cfg, "evidence")["corruptions"])
+
+
+@pytest.mark.parametrize("fragility, field", [
+    ({"deltas": [-0.1]}, "deltas"), ({"deltas": [0.02, 0]}, "deltas"),
+    ({"pair_budget": -1}, "pair_budget"),
+])
+def test_audit_rejects_degenerate_fragility_config(tmp_path, capsys, fragility, field):
+    cfg = base_config(tmp_path)
+    cfg["fragility"] = dict(cfg["fragility"], **fragility)
+    assert main(["audit", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and f"fragility {field}" in err["message"]
+    assert not (tmp_path / "out" / "reports").exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "audit"])
+def test_missing_records_file_is_config_error(tmp_path, capsys, command):
+    cp = write_config(tmp_path, base_config(tmp_path))
+    missing = tmp_path / "absent.jsonl"
+    assert main([command, "--config", cp, "--records", str(missing)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "absent.jsonl" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["measure", "audit"])
+def test_malformed_records_line_is_format_error_naming_it(tmp_path, capsys, command):
+    cp = write_config(tmp_path, base_config(tmp_path))
+    records = tmp_path / "bad.jsonl"
+    records.write_text('{"run_id": "a"}\n\n{"run_id": \n')
+    assert main([command, "--config", cp, "--records", str(records)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FormatError" and "line 3" in err["message"]
+    assert not (tmp_path / "out" / "reports").exists()
+
+
 # --- measure: sigma-search noise drawn in blocks of runs -------------------------
 # A narrow [2,6,2] bias net has P = 32, so one run's two searches of 5 draws
 # take 2 * 5 * 32 = 320 noise words; a wide [2,16,2] net has P = 82 and 820.

@@ -68,7 +68,7 @@ def test_load_idx_count_mismatch(tmp_path):
 
 
 def test_write_idx_roundtrip(tmp_path):
-    ds = synth_images(6, 3, seed=4, side=8, active_pixels=5)
+    ds = synth_images(6, 3, seed=4, side=8, active_pixels=5, noise=0.3)
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     write_idx(ip, lp, ds.features, ds.labels, 8, 8)
     back = load_idx(ip, lp)
