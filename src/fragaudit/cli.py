@@ -9,6 +9,7 @@ embeds the config hash and tool version; reruns are byte-identical.
 import argparse
 import inspect
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -32,10 +33,11 @@ from .workers import ordered_map
 def _value(v, kind, path):
     """The JSON value v at path read as kind, or a ConfigError naming path.
 
-    A kind is a type (a JSON int is a float too, a bool is neither),
-    MEASURE_NAMES for one of them, [kind] for a list (read as a tuple),
-    [kind, kind, ...] for a list of exactly those, an _Obj, or {tag key: {tag:
-    _Obj}} for an object read as (its _Obj's datakit function, fields)."""
+    A kind is a type (a JSON int is a float too, a bool is neither), a tuple
+    of strs for one of them (MEASURE_NAMES, say), [kind] for a list (read as a
+    tuple), [kind, kind, ...] for a list of exactly those, an _Obj, or {tag
+    key: {tag: _Obj}} for an object read as (its _Obj's datakit function,
+    fields)."""
     if isinstance(kind, _Obj):
         return kind.read(v, path)
     if type(kind) is dict:
@@ -46,20 +48,25 @@ def _value(v, kind, path):
         return obj.owners[0], obj.read({k: x for k, x in v.items() if k != tag}, path)
     if type(kind) is list and type(v) is list and len(kind) in (1, len(v)):
         return tuple(_value(x, kind[i % len(kind)], f"{path}[{i}]") for i, x in enumerate(v))
-    if kind is MEASURE_NAMES and v in kind:
-        return v
-    if type(v) is kind or (kind is float and type(v) is int):
+    if type(kind) is tuple:
+        if v in kind:
+            return v
+        what = "a measure name" if kind is MEASURE_NAMES else f"one of {', '.join(kind)}"
+    elif type(v) is kind or (kind is float and type(v) is int):
         return kind(v)
-    what = ("a list" if len(kind) == 1 else f"a list of {len(kind)}") if type(kind) is list \
-        else getattr(kind, "__name__", "a measure name")
+    elif type(kind) is list:
+        what = "a list" if len(kind) == 1 else f"a list of {len(kind)}"
+    else:
+        what = kind.__name__
     raise ConfigError(f"config key {path} must be {what}, got {v!r}")
 
 
 class _Obj:
     """A JSON object: each key with its kind, or (kind, field) where the field it
-    feeds has another name. Reading gives {field: value}. A key left out takes its
-    field's default in `owners` (dataclasses or functions; a str names a datakit
-    function, looked up when used), else in `defaults`; else it is required."""
+    feeds has another name or the kind is a tuple. Reading gives {field: value}.
+    A key left out takes its field's default in `owners` (dataclasses or
+    functions; a str names a datakit function, looked up when used), else in
+    `defaults`; else it is required."""
 
     def __init__(self, keys, *owners, **defaults):
         self.keys, self.owners, self.defaults = keys, owners, defaults
@@ -85,6 +92,8 @@ class _Obj:
         return out
 
 
+# "shared": train and test get one permutation; "independent": one each
+PERMUTE_MODES = ("none", "shared", "independent")
 _NET = {"layer_dims": [int], "activation": str, "normalize_hidden": bool,
         "frozen_readout": bool, "bias_enabled": bool}
 _SOURCE = {"kind": {
@@ -114,7 +123,8 @@ SCHEMA = {
     "net": _Obj(dict(_NET, tag=str), NetSpec, tag="fcn"),
     "data": _Obj({"source": _SOURCE, "transforms": [_OP],
                   "split": _Obj({"n_train": int, "seed": int}),
-                  "permute": _Obj({"mode": str, "seed": int}, mode="none"),
+                  "permute": _Obj({"mode": (PERMUTE_MODES, "mode"), "seed": int},
+                                  mode="none"),
                   "train_transforms": [_OP], "test_transforms": [_OP], "tag": str},
                  transforms=(), permute={"mode": "none"}, train_transforms=(),
                  test_transforms=(), tag=None),
@@ -151,10 +161,19 @@ _DOC = _Obj(SCHEMA, **dict.fromkeys(SCHEMA))
 
 
 def _load_config(path) -> dict:
-    """The config document at path, after every section in it is checked."""
+    """The config document at path, after every section in it is checked.
+
+    NaN, Infinity and -Infinity, and numbers too large for a float, are not
+    read: canonical JSON, and so the config hash, has no form for them."""
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path} holds {text}, which is not a finite number")
+        return value
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     _DOC.read(cfg, "")
@@ -291,10 +310,9 @@ def _read_records(out, args) -> list:
     """The run records of --records, by default out/records.jsonl."""
     path = Path(args.records) if args.records else out / "records.jsonl"
     try:
-        rows = persist.read_jsonl(path)
+        return persist.read_jsonl(path, RunRecord.from_dict)
     except OSError as exc:
         raise ConfigError(f"cannot read records {path}: {exc}")
-    return [RunRecord.from_dict(d) for d in rows]
 
 
 # cmd_measure draws the sigma-search noise of consecutive runs with the same P
@@ -429,8 +447,11 @@ def cmd_audit(cfg, out, args):
     }
     persist.write_json(rdir / "audit.json",
                        {"groups": groups, "cells": cells}, cfg_hash)
-    print(f"audit tables -> {rdir}")
-    if not frag.any_defined(aggregates):
+    pairs = sum(c.n_pairs for agg in aggregates.values() for c in agg.per_group.values())
+    defined = frag.defined_cells(aggregates)
+    print(f"audit of {len(records)} records in {len(groups)} groups: {pairs} close-error "
+          f"pairs, {defined} of {len(aggregates)} cells defined -> {rdir}")
+    if not defined:
         sys.stderr.write(persist.canonical_json(
             {"error": "AllUndefined", "message": "every score was Undefined"}) + "\n")
         return 3
@@ -597,8 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
         if name == "sweep":
-            p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="lockstep stacks of runs trained at once")
+            p.add_argument("--jobs", type=_positive_int, default=None,
+                           help="most lockstep stacks of runs trained at once "
+                                "(default: one per CPU)")
         if name in ("measure", "audit"):
             p.add_argument("--records", default=None, help="records.jsonl path")
         if name in ("exppp", "evidence"):

@@ -228,8 +228,7 @@ def emit_table_text(aggregates: dict, groups, measures, delta: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def any_defined(aggregates: dict) -> bool:
-    return any(
-        a.cms_med is not UNDEFINED or a.ecms_med is not UNDEFINED
-        for a in aggregates.values()
-    )
+def defined_cells(aggregates: dict) -> int:
+    """The number of cells with a defined CMS or eCMS median."""
+    return sum(a.cms_med is not UNDEFINED or a.ecms_med is not UNDEFINED
+               for a in aggregates.values())

@@ -567,7 +567,7 @@ def train_subsets(base_train: Dataset, sizes, subsample_seed: int) -> dict:
 
 
 def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig,
-          on_result=None, seed_offset: int = 0, jobs: int = 1):
+          on_result=None, seed_offset: int = 0, jobs: int = None):
     """Run the full grid; per-run failures are recorded, the sweep continues.
 
     Runs sharing a training subset and an optimizer train in lockstep stacks
@@ -576,12 +576,12 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     propagate and end the sweep; on_result has then seen the results of every
     stack before the failing one.
 
-    Stacks share no mutable state, so with jobs > 1 they train on a forked
-    pool of min(jobs, CPUs, stacks) workers (see workers.ordered_map), which
-    inherit the shared arguments and return each stack's results in stack
-    order. on_result sees every result in that order as it arrives, and the
-    results are returned sorted by run id, so the outputs do not depend on
-    the worker count.
+    Stacks share no mutable state, so they train on a forked pool of one
+    worker per stack, at most one per CPU and at most jobs if it is given (see
+    workers.ordered_map). The workers inherit the shared arguments and return
+    each stack's results in stack order. on_result sees every result in that
+    order as it arrives, and the results are returned sorted by run id, so the
+    outputs do not depend on the worker count.
     """
     if not cfg.lrs:
         raise ConfigError("sweep grid is empty")
@@ -589,7 +589,8 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     stacks = _sweep_stacks(spec, cfg, subsets)
     shared = (spec, subsets, ds_test, cfg, seed_offset)
     results = []
-    with ordered_map(_sweep_stack, shared, stacks, min(jobs, len(stacks))) as parts:
+    limit = min(jobs or len(stacks), len(stacks))
+    with ordered_map(_sweep_stack, shared, stacks, limit) as parts:
         for part in parts:
             for res in part:
                 if on_result is not None:

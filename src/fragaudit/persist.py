@@ -59,15 +59,27 @@ def write_jsonl(path, dicts, cfg_hash: str) -> None:
             fh.write(canonical_json(stamp(d, cfg_hash)) + "\n")
 
 
-def read_jsonl(path):
-    out = []
+def read_jsonl(path, convert=None):
+    """The value of each non-blank line of path, passed through convert if given.
+
+    Every line is parsed before any is converted. A line that is not JSON, or
+    whose value convert rejects with a FormatError, raises a FormatError
+    naming the file and the line.
+    """
+    rows = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             try:
                 if line.strip():
-                    out.append(json.loads(line))
+                    rows.append((number, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path} line {number}: {exc}")
+    out = []
+    for number, value in rows:
+        try:
+            out.append(value if convert is None else convert(value))
+        except FormatError as exc:
+            raise FormatError(f"{path} line {number}: {exc}")
     return out
 
 

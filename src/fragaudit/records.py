@@ -2,11 +2,11 @@
 persists, the audit scores and the temporal reports read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LogDomainError, SlopeUndefined
+from .errors import ConfigError, FormatError, LogDomainError, SlopeUndefined
 from .net import Checkpoint
 
 
@@ -115,8 +115,16 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        """The record in d; its unknown keys are ignored. A value that is not an
+        object, or that lacks a field without a default, raises FormatError."""
+        if type(d) is not dict:
+            raise FormatError(f"a run record must be an object, got {d!r}")
+        fields = cls.__dataclass_fields__.values()
+        missing = [f.name for f in fields if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise FormatError(f"not a run record: missing {', '.join(missing)}")
+        return cls(**{f.name: d[f.name] for f in fields if f.name in d})
 
 
 @dataclass

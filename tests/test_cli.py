@@ -356,7 +356,7 @@ def test_sweep_jobs_flag_matches_sequential(tmp_path):
     cfg["sweep"]["max_epochs"] = 30
     cfg["sweep"]["stop_rules"] = [["max_epochs", 0.01]]
     cp = write_config(tmp_path, cfg)
-    assert main(["sweep", "--config", cp]) == 0
+    assert main(["sweep", "--config", cp, "--jobs", "1"]) == 0
     seq = (tmp_path / "out" / "records.jsonl").read_bytes()
     assert main(["sweep", "--config", cp, "--jobs", "3",
                  "--out", str(tmp_path / "out_par")]) == 0
@@ -539,6 +539,42 @@ def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+# --- sweep: stacks on one worker per CPU by default --------------------------------
+
+def _stacked_sweep_config(tmp_path, train_sizes):
+    """A sweep of two optimizers over each training size: one stack per pair."""
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(optimizers=["sgdm", "adam"], train_sizes=train_sizes,
+                        max_epochs=20)
+    return write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("train_sizes, stacks", [([128], 2), ([96, 128], 4)])
+def test_sweep_defaults_to_one_worker_per_cpu(tmp_path, monkeypatch, pools_made,
+                                              train_sizes, stacks):
+    cp = _stacked_sweep_config(tmp_path, train_sizes)
+    _workers(monkeypatch, 2)
+    outputs = []
+    for jobs in (["--jobs", "1"], []):
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["sweep", "--config", cp, "--out", str(out)] + jobs) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append(_output_bytes(out))
+    assert pools_made == [min(stacks, 2)]
+    assert len(outputs[0]) == 3 * 6 * stacks + 1  # three files a run, records.jsonl
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_of_one_stack_or_jobs_1_forks_nothing(tmp_path, monkeypatch, pools_made):
+    _workers(monkeypatch, 2)
+    one_stack = write_config(tmp_path, base_config(tmp_path), "one.json")
+    assert main(["sweep", "--config", one_stack, "--out", str(tmp_path / "a")]) == 0
+    two_stacks = _stacked_sweep_config(tmp_path, [128])
+    assert main(["sweep", "--config", two_stacks, "--out", str(tmp_path / "b"),
+                 "--jobs", "1"]) == 0
+    assert pools_made == []
+
+
 def test_measure_writes_diagnostics_to_record_json(tmp_path):
     cfg = base_config(tmp_path)
     cfg["sweep"]["max_epochs"] = 40
@@ -694,6 +730,66 @@ def test_config_float_keys_read_json_integers_as_floats(tmp_path):
     assert all(type(p) is float for p in cli._section(cfg, "evidence")["corruptions"])
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_config_non_finite_number_exits_2(tmp_path, capsys, constant):
+    cfg = base_config(tmp_path)
+    cfg["measure"]["kappa"] = float(constant)  # json.dumps writes the bare constant
+    cp = write_config(tmp_path, cfg)
+    assert f'"kappa": {constant}' in open(cp).read()
+    assert main(["audit", "--config", cp]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and constant in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_number_beyond_float_range_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["lrs"] = [0.1, 1e300]
+    cp = write_config(tmp_path, cfg)
+    with open(cp, "w") as fh:
+        fh.write(json.dumps(cfg).replace("1e+300", "1e400"))
+    assert main(["sweep", "--config", cp]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "1e400" in err["message"]
+
+
+def test_permute_mode_typo_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["data"]["permute"] = {"mode": "independant", "seed": 4}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "data.permute.mode" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["none", "shared", "independent"])
+def test_permute_modes_build_the_named_permutations(tmp_path, mode):
+    import numpy as np
+
+    from fragaudit import cli
+    from fragaudit.data import permutation_pair, permute_pixels
+
+    cfg = base_config(tmp_path)
+    cfg["data"]["source"]["dim"] = 8
+    plain = cli._build_data(cfg)
+    cfg["data"]["permute"] = {"mode": mode, "seed": 4}
+    train_ds, test_ds = cli._build_data(cfg)
+    if mode == "none":
+        want = plain
+    else:
+        # "shared" is the path every mode but "none" and "independent" took
+        # before the modes were named: one permutation for train and test
+        perms = permutation_pair(8, 4, independent=(mode == "independent"))
+        want = [permute_pixels(ds, p) for ds, p in zip(plain, perms)]
+    for got, ds in zip((train_ds, test_ds), want):
+        assert got.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(got.labels, ds.labels)
+        assert got.provenance == ds.provenance
+    if mode != "none":
+        perms = [ds.provenance["chain"][-1]["perm"] for ds in (train_ds, test_ds)]
+        assert (perms[0] == perms[1]) == (mode == "shared")
+
+
 @pytest.mark.parametrize("fragility, field", [
     ({"deltas": [-0.1]}, "deltas"), ({"deltas": [0.02, 0]}, "deltas"),
     ({"pair_budget": -1}, "pair_budget"),
@@ -725,6 +821,46 @@ def test_malformed_records_line_is_format_error_naming_it(tmp_path, capsys, comm
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "FormatError" and "line 3" in err["message"]
     assert not (tmp_path / "out" / "reports").exists()
+
+
+@pytest.mark.parametrize("line", ['{"run_id": "a"}', '[1, 2]', '"run"'])
+@pytest.mark.parametrize("command", ["measure", "audit"])
+def test_records_line_that_is_not_a_run_record_is_format_error(tmp_path, capsys,
+                                                               command, line):
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["max_epochs"] = 3
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    good = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+    records = tmp_path / "bad.jsonl"
+    records.write_text("\n".join(good[:2] + ["", line] + good[2:]) + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", cp, "--records", str(records)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FormatError"
+    assert str(records) in err["message"] and "line 4" in err["message"]
+    assert not (tmp_path / "out" / "reports").exists()
+
+
+def test_audit_summary_line(tmp_path, capsys):
+    from fragaudit.measures import MEASURE_NAMES
+
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["max_epochs"] = 80
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    assert main(["measure", "--config", cp]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--config", cp]) == 0
+    rdir = next((tmp_path / "out" / "reports").glob("audit-*"))
+    audit = json.loads((rdir / "audit.json").read_text())
+    cells = audit["cells"].values()
+    pairs = sum(g["n_pairs"] for c in cells for g in c["per_group"].values())
+    defined = sum(c["cms_med"] is not None or c["ecms_med"] is not None for c in cells)
+    assert 0 < pairs and 0 < defined <= len(cells) == 2 * len(MEASURE_NAMES)
+    assert capsys.readouterr().out == (
+        f"audit of 6 records in {len(audit['groups'])} groups: {pairs} close-error "
+        f"pairs, {defined} of {len(cells)} cells defined -> {rdir}\n")
 
 
 # --- measure: sigma-search noise drawn in blocks of runs -------------------------

@@ -313,12 +313,26 @@ def test_sweep_jobs_parallel_matches_sequential(monkeypatch, pools_made):
                       stop_rules=(("max_epochs", 0.01),),
                       dataset="blobs", arch="fcn")
     _workers(monkeypatch, 3)
-    seq = sweep(spec, tr, te, cfg)
+    seq = sweep(spec, tr, te, cfg, jobs=1)
     par = sweep(spec, tr, te, cfg, jobs=4)
     assert pools_made == [3]  # four stacks, capped by the CPU count
     assert [r.record.to_dict() for r in seq] == [r.record.to_dict() for r in par]
     assert all(np.array_equal(a, b) for rs, rp in zip(seq, par)
                for a, b in zip(rs.checkpoint.weights, rp.checkpoint.weights))
+
+
+def test_sweep_pool_size_is_stacks_capped_by_cpus_and_jobs(monkeypatch, pools_made):
+    tr, te = _blob_task(n=32)
+    cfg = SweepConfig(lrs=(0.05,), optimizers=("sgdm", "adam"), seeds=(0,),
+                      train_sizes=(16, 32), max_epochs=2,
+                      stop_rules=(("max_epochs", 0.01),), dataset="blobs", arch="fcn")
+    runs = []
+    for cpus, jobs in ((3, None), (8, None), (8, 2), (8, 9)):
+        _workers(monkeypatch, cpus)
+        runs.append(sweep(NetSpec((2, 4, 2)), tr, te, cfg, jobs=jobs))
+    assert pools_made == [3, 4, 2, 4]  # four stacks
+    assert all([r.record.to_dict() for r in rs] == [r.record.to_dict() for r in runs[0]]
+               for rs in runs)
 
 
 def test_sweep_jobs_1_one_stack_or_a_running_thread_starts_no_process(monkeypatch,
