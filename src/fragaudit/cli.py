@@ -501,6 +501,19 @@ def cmd_hysteresis(cfg, out, args):
     return 0
 
 
+def _exppp_alpha(spec, train_ds, test_ds, e, mcfg, seed, mode, a):
+    """Alpha a of cmd_exppp: (report dict, steps) for verify, the inflation
+    demo's dict for demo. Runs in a worker or in-process; no checkpoint is
+    returned."""
+    params = _make(xp.ExpPPParams, dict(e, alpha=a))
+    if mode == "verify":
+        rep = xp.verify_equivalence(spec, train_ds, params, e["T"], tol=e["tol"],
+                                    logit_tol=e["logit_tol"], seed=seed)
+        return rep.to_dict(), rep.steps
+    return xp.inflation_demo(spec, train_ds, test_ds, params, e["T"], mcfg,
+                             tol=e["tol"], seed=seed)
+
+
 def cmd_exppp(cfg, out, args):
     spec = NetSpec.from_dict(_section(cfg, "net"))
     train_ds, test_ds = _build_data(cfg)
@@ -510,27 +523,34 @@ def cmd_exppp(cfg, out, args):
     rdir = out / "reports" / "exppp"
     rdir.mkdir(parents=True, exist_ok=True)
     der = xp.derive(e["eta0"], e["gamma"], e["lam"])
+
+    def each_alpha(alphas, mcfg=None):
+        # one worker per alpha, up to the CPUs: the outputs do not depend on it
+        shared = (spec, train_ds, test_ds, e, mcfg, seed, args.mode)
+        return ordered_map(_exppp_alpha, shared, alphas, len(alphas))
+
     if args.mode == "verify":
-        reports = []
-        for a in e["alphas"] or (e["alpha"],):
-            rep = xp.verify_equivalence(spec, train_ds, _make(xp.ExpPPParams, dict(e, alpha=a)),
-                                        e["T"], tol=e["tol"], logit_tol=e["logit_tol"],
-                                        seed=seed)
-            reports.append(rep.to_dict())
-            stem = f"verify-alpha-{repr(a).replace('.', '_')}"
-            persist.write_csv(rdir / f"{stem}.csv",
-                              ["step", "rel_dev", "logit_diff"], rep.steps, cfg_hash)
-        persist.write_json(rdir / "verify.json", {
+        alphas, reports = e["alphas"] or (e["alpha"],), []
+        with each_alpha(alphas) as results:
+            for a, (rep, steps) in zip(alphas, results, strict=True):
+                reports.append(rep)
+                stem = f"verify-alpha-{repr(a).replace('.', '_')}"
+                persist.write_csv(rdir / f"{stem}.csv",
+                                  ["step", "rel_dev", "logit_diff"], steps, cfg_hash)
+        path = rdir / "verify.json"
+        persist.write_json(path, {
             "interval": der.interval_str(),
             "remark_ok": der.remark_ok,
             "reports": reports,
         }, cfg_hash)
-        print(f"verified {len(reports)} alpha value(s) -> {rdir / 'verify.json'}")
+        passed = sum(rep["passed"] for rep in reports)
+        diverged = sum(rep["diverged_at"] is not None for rep in reports)
+        print(f"verified {len(reports)} alpha value(s): {passed} passed, "
+              f"{len(reports) - passed - diverged} failed, {diverged} diverged -> {path}")
         return 0
     alphas = list(e["alphas"] or xp.demo_alphas(der, e["count"]))
-    demos = [xp.inflation_demo(spec, train_ds, test_ds, _make(xp.ExpPPParams, dict(e, alpha=a)),
-                               e["T"], _measure_config(cfg), tol=e["tol"], seed=seed)
-             for a in alphas]
+    with each_alpha(alphas, _measure_config(cfg)) as results:
+        demos = list(results)
     names = sorted(set().union(*(d["ratios"] for d in demos))) if demos else []
     rows = [[repr(a)] + [d["ratios"].get(m) for m in names]
             + [d["test_error_a"], d["test_error_b"]]
@@ -538,8 +558,11 @@ def cmd_exppp(cfg, out, args):
     persist.write_csv(rdir / "demo_ratios.csv",
                       ["alpha"] + names + ["test_error_a", "test_error_b"],
                       rows, cfg_hash)
-    persist.write_json(rdir / "demo.json", {"alphas": alphas, "demos": demos}, cfg_hash)
-    print(f"inflation demo for {len(alphas)} alpha value(s) -> {rdir / 'demo.json'}")
+    path = rdir / "demo.json"
+    persist.write_json(path, {"alphas": alphas, "demos": demos}, cfg_hash)
+    equal = sum(d["predictions_equal"] for d in demos)
+    print(f"inflation demo for {len(alphas)} alpha value(s): {equal} with equal "
+          f"predictions -> {path}")
     return 0
 
 
@@ -562,7 +585,8 @@ def cmd_evidence(cfg, out, args):
                 train_ds.n, est.p_hat, e["delta_conf"], e["gamma_conf"]))
             report["bound"] = bound.to_dict()
         persist.write_json(rdir / "bound.json", report, cfg_hash)
-        print(f"evidence bound -> {rdir / 'bound.json'}")
+        print(f"evidence bound -> {rdir / 'bound.json'} "
+              f"({est.hits} hits in {est.draws} draws)")
         return 0
     report = ev.bound_vs_error_experiment(spec, _make(ev.EvidenceTask, e), e["seed"])
     persist.write_json(rdir / "experiment.json", report, cfg_hash)
@@ -570,8 +594,9 @@ def cmd_evidence(cfg, out, args):
               "violation", "status"]
     rows = [[r[key] for key in header] for r in report["rows"]]
     persist.write_csv(rdir / "experiment.csv", header, rows, cfg_hash)
+    by_status = _by_count(Counter(r["status"] for r in report["rows"]))
     print(f"evidence experiment -> {rdir / 'experiment.json'} "
-          f"(violation rate {report['violation_rate']!r})")
+          f"(violation rate {report['violation_rate']!r}; rows: {by_status})")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Forked worker pools, shared by the sweep, the measure stage and the
-evidence mass estimate.
+"""Forked worker pools, shared by the sweep, the measure stage, the
+evidence mass estimate and the exppp alphas.
 
 Every caller maps a pure function over independent tasks and consumes the
 results in task order, so where a task runs never changes an output.
@@ -37,12 +37,43 @@ def forked_pool(limit: int, initializer=None, initargs=()):
     if "fork" not in multiprocessing.get_all_start_methods():
         yield None
         return
-    pool = multiprocessing.get_context("fork").Pool(workers, initializer, initargs)
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker,
+                                                    (initializer, initargs))
     try:
         yield pool
     finally:
         pool.terminate()
         pool.join()
+
+
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _start_worker(initializer, initargs) -> None:
+    """Pool initializer: fix the worker's malloc thresholds, then run initializer.
+
+    glibc maps a block at or above its mmap threshold afresh on every
+    allocation and returns free memory at the top of its heap to the OS past
+    twice that threshold; it raises the threshold only when a larger mapped
+    block is freed. A forked worker starts from the parent's threshold, so
+    whether each task faulted its large temporaries in again depended on what
+    the parent had freed before the fork. Fixed thresholds serve blocks up to
+    32 MiB from the heap and keep freed memory there for the worker's life,
+    which ends with its pool. Without glibc's mallopt nothing is set.
+    """
+    import ctypes  # numpy has already imported it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    if initializer is not None:
+        initializer(*initargs)
 
 
 @contextlib.contextmanager

@@ -231,6 +231,158 @@ def test_exppp_inadmissible_alpha_errors(tmp_path, capsys):
     assert "InadmissibleAlpha" in capsys.readouterr().err
 
 
+# --- exppp: one alpha per worker on the forked pool --------------------------------
+
+def _si_config(tmp_path, **exppp):
+    cfg = base_config(tmp_path, net={"layer_dims": [2, 8, 8, 2], "normalize_hidden": True,
+                                     "frozen_readout": True, "bias_enabled": False,
+                                     "tag": "sinet"})
+    cfg["exppp"].update({"steps": 30, **exppp})
+    cfg["measure"] = {"mc_draws": 3, "iters": 5, "seed": 2}
+    return cfg
+
+
+def _files(rdir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(rdir.iterdir())} if rdir.exists() else {}
+
+
+@pytest.mark.parametrize("mode, alphas, pools", [
+    ("verify", [0.8, 0.9], [2, 2]),
+    ("demo", [0.8, 0.9], [2, 2]),
+    ("demo", [], [2, 3]),  # the 8 demo_alphas
+])
+def test_exppp_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
+                                                         pools_made, mode, alphas, pools):
+    cp = write_config(tmp_path, _si_config(tmp_path, alphas=alphas))
+    rdir = tmp_path / "out" / "reports" / "exppp"
+    outputs = []
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        assert main(["exppp", "--config", cp, "--mode", mode]) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append((_files(rdir), capsys.readouterr().out))
+        shutil.rmtree(rdir)
+    assert pools_made == pools  # two alphas open one pool of 2 workers on 2 or 3 CPUs
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0][0]) == (len(alphas) + 1 if mode == "verify" else 2)
+
+
+def test_exppp_verify_of_one_alpha_forks_nothing(tmp_path, monkeypatch, pools_made):
+    cp = write_config(tmp_path, _si_config(tmp_path))
+    _workers(monkeypatch, 2)
+    assert main(["exppp", "--config", cp, "--mode", "verify"]) == 0
+    assert pools_made == []
+
+
+def _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode):
+    """(exit code, stderr, report files) of exppp on 1 worker, checked equal on 2."""
+    cp = write_config(tmp_path, cfg)
+    rdir = tmp_path / "out" / "reports" / "exppp"
+    ends = []
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        code = main(["exppp", "--config", cp, "--mode", mode])
+        assert multiprocessing.active_children() == []
+        ends.append((code, capsys.readouterr().err, _files(rdir)))
+        shutil.rmtree(rdir, ignore_errors=True)
+    assert ends[0] == ends[1]
+    return ends[0]
+
+
+def test_exppp_inadmissible_second_alpha_on_a_pool_ends_as_in_process(
+        tmp_path, capsys, monkeypatch, pools_made):
+    cfg = _si_config(tmp_path, alphas=[0.8, 0.2])
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "verify")
+    assert pools_made == [2]
+    assert code == 1 and json.loads(err)["error"] == "InadmissibleAlpha"
+    assert list(files) == ["verify-alpha-0_8.csv"]  # and no verify.json
+
+
+@pytest.mark.parametrize("mode", ["verify", "demo"])
+def test_exppp_net_not_scale_invariant_on_a_pool_ends_as_in_process(
+        tmp_path, capsys, monkeypatch, pools_made, mode):
+    cfg = base_config(tmp_path)
+    cfg["exppp"]["alphas"] = [0.8, 0.9]
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode)
+    assert pools_made == [2]
+    assert code == 2 and json.loads(err)["error"] == "ConfigError"
+    assert files == {}
+
+
+def test_exppp_prediction_mismatch_on_a_pool_ends_as_in_process(
+        tmp_path, capsys, monkeypatch, pools_made):
+    from fragaudit import exppp
+
+    real = exppp.forward_batch
+    test_calls = []
+
+    def forward_flipping_matched_test_pass(spec, weights, biases, x):
+        logits = real(spec, weights, biases, x)
+        if len(x) == 64:  # the test split, predicted twice per alpha: baseline, matched
+            test_calls.append(1)
+            if len(test_calls) % 2 == 0:
+                return -logits
+        return logits
+
+    monkeypatch.setattr(exppp, "forward_batch", forward_flipping_matched_test_pass)
+    cfg = _si_config(tmp_path, alphas=[0.8, 0.9])
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "demo")
+    assert pools_made == [2]
+    assert code == 1 and json.loads(err)["error"] == "PredictionMismatch"
+    assert files == {}
+
+
+@pytest.mark.parametrize("tol, counts", [(1e-6, "1 passed, 0 failed, 1 diverged"),
+                                         (0.0, "0 passed, 1 failed, 1 diverged")])
+def test_exppp_verify_summary_counts_alphas_by_outcome(tmp_path, capsys, monkeypatch,
+                                                       tol, counts):
+    from fragaudit import exppp
+    from fragaudit.errors import NumericalDivergence
+
+    real = exppp.sgdm_step
+
+    def sgdm_step(state, grad, gamma, wd, next_lr):
+        if next_lr > 1.0:  # in 20 steps only the matched run of alpha 0.5 gets there
+            raise NumericalDivergence("planted", step=state.t)
+        return real(state, grad, gamma, wd, next_lr)
+
+    monkeypatch.setattr(exppp, "sgdm_step", sgdm_step)
+    cp = write_config(tmp_path, _si_config(tmp_path, alphas=[0.5, 0.9], steps=20, tol=tol))
+    assert main(["exppp", "--config", cp, "--mode", "verify"]) == 0
+    path = tmp_path / "out" / "reports" / "exppp" / "verify.json"
+    reports = json.loads(path.read_text())["reports"]
+    passed = sum(r["passed"] for r in reports)
+    diverged = sum(r["diverged_at"] is not None for r in reports)
+    assert f"{passed} passed, {2 - passed - diverged} failed, {diverged} diverged" == counts
+    assert capsys.readouterr().out == f"verified 2 alpha value(s): {counts} -> {path}\n"
+
+
+def test_exppp_demo_summary_counts_equal_predictions(tmp_path, capsys, monkeypatch):
+    from fragaudit import exppp
+
+    real = exppp.forward_batch
+    test_calls = []
+
+    def forward_flipping_first_matched_test_pass(spec, weights, biases, x):
+        logits = real(spec, weights, biases, x)
+        if len(x) == 64:
+            test_calls.append(1)
+            if len(test_calls) == 2:
+                return -logits
+        return logits
+
+    monkeypatch.setattr(exppp, "forward_batch", forward_flipping_first_matched_test_pass)
+    _workers(monkeypatch, 1)
+    # tol 0 fails every verification, so differing predictions are reported, not raised
+    cp = write_config(tmp_path, _si_config(tmp_path, alphas=[0.8, 0.9], tol=0.0))
+    assert main(["exppp", "--config", cp, "--mode", "demo"]) == 0
+    path = tmp_path / "out" / "reports" / "exppp" / "demo.json"
+    demos = json.loads(path.read_text())["demos"]
+    assert [d["predictions_equal"] for d in demos] == [False, True]
+    assert capsys.readouterr().out == (
+        f"inflation demo for 2 alpha value(s): 1 with equal predictions -> {path}\n")
+
+
 def test_evidence_bound_command(tmp_path):
     cfg = base_config(tmp_path)
     cfg["data"]["source"]["separation"] = 4.0
@@ -272,6 +424,26 @@ def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
         shutil.rmtree(rdir)
     assert pools_made == [2]
     assert reports[0] == reports[1]
+
+
+def test_evidence_summary_lines_match_their_reports(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["data"]["split"] = {"n_train": 8, "seed": 12}
+    cfg["evidence"]["draws"] = 3000
+    cp = write_config(tmp_path, cfg)
+    rdir = tmp_path / "out" / "reports" / "evidence"
+    assert main(["evidence", "--config", cp, "--mode", "bound"]) == 0
+    bound = json.loads((rdir / "bound.json").read_text())
+    assert capsys.readouterr().out == (f"evidence bound -> {rdir / 'bound.json'} "
+                                       f"({bound['hits']} hits in 3000 draws)\n")
+    assert main(["evidence", "--config", cp, "--mode", "experiment"]) == 0
+    report = json.loads((rdir / "experiment.json").read_text())
+    statuses = Counter(row["status"] for row in report["rows"])
+    assert sum(statuses.values()) == 2
+    by_status = ", ".join(f"{statuses[k]} {k}" for k in sorted(statuses))
+    assert capsys.readouterr().out == (
+        f"evidence experiment -> {rdir / 'experiment.json'} (violation rate "
+        f"{report['violation_rate']!r}; rows: {by_status})\n")
 
 
 @pytest.mark.parametrize("mode", ["experiment", "bound"])
