@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InvalidDataset, InvalidPermutation, InvalidSize, InvalidSplit
+from .persist import read_header
 from .rng import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -282,8 +283,15 @@ def synth_images(n: int, num_classes: int, seed: int, side: int = 28,
     for c in range(num_classes):
         masks[c, rng.choose(d, active_pixels)] = 1.0
     labels = np.arange(n, dtype=np.int64) % num_classes
-    base = 0.5 - amplitude / 2.0 + amplitude * masks[labels]
-    features = np.clip(base + noise * rng.gaussians(n * d).reshape(n, d), 0.0, 1.0)
+    # base = 0.5 - amplitude / 2.0 + amplitude * mask and clip(base + noise *
+    # gaussians), built in place: the same operands and bits, no (n, d) temporaries
+    base = masks[labels]
+    base *= amplitude
+    base += 0.5 - amplitude / 2.0
+    features = rng.gaussians(n * d).reshape(n, d)
+    features *= noise
+    features += base
+    np.clip(features, 0.0, 1.0, out=features)
     return _check(Dataset(
         features=features,
         labels=labels,
@@ -315,25 +323,23 @@ def save_cache(path, ds: Dataset) -> None:
 
 
 def load_cache(path) -> Dataset:
+    """The dataset of a save_cache file; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise FormatError("missing dataset header", offset=0)
-    try:
-        header = json.loads(blob[:nl])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable dataset header: {exc}", offset=0)
-    if header.get("format") != _CACHE_FORMAT:
-        raise FormatError("not a fragaudit dataset cache", offset=0)
-    n, d = int(header["n"]), int(header["dim"])
-    payload = blob[nl + 1 :]
+    header, start = read_header(blob, _CACHE_FORMAT, "dataset cache", {
+        "n": int, "dim": int, "num_classes": int, "labels": list})
+    n, d = header["n"], header["dim"]
+    if d < 1:
+        raise FormatError(f"dataset cache dim {d} < 1", offset=0)
+    if len(header["labels"]) != n:
+        raise FormatError(f"{len(header['labels'])} labels for n = {n}", offset=0)
+    payload = blob[start:]
     if len(payload) != n * d * 8:
-        raise FormatError(f"payload length {len(payload)} != {n * d * 8}", offset=nl + 1)
+        raise FormatError(f"payload length {len(payload)} != {n * d * 8}", offset=start)
     features = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, d)
     return _check(Dataset(
         features=features,
         labels=np.asarray(header["labels"], dtype=np.int64),
-        num_classes=int(header["num_classes"]),
+        num_classes=header["num_classes"],
         provenance=header.get("provenance", {}),
     ))

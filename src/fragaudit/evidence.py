@@ -13,7 +13,7 @@ hit counts, which the parent adds in shard order.
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +23,12 @@ from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhaus
 from .fragility import median
 from .net import Checkpoint, NetSpec, _class_argmax, forward_batch, init_checkpoint, \
     predict
-from .rng import Rng, child_seeds, gaussian_matrix, states_from_seeds
+from .rng import Rng, child_seeds, states_from_seeds
 from .workers import forked_pool
 from . import rng as _rng_mod
 
 _WILSON_Z = 1.96
 _MASS_SHARD = 4096  # draws per shard of the mass estimate
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    std_scale: float = 1.0  # multiplies the He factor sqrt(2/fan_in)
 
 
 @dataclass
@@ -44,7 +39,6 @@ class ConsistencyEstimate:
     wilson_lo: float
     wilson_hi: float
     rule_of_three_upper: float = None  # flagged pessimistic option when hits == 0
-    sampler: dict = field(default_factory=dict)
 
     def require_p_hat(self) -> float:
         if self.p_hat is None:
@@ -66,28 +60,26 @@ def wilson_interval(hits: int, draws: int, z: float = _WILSON_Z):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _layer_plan(spec: NetSpec, prior: PriorConfig):
+def _layer_plan(spec: NetSpec):
     """(sizes, stds, shapes) for the sampled (trainable) layers, in order."""
     sizes, stds, shapes = [], [], []
     for i in spec.trainable_layers:
         fan_in, fan_out = spec.layer_dims[i], spec.layer_dims[i + 1]
         sizes.append(fan_out * fan_in)
-        stds.append(prior.std_scale * math.sqrt(2.0 / fan_in))
+        stds.append(math.sqrt(2.0 / fan_in))
         shapes.append((fan_out, fan_in))
     return sizes, stds, shapes
 
 
-def _resolve_fixed_readout(spec: NetSpec, seed: int, prior: PriorConfig,
-                           fixed_readout):
+def _resolve_fixed_readout(spec: NetSpec, seed: int, fixed_readout):
     if not spec.frozen_readout:
         return None
     if fixed_readout is not None:
         return np.asarray(fixed_readout, dtype=np.float64)
     i = spec.num_layers - 1
     fan_in, fan_out = spec.layer_dims[i], spec.layer_dims[i + 1]
-    std = prior.std_scale * math.sqrt(2.0 / fan_in)
     return Rng(seed).spawn_key("frozen-readout").gaussians(
-        fan_out * fan_in).reshape(fan_out, fan_in) * std
+        fan_out * fan_in).reshape(fan_out, fan_in) * math.sqrt(2.0 / fan_in)
 
 
 def _require_plain(spec: NetSpec) -> None:
@@ -112,7 +104,6 @@ def _check_sampler(spec: NetSpec, ds: Dataset, what: str, count: int, unit: str,
 
 
 def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
-                      prior: PriorConfig = PriorConfig(),
                       fixed_readout=None) -> np.ndarray:
     """Predicted labels, shape (K, n), for one prior draw per seed.
 
@@ -120,7 +111,7 @@ def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
     so draw k can be re-materialized with spawn_index(k).
     """
     _require_plain(spec)
-    sizes, stds, shapes = _layer_plan(spec, prior)
+    sizes, stds, shapes = _layer_plan(spec)
     K = len(seeds)
     states = states_from_seeds(seeds)
     weights = []
@@ -137,27 +128,24 @@ def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
 
 
 def draw_checkpoint(spec: NetSpec, seed: int, index: int,
-                    prior: PriorConfig = PriorConfig(),
                     fixed_readout=None) -> Checkpoint:
     """Materialize prior draw `index` (bit-identical to the vectorized row)."""
-    ck = init_checkpoint(spec, Rng(seed).spawn_index(index),
-                         std_scale=prior.std_scale)
+    ck = init_checkpoint(spec, Rng(seed).spawn_index(index))
     if spec.frozen_readout:
-        ro = _resolve_fixed_readout(spec, seed, prior, fixed_readout)
+        ro = _resolve_fixed_readout(spec, seed, fixed_readout)
         ck.weights[-1] = ro.copy()
         ck.init_weights[-1] = ro.copy()
     return ck
 
 
 def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, lo: int,
-                hi: int, prior: PriorConfig, readout) -> int:
+                hi: int, readout) -> int:
     """Exact-fit draws among draws lo..hi-1 (one shard, in-process or in a worker)."""
-    preds = prior_predictions(spec, X, child_seeds(seed, lo, hi), prior, readout)
+    preds = prior_predictions(spec, X, child_seeds(seed, lo, hi), readout)
     return int((preds == y[None, :]).all(axis=1).sum())
 
 
 def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
-                              prior: PriorConfig = PriorConfig(),
                               fixed_readout=None,
                               shard_size: int = _MASS_SHARD,
                               pool=None) -> ConsistencyEstimate:
@@ -169,9 +157,9 @@ def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
     """
     _check_sampler(spec, ds, "consistency mass estimation", draws, "draw",
                    shard_size)
-    ro = _resolve_fixed_readout(spec, seed, prior, fixed_readout)
-    shards = [(spec, ds.features, ds.labels, seed, lo, min(lo + shard_size, draws),
-               prior, ro) for lo in range(0, draws, shard_size)]
+    ro = _resolve_fixed_readout(spec, seed, fixed_readout)
+    shards = [(spec, ds.features, ds.labels, seed, lo, min(lo + shard_size, draws), ro)
+              for lo in range(0, draws, shard_size)]
     opened = forked_pool(len(shards)) if pool is None else contextlib.nullcontext(pool)
     with opened as workers:
         run = itertools.starmap if workers is None else workers.starmap
@@ -182,8 +170,6 @@ def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
         p_hat=(hits / draws) if hits else None,
         wilson_lo=0.0,
         wilson_hi=0.0,
-        sampler={"seed": seed, "spec_hash": spec.hash(),
-                 "std_scale": prior.std_scale},
     )
     est.wilson_lo, est.wilson_hi = wilson_interval(hits, draws)
     if hits == 0:
@@ -229,8 +215,7 @@ def ml_pacbayes_bound(inp: BoundInput) -> BoundResult:
 
 
 def gibbs_sample_consistent(spec: NetSpec, ds: Dataset, max_attempts: int,
-                            seed: int, prior: PriorConfig = PriorConfig(),
-                            fixed_readout=None, shard_size: int = 2048):
+                            seed: int, fixed_readout=None, shard_size: int = 2048):
     """First prior draw with zero training error: an exact posterior sample.
 
     Returns (checkpoint, attempts). Uses its own stream family ('gibbs'), kept
@@ -239,17 +224,17 @@ def gibbs_sample_consistent(spec: NetSpec, ds: Dataset, max_attempts: int,
     _check_sampler(spec, ds, "rejection sampling", max_attempts, "attempt",
                    shard_size)
     root = Rng(seed).spawn_key("gibbs")
-    ro = _resolve_fixed_readout(spec, root.seed, prior, fixed_readout)
+    ro = _resolve_fixed_readout(spec, root.seed, fixed_readout)
     y = ds.labels
     for lo in range(0, max_attempts, shard_size):
         hi = min(lo + shard_size, max_attempts)
         seeds = child_seeds(root.seed, lo, hi)
-        preds = prior_predictions(spec, ds.features, seeds, prior, ro)
+        preds = prior_predictions(spec, ds.features, seeds, ro)
         ok = (preds == y[None, :]).all(axis=1)
         where = np.flatnonzero(ok)
         if len(where):
             k = lo + int(where[0])
-            ck = draw_checkpoint(spec, root.seed, k, prior, ro)
+            ck = draw_checkpoint(spec, root.seed, k, ro)
             ck.meta["gibbs_attempts"] = k + 1
             return ck, k + 1
     raise RejectionExhausted(f"no consistent draw in {max_attempts} attempts")
@@ -276,8 +261,7 @@ class EvidenceTask:
                                   f"got {getattr(self, name)}")
 
 
-def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
-                              prior: PriorConfig = PriorConfig()) -> dict:
+def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int) -> dict:
     """Fresh data per repetition: estimate mass, bound, posterior sample, true error.
 
     Per-repetition failures (zero hits, rejection exhausted) are recorded and
@@ -304,7 +288,7 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
                                            seed=rs.spawn_key("corrupt").next_u64())
                 est = estimate_consistency_mass(spec, train, task.draws,
                                                 seed=rs.spawn_key("mc").next_u64(),
-                                                prior=prior, pool=pool)
+                                                pool=pool)
                 row = {
                     "rep": rep, "corruption": p, "hits": est.hits, "draws": est.draws,
                     "p_hat": est.p_hat, "bound": None, "sample_error": None,
@@ -320,7 +304,7 @@ def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int,
                 try:
                     ck, attempts = gibbs_sample_consistent(
                         spec, train, task.max_attempts,
-                        seed=rs.spawn_key("posterior").next_u64(), prior=prior)
+                        seed=rs.spawn_key("posterior").next_u64())
                 except RejectionExhausted:
                     row["status"] = "rejection_exhausted"
                     rows.append(row)

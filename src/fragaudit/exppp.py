@@ -23,7 +23,7 @@ from .errors import ComplexEndpoints, ConfigError, InadmissibleAlpha, \
     NumericalDivergence, PredictionMismatch
 from .measures import MeasureConfig, compute_all
 from .net import NetSpec, backward_batch, flatten_params, forward_batch, \
-    init_checkpoint, unflatten_params
+    init_checkpoint, predict, unflatten_params
 from .optim import OptState, sgdm_step
 from .rng import Rng
 
@@ -139,6 +139,13 @@ def schedule(params: ExpPPParams, T: int) -> ExpPPSchedule:
         raise InadmissibleAlpha(
             f"alpha {params.alpha} outside admissible interval {der.interval_str()}")
     a, eta0 = params.alpha, params.eta0
+    try:
+        last = eta0 * a ** (-2 * T - 1)  # eta_at(T), the last step's next rate
+    except OverflowError:
+        last = math.inf
+    if not math.isfinite(last):
+        raise ConfigError(f"alpha {a} with {T} steps: the matched learning rate "
+                          f"eta0 * alpha^(-2T-1) exceeds the float range")
     beta = der.beta(a)
     xi = der.xi(a)
     etas = tuple(eta0 * a ** (-2 * t - 1) for t in range(T))
@@ -273,10 +280,8 @@ def inflation_demo(spec: NetSpec, ds_train, ds_test, params: ExpPPParams, T: int
         name: ms_b.values[name] / ms_a.values[name]
         for name in sorted(set(ms_a.values) & set(ms_b.values))
     }
-    pred_a = forward_batch(spec, report.checkpoint_a.weights,
-                           report.checkpoint_a.biases, ds_test.features).argmax(axis=1)
-    pred_b = forward_batch(spec, report.checkpoint_b.weights,
-                           report.checkpoint_b.biases, ds_test.features).argmax(axis=1)
+    pred_a = predict(spec, report.checkpoint_a, ds_test.features)
+    pred_b = predict(spec, report.checkpoint_b, ds_test.features)
     err_a = float((pred_a != ds_test.labels).mean())
     err_b = float((pred_b != ds_test.labels).mean())
     if report.passed and not np.array_equal(pred_a, pred_b):

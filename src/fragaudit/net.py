@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidDataset, NormalizationSingularity
+from .persist import read_header
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -94,12 +95,12 @@ class MarginStats:
     percentile: float = 0.10
 
 
-def init_checkpoint(spec: NetSpec, rng, meta=None, std_scale: float = 1.0) -> Checkpoint:
-    """Fan-in-scaled Gaussian init (std = std_scale*sqrt(2/fan_in)); zero biases."""
+def init_checkpoint(spec: NetSpec, rng, meta=None) -> Checkpoint:
+    """Fan-in-scaled Gaussian init (std = sqrt(2/fan_in)); zero biases."""
     weights = []
     for i in range(spec.num_layers):
         fan_in, fan_out = spec.layer_dims[i], spec.layer_dims[i + 1]
-        std = std_scale * np.sqrt(2.0 / fan_in)
+        std = np.sqrt(2.0 / fan_in)
         weights.append(rng.gaussians(fan_out * fan_in).reshape(fan_out, fan_in) * std)
     biases = (
         [np.zeros(spec.layer_dims[i + 1]) for i in range(spec.num_layers)]
@@ -406,94 +407,57 @@ def margins(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray, y: np.ndarray,
 
 # --- checkpoint files -------------------------------------------------------
 #
-# Binary container: one JSON header line, then little-endian float64 payload in
-# flatten order (all layers: weights, biases, init_weights, init_biases).  A
-# pure-JSON variant ("payload": "inline") is accepted for tiny nets.
+# One JSON header line, then the little-endian float64 payload in flatten order
+# (all layers: weights, biases, init_weights, init_biases).
 
 _CKPT_FORMAT = "fragaudit-ckpt-v1"
+_CKPT_PAYLOAD = "binary-le-f64"
 
 
-def save_checkpoint(path, spec: NetSpec, ckpt: Checkpoint, inline: bool = False) -> None:
+def save_checkpoint(path, spec: NetSpec, ckpt: Checkpoint) -> None:
     header = {
         "format": _CKPT_FORMAT,
         "spec": spec.to_dict(),
         "shapes": [list(w.shape) for w in ckpt.weights],
         "meta": ckpt.meta,
-        "payload": "inline" if inline else "binary-le-f64",
+        "payload": _CKPT_PAYLOAD,
     }
-    arrays = (
-        list(ckpt.weights) + list(ckpt.biases)
-        + list(ckpt.init_weights) + list(ckpt.init_biases)
-    )
-    if inline:
-        header["arrays"] = [a.tolist() for a in arrays]
-        with open(path, "w") as fh:
-            json.dump(header, fh, sort_keys=True)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for a in (list(ckpt.weights) + list(ckpt.biases)
+                  + list(ckpt.init_weights) + list(ckpt.init_biases)):
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (spec, checkpoint). Accepts binary and inline variants."""
+    """Returns (spec, checkpoint); a malformed file raises FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    nl = blob.find(b"\n")
-    head_bytes = blob if nl < 0 else blob[:nl]
+    header, start = read_header(blob, _CKPT_FORMAT, "checkpoint",
+                                {"spec": dict, "shapes": list, "meta": dict,
+                                 "payload": str})
+    if header["payload"] != _CKPT_PAYLOAD:
+        raise FormatError(f"unknown checkpoint payload {header['payload']!r}", offset=0)
     try:
-        header = json.loads(head_bytes)
-    except json.JSONDecodeError:
-        try:
-            header = json.loads(blob)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"unreadable checkpoint header: {exc}", offset=0)
-    if header.get("format") != _CKPT_FORMAT:
-        raise FormatError("not a fragaudit checkpoint", offset=0)
-    spec = NetSpec.from_dict(header["spec"])
-    shapes = [tuple(s) for s in header["shapes"]]
-    if list(shapes) != [
-        (spec.layer_dims[i + 1], spec.layer_dims[i]) for i in range(spec.num_layers)
-    ]:
+        spec = NetSpec.from_dict(header["spec"])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint spec is not a net: {exc}", offset=0)
+    shapes = [(spec.layer_dims[i + 1], spec.layer_dims[i]) for i in range(spec.num_layers)]
+    if header["shapes"] != [list(s) for s in shapes]:
         raise FormatError("checkpoint shapes do not match spec")
     nb = spec.num_layers if spec.bias_enabled else 0
-    if header["payload"] == "inline":
-        arrays = [np.asarray(a, dtype=np.float64) for a in header["arrays"]]
-    else:
-        payload = blob[nl + 1 :]
-        counts = [int(np.prod(s)) for s in shapes]
-        bias_counts = [s[0] for s in shapes][:nb] if nb else []
-        sizes = counts + bias_counts + counts + bias_counts
-        need = sum(sizes) * 8
-        if len(payload) != need:
-            raise FormatError(
-                f"payload length {len(payload)} != expected {need}", offset=nl + 1
-            )
-        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        arrays, pos = [], 0
-        for size in sizes:
-            arrays.append(flat[pos : pos + size])
-            pos += size
-        shaped = []
-        k = 0
-        for group in range(2):
-            for s in shapes:
-                shaped.append(arrays[k].reshape(s))
-                k += 1
-            for i in range(nb):
-                shaped.append(arrays[k])
-                k += 1
-        arrays = shaped
+    bias_shapes = [(s[0],) for s in shapes[:nb]]
+    layout = (shapes + bias_shapes) * 2
+    need = sum(math.prod(s) for s in layout) * 8
+    if len(blob) - start != need:
+        raise FormatError(f"payload length {len(blob) - start} != expected {need}",
+                          offset=start)
+    flat = np.frombuffer(blob, dtype="<f8", offset=start).astype(np.float64)
+    arrays, pos = [], 0
+    for s in layout:
+        arrays.append(flat[pos : pos + math.prod(s)].reshape(s))
+        pos += math.prod(s)
     n = spec.num_layers
-    weights = [np.array(a, dtype=np.float64).reshape(shapes[i]) for i, a in enumerate(arrays[:n])]
-    off = n
-    biases = [np.array(a, dtype=np.float64) for a in arrays[off : off + nb]]
-    off += nb
-    init_weights = [
-        np.array(a, dtype=np.float64).reshape(shapes[i]) for i, a in enumerate(arrays[off : off + n])
-    ]
-    off += n
-    init_biases = [np.array(a, dtype=np.float64) for a in arrays[off : off + nb]]
-    ckpt = Checkpoint(weights, init_weights, biases, init_biases, dict(header.get("meta", {})))
-    return spec, ckpt
+    weights, biases = arrays[:n], arrays[n : n + nb]
+    init_weights, init_biases = arrays[n + nb : 2 * n + nb], arrays[2 * n + nb :]
+    return spec, Checkpoint(weights, init_weights, biases, init_biases, header["meta"])

@@ -1,6 +1,6 @@
-"""Training loop: buffered SGD with momentum and (possibly signed, time-varying)
-weight decay, Adam, stop rules, hysteresis resume, and grid sweeps. Runs train
-in lockstep stacks; a single run is a stack of one.
+"""Training loop: buffered SGD with momentum and fixed weight decay, Adam, stop
+rules, hysteresis resume, and grid sweeps. Runs train in lockstep stacks; a
+single run is a stack of one.
 
 The momentum update keeps explicit (theta, lr) buffers from the previous step:
 
@@ -8,7 +8,9 @@ The momentum update keeps explicit (theta, lr) buffers from the previous step:
         = gamma * (theta_{t-1} - theta_{t-2}) / eta_{t-2}
           - grad(L(theta_{t-1})) - lambda_{t-1} * theta_{t-1}
 
-so schedule-equivalence runs can override the t=0 buffers directly.
+Training keeps eta and lambda fixed. The schedule-equivalence runs of exppp
+drive sgdm_step themselves, with time-varying eta and lambda and their own
+t=0 buffers.
 """
 
 import hashlib
@@ -46,35 +48,18 @@ class Hyperparams:
     n_train: int = 0
     dataset: str = ""
     arch: str = ""
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    lr_schedule: tuple = ()  # per-step lr overrides (schedule equivalence runs)
-    wd_schedule: tuple = ()  # per-step weight decay; entries may be negative
 
     def __post_init__(self):
         if self.optimizer not in ("sgdm", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.momentum_gamma < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.lr <= 0 or any(e <= 0 for e in self.lr_schedule):
-            raise ConfigError("learning rates must be positive")
-        if self.weight_decay < 0 and not self.wd_schedule:
-            raise ConfigError("fixed weight decay must be >= 0")
+        if self.lr <= 0:
+            raise ConfigError("learning rate must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("weight decay must be >= 0")
         if self.stop_rule not in STOP_RULES:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
-        object.__setattr__(self, "lr_schedule", tuple(float(x) for x in self.lr_schedule))
-        object.__setattr__(self, "wd_schedule", tuple(float(x) for x in self.wd_schedule))
-
-    def lr_at(self, t: int) -> float:
-        if self.lr_schedule:
-            return self.lr_schedule[min(t, len(self.lr_schedule) - 1)]
-        return self.lr
-
-    def wd_at(self, t: int) -> float:
-        if self.wd_schedule:
-            return self.wd_schedule[min(t, len(self.wd_schedule) - 1)]
-        return self.weight_decay
 
     def h_fields(self) -> dict:
         """The hyperparameter identity used for seed-vs-config pair splitting."""
@@ -167,7 +152,6 @@ class _Run:
     parent_id: str
     ckpt0: Checkpoint  # initial iterate; frozen layers and meta carry over
     start_epoch: int = 0
-    buffer_overrides: dict = None
     interp: Checkpoint = None
     trace: TrainTrace = field(init=False)
     shuffle: Rng = field(init=False)
@@ -201,22 +185,12 @@ class _Stack:
                       None if self.grad is None else self.grad[keep])
 
 
-def _column(Hs, f) -> np.ndarray:
-    return np.array([[f(H)] for H in Hs])
-
-
 def _new_stack(spec: NetSpec, runs) -> _Stack:
     theta = np.stack([flatten_params(spec, r.ckpt0.weights, r.ckpt0.biases)
                       for r in runs])
-    lr0 = _column([r.H for r in runs], lambda H: H.lr_at(0))
-    state = OptState(theta, theta.copy(), lr0, lr0.copy(), 0,
+    lr = np.array([[r.H.lr] for r in runs])
+    state = OptState(theta, theta.copy(), lr, lr.copy(), 0,
                      np.zeros_like(theta), np.zeros_like(theta))
-    for k, r in enumerate(runs):
-        over = r.buffer_overrides or {}
-        if "theta_prev" in over:
-            state.theta_prev[k] = np.asarray(over["theta_prev"], dtype=np.float64)
-        if "eta_prev" in over:
-            state.eta_prev[k] = float(over["eta_prev"])
 
     def stacked(layers):
         # trainable layers come from theta through param_views
@@ -229,13 +203,11 @@ def _new_stack(spec: NetSpec, runs) -> _Stack:
     return _Stack(list(range(len(runs))), state, template)
 
 
-def _apply_step(state: OptState, grad: np.ndarray, Hs) -> OptState:
-    t, H = state.t, Hs[0]
+def _apply_step(state: OptState, grad: np.ndarray, H: Hyperparams) -> OptState:
+    """One step of a stack; each run keeps its fixed lr in the eta_curr column."""
     if H.optimizer == "adam":
-        return adam_step(state, grad, _column(Hs, lambda h: h.lr_at(t)),
-                         H.adam_beta1, H.adam_beta2, H.adam_eps)
-    return sgdm_step(state, grad, H.momentum_gamma, _column(Hs, lambda h: h.wd_at(t)),
-                     _column(Hs, lambda h: h.lr_at(t + 1)))
+        return adam_step(state, grad, state.eta_curr)
+    return sgdm_step(state, grad, H.momentum_gamma, H.weight_decay, state.eta_curr)
 
 
 def _epoch(spec, runs, stack, e, data):
@@ -264,7 +236,7 @@ def _epoch(spec, runs, stack, e, data):
 
     def step(stack, grad):
         """(stack after one optimizer step, rows of the input stack it keeps)."""
-        new = _apply_step(stack.state, grad, [runs[i].H for i in stack.idx])
+        new = _apply_step(stack.state, grad, runs[stack.idx[0]].H)
         for row in np.flatnonzero(new.diverged):
             diverged.append((stack.idx[row], stack.state.theta_curr[row]))
         keep = np.flatnonzero(~new.diverged).tolist()
@@ -336,11 +308,10 @@ def _run_loop(spec, runs, ds_train, ds_test, trace_measures=(), measure_config=N
               want_interp_snapshot=False):
     """Train runs in lockstep; one TrainResult or FragAuditError per run, in order.
 
-    The runs share the net, the data, the optimizer, the batch size and the
-    momentum and Adam constants. Each has its own iterate, learning rate and
-    weight decay schedule, shuffle stream and stop rule, and leaves the stack
-    when it stops, diverges or fails; its outputs are bit-identical to
-    training it alone.
+    The runs share the net, the data, the optimizer, the batch size, the
+    momentum and the weight decay. Each has its own iterate, learning rate,
+    shuffle stream and stop rule, and leaves the stack when it stops, diverges
+    or fails; its outputs are bit-identical to training it alone.
     """
     from . import measures as measures_mod
 
@@ -443,11 +414,10 @@ def _new_run(spec: NetSpec, H: Hyperparams, seed: int, parent_id: str = "") -> _
 
 def train(spec: NetSpec, ds_train: Dataset, ds_test: Dataset, H: Hyperparams,
           seed: int, parent_id: str = "", trace_measures=(), measure_config=None,
-          buffer_overrides=None, want_interp_snapshot=False) -> TrainResult:
+          want_interp_snapshot=False) -> TrainResult:
     """Train from a fresh seeded initialization under H."""
     H = replace(H, n_train=H.n_train or ds_train.n)
     run = _new_run(spec, H, seed, parent_id)
-    run.buffer_overrides = buffer_overrides
     return _only(_run_loop(spec, [run], ds_train, ds_test, trace_measures,
                            measure_config, want_interp_snapshot))
 

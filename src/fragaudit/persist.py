@@ -83,6 +83,29 @@ def read_jsonl(path, convert=None):
     return out
 
 
+def read_header(blob: bytes, fmt: str, what: str, keys: dict):
+    """(header, payload offset) of a file made of one JSON header line and a
+    binary payload: the checkpoint and dataset cache formats.
+
+    The header must be an object whose "format" is fmt and which holds each
+    key of keys with a value of that key's type; otherwise FormatError.
+    """
+    nl = blob.find(b"\n")
+    if nl < 0:
+        raise FormatError(f"missing {what} header", offset=0)
+    try:
+        header = json.loads(blob[:nl])
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise FormatError(f"unreadable {what} header: {exc}", offset=0)
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise FormatError(f"not a fragaudit {what}", offset=0)
+    for key, kind in keys.items():
+        if not isinstance(header.get(key), kind):
+            raise FormatError(f"{what} header needs {key!r} of type {kind.__name__}",
+                              offset=0)
+    return header, nl + 1
+
+
 def fmt_cell(v) -> str:
     if v is None:
         return ""

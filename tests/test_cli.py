@@ -298,6 +298,18 @@ def test_exppp_inadmissible_second_alpha_on_a_pool_ends_as_in_process(
     assert list(files) == ["verify-alpha-0_8.csv"]  # and no verify.json
 
 
+def test_exppp_alpha_beyond_float_range_on_a_pool_ends_as_in_process(
+        tmp_path, capsys, monkeypatch, pools_made):
+    # 0.5 is admissible, but 0.5^(-2 * 600 - 1) overflows a float
+    cfg = _si_config(tmp_path, alphas=[0.8, 0.5], steps=600)
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "verify")
+    assert pools_made == [2]
+    error = json.loads(err)  # one JSON line, no traceback
+    assert code == 2 and error["error"] == "ConfigError"
+    assert "alpha 0.5 with 600 steps" in error["message"]
+    assert list(files) == ["verify-alpha-0_8.csv"]
+
+
 @pytest.mark.parametrize("mode", ["verify", "demo"])
 def test_exppp_net_not_scale_invariant_on_a_pool_ends_as_in_process(
         tmp_path, capsys, monkeypatch, pools_made, mode):
@@ -313,18 +325,18 @@ def test_exppp_prediction_mismatch_on_a_pool_ends_as_in_process(
         tmp_path, capsys, monkeypatch, pools_made):
     from fragaudit import exppp
 
-    real = exppp.forward_batch
+    real = exppp.predict
     test_calls = []
 
-    def forward_flipping_matched_test_pass(spec, weights, biases, x):
-        logits = real(spec, weights, biases, x)
+    def predict_flipping_matched_test_pass(spec, ckpt, x):
+        pred = real(spec, ckpt, x)
         if len(x) == 64:  # the test split, predicted twice per alpha: baseline, matched
             test_calls.append(1)
             if len(test_calls) % 2 == 0:
-                return -logits
-        return logits
+                return 1 - pred
+        return pred
 
-    monkeypatch.setattr(exppp, "forward_batch", forward_flipping_matched_test_pass)
+    monkeypatch.setattr(exppp, "predict", predict_flipping_matched_test_pass)
     cfg = _si_config(tmp_path, alphas=[0.8, 0.9])
     code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "demo")
     assert pools_made == [2]
@@ -360,18 +372,18 @@ def test_exppp_verify_summary_counts_alphas_by_outcome(tmp_path, capsys, monkeyp
 def test_exppp_demo_summary_counts_equal_predictions(tmp_path, capsys, monkeypatch):
     from fragaudit import exppp
 
-    real = exppp.forward_batch
+    real = exppp.predict
     test_calls = []
 
-    def forward_flipping_first_matched_test_pass(spec, weights, biases, x):
-        logits = real(spec, weights, biases, x)
+    def predict_flipping_first_matched_test_pass(spec, ckpt, x):
+        pred = real(spec, ckpt, x)
         if len(x) == 64:
             test_calls.append(1)
             if len(test_calls) == 2:
-                return -logits
-        return logits
+                return 1 - pred
+        return pred
 
-    monkeypatch.setattr(exppp, "forward_batch", forward_flipping_first_matched_test_pass)
+    monkeypatch.setattr(exppp, "predict", predict_flipping_first_matched_test_pass)
     _workers(monkeypatch, 1)
     # tol 0 fails every verification, so differing predictions are reported, not raised
     cp = write_config(tmp_path, _si_config(tmp_path, alphas=[0.8, 0.9], tol=0.0))
@@ -1176,6 +1188,33 @@ def test_measure_stops_at_a_bad_checkpoint_after_the_runs_before_it(
         # the runs before the bad checkpoint are measured as in a clean run;
         # it and every run after it keep their unmeasured record.json
         assert after[name] == (measured[name] if i < 3 else before[name])
+        assert (after[name] != before[name]) == (i < 3), name
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "spec"},
+    lambda h: {k: v for k, v in h.items() if k != "payload"},
+    lambda h: [1, 2],
+], ids=["no-spec", "no-payload", "not-an-object"])
+def test_measure_stops_at_a_malformed_checkpoint_header_after_the_runs_before_it(
+        tmp_path, capsys, monkeypatch, edit):
+    from pathlib import Path
+
+    cp, out, records = _mixed_width_runs(tmp_path, "grouped")
+    listed = read_jsonl(records)
+    bad = listed[3]
+    path = out / "runs" / bad["group"] / bad["run_id"] / "ckpt.bin"
+    head, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
+    before = _measure_outputs(out)
+    capsys.readouterr()
+    _workers(monkeypatch, 1)
+    assert main(_measure_cmd(cp, out, records)) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+    after = _measure_outputs(out)
+    assert after["records.jsonl"] == before["records.jsonl"]
+    for i, rec in enumerate(listed):
+        name = str(Path("runs", rec["group"], rec["run_id"], "record.json"))
         assert (after[name] != before[name]) == (i < 3), name
 
 

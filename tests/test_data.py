@@ -279,6 +279,51 @@ def test_synth_images_equal_active_pixel_count():
     assert set(on_counts.tolist()) == {10}
 
 
+@pytest.mark.parametrize("n, side", [(7, 5), (6, 5), (9, 4)])  # n*d odd, even, even
+def test_synth_images_match_the_fresh_array_expression(n, side):
+    amplitude, noise = 0.3, 0.08
+    ds = synth_images(n, 3, seed=31, side=side, active_pixels=6, noise=noise,
+                      amplitude=amplitude)
+    d = side * side
+    rng = Rng(31)
+    masks = np.zeros((3, d))
+    for c in range(3):
+        masks[c, rng.choose(d, 6)] = 1.0
+    base = 0.5 - amplitude / 2.0 + amplitude * masks[np.arange(n) % 3]
+    expected = np.clip(base + noise * rng.gaussians(n * d).reshape(n, d), 0.0, 1.0)
+    assert ds.features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "n"},
+    lambda h: {k: v for k, v in h.items() if k != "labels"},
+    lambda h: dict(h, labels=h["labels"][:1]),  # n 2, one label, payload of n 2
+    lambda h: dict(h, dim="3"),
+    lambda h: [1, 2],
+], ids=["no-n", "no-labels", "n-2-one-label", "dim-not-int", "not-an-object"])
+def test_cache_malformed_header_is_format_error(tmp_path, edit):
+    import json
+
+    path = tmp_path / "ds.dsc"
+    save_cache(path, synth_blobs(2, 3, 2, 2.0, seed=26))
+    head, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
+    with pytest.raises(FormatError):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 0), (0, -1)])
+def test_cache_dim_below_one_is_format_error(tmp_path, n, dim):
+    import json
+
+    header = {"format": "fragaudit-dataset-v1", "n": n, "dim": dim, "num_classes": 2,
+              "labels": [0] * n}
+    path = tmp_path / "ds.dsc"
+    path.write_bytes(json.dumps(header).encode() + b"\n")  # n * dim * 8 == 0 bytes
+    with pytest.raises(FormatError):
+        load_cache(path)
+
+
 def test_cache_roundtrip(tmp_path):
     ds = corrupt_labels(synth_blobs(15, 3, 2, 2.0, seed=26), 0.2, seed=27)
     path = tmp_path / "ds.dsc"

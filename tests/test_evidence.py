@@ -16,9 +16,8 @@ from fragaudit.data import Dataset, synth_blobs
 from fragaudit.errors import BoundUndefined, ConfigError, InvalidDataset, \
     RejectionExhausted, ZeroHits
 from fragaudit.evidence import BoundInput, ConsistencyEstimate, EvidenceTask, \
-    PriorConfig, bound_vs_error_experiment, draw_checkpoint, \
-    estimate_consistency_mass, gibbs_sample_consistent, ml_pacbayes_bound, \
-    prior_predictions, wilson_interval
+    bound_vs_error_experiment, draw_checkpoint, estimate_consistency_mass, \
+    gibbs_sample_consistent, ml_pacbayes_bound, prior_predictions, wilson_interval
 from fragaudit.net import NetSpec, forward_batch
 from fragaudit.rng import Rng, child_seeds
 

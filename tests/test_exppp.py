@@ -111,6 +111,28 @@ def test_schedule_rejects_inadmissible_alpha():
         schedule(ExpPPParams(0.01, 0.9, 0.0, 0.95), 5)
 
 
+@pytest.mark.parametrize("alpha, T", [(0.5, 600), (0.6, 700)])
+def test_schedule_beyond_float_range_is_config_error(alpha, T):
+    assert derive(0.01, 0.9, 0.0).contains(alpha)
+    with pytest.raises(ConfigError, match=f"alpha {alpha} with {T} steps"):
+        schedule(ExpPPParams(0.01, 0.9, 0.0, alpha), T)
+
+
+def test_schedule_checks_the_rate_after_the_last_step():
+    # etas ends at eta_{T-1}, but step T-1 also takes eta_at(T) as its next rate
+    def finite(t):
+        try:
+            return math.isfinite(0.01 * 0.5 ** (-2 * t - 1))
+        except OverflowError:
+            return False
+
+    T = next(t for t in range(1, 2000) if not finite(t))
+    params = ExpPPParams(0.01, 0.9, 0.0, 0.5)
+    assert math.isfinite(schedule(params, T - 1).eta_at(T - 1))
+    with pytest.raises(ConfigError):
+        schedule(params, T)
+
+
 def test_verify_requires_scale_invariant_net():
     tr, _ = blob_split()
     with pytest.raises(ConfigError):
@@ -172,18 +194,18 @@ def test_inflation_demo_prediction_mismatch_is_typed(monkeypatch):
     from fragaudit import exppp
 
     tr, te = blob_split()
-    real_forward = exppp.forward_batch
+    real_predict = exppp.predict
     test_calls = []
 
-    def forward_flipping_second_test_pass(spec, weights, biases, x):
-        logits = real_forward(spec, weights, biases, x)
+    def predict_flipping_second_test_pass(spec, ckpt, x):
+        pred = real_predict(spec, ckpt, x)
         if x is te.features:
             test_calls.append(1)
             if len(test_calls) == 2:
-                return -logits
-        return logits
+                return 1 - pred
+        return pred
 
-    monkeypatch.setattr(exppp, "forward_batch", forward_flipping_second_test_pass)
+    monkeypatch.setattr(exppp, "predict", predict_flipping_second_test_pass)
     monkeypatch.setattr(exppp, "compute_all", lambda *a, **k: MeasureSet())
     with pytest.raises(PredictionMismatch):
         inflation_demo(si_spec(), tr, te, ExpPPParams(0.01, 0.9, 0.0, 0.9), 2, seed=0)

@@ -429,14 +429,13 @@ def test_flatten_unflatten_roundtrip():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("inline", [False, True])
-def test_checkpoint_roundtrip(tmp_path, inline):
+def test_checkpoint_roundtrip(tmp_path):
     spec = NetSpec((3, 4, 2), bias_enabled=True)
     ck = make_ckpt(spec, seed=9)
     ck.meta["run_id"] = "abc"
     ck.meta["epoch"] = 17
-    path = tmp_path / ("ck.json" if inline else "ck.bin")
-    save_checkpoint(path, spec, ck, inline=inline)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, spec, ck)
     spec2, ck2 = load_checkpoint(path)
     assert spec2 == spec
     assert ck2.meta["run_id"] == "abc"
@@ -450,5 +449,41 @@ def test_checkpoint_roundtrip(tmp_path, inline):
 def test_checkpoint_bad_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"\x00\x01\x02 not a checkpoint")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def _with_header(tmp_path, edit):
+    """A saved checkpoint's file with its JSON header line replaced by edit(header)."""
+    import json
+
+    spec = NetSpec((3, 4, 2), bias_enabled=True)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, spec, make_ckpt(spec, seed=9))
+    head, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "spec"},
+    lambda h: {k: v for k, v in h.items() if k != "payload"},
+    lambda h: {k: v for k, v in h.items() if k != "shapes"},
+    lambda h: dict(h, spec=[3, 4, 2]),
+    lambda h: dict(h, spec={"layer_dims": 3}),
+    lambda h: dict(h, spec={"layer_dims": [3, 0, 2]}),
+    lambda h: dict(h, shapes=[3, 4]),
+    lambda h: dict(h, payload="inline"),
+    lambda h: [1, 2],
+], ids=["no-spec", "no-payload", "no-shapes", "spec-not-object", "dims-not-a-list",
+        "dim-zero", "shapes-not-pairs", "inline-payload", "not-an-object"])
+def test_checkpoint_malformed_header_is_format_error(tmp_path, edit):
+    with pytest.raises(FormatError):
+        load_checkpoint(_with_header(tmp_path, edit))
+
+
+def test_checkpoint_header_not_utf8_is_format_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(b"\xff{}\n")  # json.loads raises UnicodeDecodeError
     with pytest.raises(FormatError):
         load_checkpoint(path)

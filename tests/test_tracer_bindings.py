@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from fragaudit import cli, data, evidence, exppp, fragility, measures, net, optim, \
     persist, rng
 
@@ -16,12 +18,16 @@ def _bindings():
             for owner in owners for name, value in vars(owner).items()}
 
 
-def test_tracer_installs_and_uninstalls_against_the_package():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod.Tracer()
+
+
+def test_tracer_installs_and_uninstalls_against_the_package():
     before = _bindings()
-    tracer = tracer_mod.Tracer()
+    tracer = _tracer()
     try:
         tracer.install()  # AttributeError if a wrapped binding is gone
         wrapped = {key for key, value in _bindings().items() if before[key] is not value}
@@ -34,3 +40,15 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tracer_counts_one_draw_per_seed_of_prior_predictions():
+    # the tracer reads the seeds as the third positional argument
+    seeds = rng.child_seeds(5, 0, 7)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        evidence.prior_predictions(net.NetSpec((2, 4, 2)), np.zeros((3, 2)), seeds)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts()["evidence.draws"] == len(seeds)
