@@ -568,6 +568,7 @@ def cmd_exppp(cfg, out, args):
 
 def cmd_evidence(cfg, out, args):
     e = _section(cfg, "evidence")
+    task = _make(ev.EvidenceTask, e)  # checks every setting before the first draw
     spec = NetSpec(**e["net"]) if e["net"] else NetSpec.from_dict(_section(cfg, "net"))
     cfg_hash = persist.config_hash(cfg)
     rdir = out / "reports" / "evidence"
@@ -582,13 +583,13 @@ def cmd_evidence(cfg, out, args):
         }
         if est.p_hat is not None:
             bound = ev.ml_pacbayes_bound(ev.BoundInput(
-                train_ds.n, est.p_hat, e["delta_conf"], e["gamma_conf"]))
+                train_ds.n, est.p_hat, task.delta_conf, task.gamma_conf))
             report["bound"] = bound.to_dict()
         persist.write_json(rdir / "bound.json", report, cfg_hash)
         print(f"evidence bound -> {rdir / 'bound.json'} "
               f"({est.hits} hits in {est.draws} draws)")
         return 0
-    report = ev.bound_vs_error_experiment(spec, _make(ev.EvidenceTask, e), e["seed"])
+    report = ev.bound_vs_error_experiment(spec, task, e["seed"])
     persist.write_json(rdir / "experiment.json", report, cfg_hash)
     header = ["rep", "corruption", "hits", "p_hat", "bound", "sample_error",
               "violation", "status"]

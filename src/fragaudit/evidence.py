@@ -5,13 +5,13 @@ Gaussian weights). P(C(S)) -- the prior mass of nets with zero training error
 -- is estimated by counting exact-fit draws; the posterior is realized by
 rejection sampling, which returns the prior restricted to the consistency set.
 Draw k always uses the stream spawned at index k, so sharding the draw budget
-cannot change any result, and neither can running the shards of the mass
-estimate on forked worker processes: each worker returns its shards' integer
-hit counts, which the parent adds in shard order.
+cannot change any result. The experiment maps its repetitions, and the mass
+estimate its shards, through workers.ordered_map: a repetition takes its
+streams from its own key and returns its row, a shard returns its integer hit
+count, and the parent reads them in task order, so where a task runs changes
+no result.
 """
 
-import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,9 +23,8 @@ from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhaus
 from .fragility import median
 from .net import Checkpoint, NetSpec, _class_argmax, forward_batch, init_checkpoint, \
     predict
-from .rng import Rng, child_seeds, states_from_seeds
-from .workers import forked_pool
-from . import rng as _rng_mod
+from .rng import Rng, child_seeds, gaussian_rows, states_from_seeds
+from .workers import ordered_map
 
 _WILSON_Z = 1.96
 _MASS_SHARD = 4096  # draws per shard of the mass estimate
@@ -111,15 +110,9 @@ def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
     so draw k can be re-materialized with spawn_index(k).
     """
     _require_plain(spec)
-    sizes, stds, shapes = _layer_plan(spec)
-    K = len(seeds)
     states = states_from_seeds(seeds)
-    weights = []
-    for size, std, shape in zip(sizes, stds, shapes):
-        cols = 2 * ((size + 1) // 2)
-        u = np.empty((K, cols), dtype=np.uint64)
-        _rng_mod._kernels.fill_u64_multi(states, u)
-        weights.append((_rng_mod._box_muller(u)[:, :size] * std).reshape((K,) + shape))
+    weights = [(gaussian_rows(states, size) * std).reshape((len(seeds),) + shape)
+               for size, std, shape in zip(*_layer_plan(spec))]
     if spec.frozen_readout:
         if fixed_readout is None:
             raise ConfigError("frozen readout weights required")
@@ -138,32 +131,29 @@ def draw_checkpoint(spec: NetSpec, seed: int, index: int,
     return ck
 
 
-def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, lo: int,
-                hi: int, readout) -> int:
-    """Exact-fit draws among draws lo..hi-1 (one shard, in-process or in a worker)."""
-    preds = prior_predictions(spec, X, child_seeds(seed, lo, hi), readout)
+def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, readout,
+                draws: int, shard_size: int, lo: int) -> int:
+    """Exact-fit draws among the shard of draws from lo (in-process or in a worker)."""
+    seeds = child_seeds(seed, lo, min(lo + shard_size, draws))
+    preds = prior_predictions(spec, X, seeds, readout)
     return int((preds == y[None, :]).all(axis=1).sum())
 
 
 def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
                               fixed_readout=None,
-                              shard_size: int = _MASS_SHARD,
-                              pool=None) -> ConsistencyEstimate:
+                              shard_size: int = _MASS_SHARD) -> ConsistencyEstimate:
     """Hit fraction of exact-interpolation prior draws, with a Wilson interval.
 
-    The shards run on `pool` when one is given (see `workers.forked_pool`),
-    otherwise on a pool opened and closed by this call; the result does not
-    depend on it.
+    The shards run on worker processes, one per CPU up to one per shard (see
+    workers.ordered_map); the result does not depend on where they run.
     """
     _check_sampler(spec, ds, "consistency mass estimation", draws, "draw",
                    shard_size)
     ro = _resolve_fixed_readout(spec, seed, fixed_readout)
-    shards = [(spec, ds.features, ds.labels, seed, lo, min(lo + shard_size, draws), ro)
-              for lo in range(0, draws, shard_size)]
-    opened = forked_pool(len(shards)) if pool is None else contextlib.nullcontext(pool)
-    with opened as workers:
-        run = itertools.starmap if workers is None else workers.starmap
-        hits = sum(run(_shard_hits, shards))
+    shared = (spec, ds.features, ds.labels, seed, ro, draws, shard_size)
+    starts = range(0, draws, shard_size)
+    with ordered_map(_shard_hits, shared, starts, len(starts)) as shard_hits:
+        hits = sum(shard_hits)
     est = ConsistencyEstimate(
         hits=hits,
         draws=draws,
@@ -255,66 +245,73 @@ class EvidenceTask:
     max_attempts: int = 200000
 
     def __post_init__(self):
-        for name in ("repetitions", "draws", "max_attempts", "n_heldout"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"evidence task {name} must be >= 1, "
+        for name, least in (("repetitions", 1), ("draws", 1), ("max_attempts", 1),
+                            ("n_heldout", 1), ("n_train", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"evidence task {name} must be >= {least}, "
                                   f"got {getattr(self, name)}")
+        for name in ("delta_conf", "gamma_conf"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(f"evidence task {name} must be in (0, 1], "
+                                  f"got {getattr(self, name)}")
+        for p in self.corruptions:
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"evidence task corruptions must lie in [0, 1], "
+                                  f"got {p}")
+
+
+def _repetition(spec: NetSpec, task: EvidenceTask, seed: int, job) -> dict:
+    """The row of one (corruption, repetition): fresh data, mass estimate, bound,
+    posterior sample and its true error."""
+    p, rep = job
+    rs = Rng(seed).spawn_key(f"rep={rep}|p={p!r}")
+    full = synth_blobs(task.n_train + task.n_heldout, task.dim, task.num_classes,
+                       task.separation, seed=rs.spawn_key("data").next_u64())
+    train, heldout = split_train_test(full, task.n_train,
+                                      seed=rs.spawn_key("split").next_u64())
+    if p > 0:
+        train = corrupt_labels(train, p, seed=rs.spawn_key("corrupt").next_u64())
+    est = estimate_consistency_mass(spec, train, task.draws,
+                                    seed=rs.spawn_key("mc").next_u64())
+    row = {
+        "rep": rep, "corruption": p, "hits": est.hits, "draws": est.draws,
+        "p_hat": est.p_hat, "bound": None, "sample_error": None,
+        "violation": None, "status": "ok",
+    }
+    if est.p_hat is None:
+        row["status"] = "zero_hits"
+        return row
+    bound = ml_pacbayes_bound(BoundInput(task.n_train, est.p_hat, task.delta_conf,
+                                         task.gamma_conf))
+    row["bound"] = bound.epsilon_bound
+    try:
+        ck, attempts = gibbs_sample_consistent(
+            spec, train, task.max_attempts, seed=rs.spawn_key("posterior").next_u64())
+    except RejectionExhausted:
+        row["status"] = "rejection_exhausted"
+        return row
+    err = float((predict(spec, ck, heldout.features) != heldout.labels).mean())
+    row["sample_error"] = err
+    row["violation"] = bool(err > bound.epsilon_bound)
+    row["attempts"] = attempts
+    return row
 
 
 def bound_vs_error_experiment(spec: NetSpec, task: EvidenceTask, seed: int) -> dict:
     """Fresh data per repetition: estimate mass, bound, posterior sample, true error.
 
     Per-repetition failures (zero hits, rejection exhausted) are recorded and
-    skipped in the violation count, never fatal. One worker pool serves the mass
-    estimates of every repetition.
+    skipped in the violation count, never fatal. The repetitions run on worker
+    processes, one per CPU up to one per repetition (see workers.ordered_map),
+    each with its rejection sampling; the rows come back in task order.
     """
     if task.dim != spec.layer_dims[0]:
         raise ConfigError(
             f"evidence task dim {task.dim} does not match the net's input width "
             f"{spec.layer_dims[0]}")
-    rows = []
-    root = Rng(seed)
-    with forked_pool(-(-task.draws // _MASS_SHARD)) as pool:
-        for p in task.corruptions:
-            for rep in range(task.repetitions):
-                rs = root.spawn_key(f"rep={rep}|p={p!r}")
-                full = synth_blobs(task.n_train + task.n_heldout, task.dim,
-                                   task.num_classes, task.separation,
-                                   seed=rs.spawn_key("data").next_u64())
-                train, heldout = split_train_test(full, task.n_train,
-                                                  seed=rs.spawn_key("split").next_u64())
-                if p > 0:
-                    train = corrupt_labels(train, p,
-                                           seed=rs.spawn_key("corrupt").next_u64())
-                est = estimate_consistency_mass(spec, train, task.draws,
-                                                seed=rs.spawn_key("mc").next_u64(),
-                                                pool=pool)
-                row = {
-                    "rep": rep, "corruption": p, "hits": est.hits, "draws": est.draws,
-                    "p_hat": est.p_hat, "bound": None, "sample_error": None,
-                    "violation": None, "status": "ok",
-                }
-                if est.p_hat is None:
-                    row["status"] = "zero_hits"
-                    rows.append(row)
-                    continue
-                bound = ml_pacbayes_bound(BoundInput(task.n_train, est.p_hat,
-                                                     task.delta_conf, task.gamma_conf))
-                row["bound"] = bound.epsilon_bound
-                try:
-                    ck, attempts = gibbs_sample_consistent(
-                        spec, train, task.max_attempts,
-                        seed=rs.spawn_key("posterior").next_u64())
-                except RejectionExhausted:
-                    row["status"] = "rejection_exhausted"
-                    rows.append(row)
-                    continue
-                err = float(
-                    (predict(spec, ck, heldout.features) != heldout.labels).mean())
-                row["sample_error"] = err
-                row["violation"] = bool(err > bound.epsilon_bound)
-                row["attempts"] = attempts
-                rows.append(row)
+    jobs = [(p, rep) for p in task.corruptions for rep in range(task.repetitions)]
+    with ordered_map(_repetition, (spec, task, seed), jobs, len(jobs)) as rows:
+        rows = list(rows)
     evaluated = [r for r in rows if r["violation"] is not None]
     violations = sum(1 for r in evaluated if r["violation"])
     medians = {}

@@ -118,13 +118,20 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return u.view(np.float64)
 
 
-def gaussian_matrix(seeds: np.ndarray, m: int) -> np.ndarray:
-    """One gaussian row per seed, m variates each; bit-equal to the scalar path."""
-    cols = 2 * ((m + 1) // 2)
-    states = states_from_seeds(seeds)
-    u = np.empty((len(seeds), cols), dtype=np.uint64)
+def gaussian_rows(states: np.ndarray, m: int) -> np.ndarray:
+    """m gaussian variates from each stream of states (K, 4), which advance in place.
+
+    Row k takes the next 2*ceil(m/2) words of stream k, so successive calls on
+    the same states continue every stream as the scalar path would.
+    """
+    u = np.empty((len(states), 2 * ((m + 1) // 2)), dtype=np.uint64)
     _kernels.fill_u64_multi(states, u)
     return _box_muller(u)[:, :m]
+
+
+def gaussian_matrix(seeds: np.ndarray, m: int) -> np.ndarray:
+    """One gaussian row per seed, m variates each; bit-equal to the scalar path."""
+    return gaussian_rows(states_from_seeds(seeds), m)
 
 
 class Rng:

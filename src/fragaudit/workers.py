@@ -1,5 +1,5 @@
-"""Forked worker pools, shared by the sweep, the measure stage, the
-evidence mass estimate and the exppp alphas.
+"""The one forked worker pool, shared by the sweep, the measure stage, the
+evidence experiment and mass estimate, and the exppp alphas.
 
 Every caller maps a pure function over independent tasks and consumes the
 results in task order, so where a task runs never changes an output.
@@ -20,38 +20,43 @@ def cpu_count() -> int:
 
 
 @contextlib.contextmanager
-def forked_pool(limit: int, initializer=None, initargs=()):
-    """A forked pool of min(limit, CPUs) workers, or None to run in-process.
+def ordered_map(fn, shared, tasks, limit: int):
+    """An iterator of fn(*shared, task) for each task, in task order.
 
-    Fork is used because a worker then needs no fresh interpreter or imports,
-    and inherits initargs instead of receiving them pickled. It is skipped
-    below two workers, where the platform lacks it, and while another thread
-    runs, which could hold a lock across the fork. The pool is terminated and
-    joined before the block exits, on errors too.
+    The tasks run on a forked pool of min(limit, CPUs) workers, which inherit
+    shared through the pool initializer, so only a task and its result are
+    pickled. Fork is used because a worker then needs no fresh interpreter or
+    imports. The tasks run in-process, as the iterator is read, below two
+    workers, where the platform lacks fork, while another thread runs (it
+    could hold a lock across the fork), and inside a pool worker, which may
+    not have children. An exception raised by task i is raised, with its
+    type, when result i is read. The pool is terminated and joined before the
+    block exits, on errors too.
     """
     workers = min(limit, cpu_count())
-    if workers < 2 or threading.active_count() > 1:
-        yield None
-        return
-    import multiprocessing  # only here: the import costs 20-50 ms
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield None
-        return
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker,
-                                                    (initializer, initargs))
-    try:
-        yield pool
-    finally:
-        pool.terminate()
-        pool.join()
+    # _bound is set only in a pool worker
+    if _bound is None and workers >= 2 and threading.active_count() == 1:
+        import multiprocessing  # only here: the import costs 20-50 ms
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers, _start_worker,
+                                                            (fn, shared))
+            try:
+                yield pool.imap(_call_bound, tasks)
+            finally:
+                pool.terminate()
+                pool.join()
+            return
+    yield map(functools.partial(fn, *shared), tasks)
 
 
 # glibc's mallopt parameters
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
+_bound = None  # in a pool worker: the mapped function bound to its shared arguments
 
-def _start_worker(initializer, initargs) -> None:
-    """Pool initializer: fix the worker's malloc thresholds, then run initializer.
+
+def _start_worker(fn, shared) -> None:
+    """Pool initializer: fix the worker's malloc thresholds, then bind fn to shared.
 
     glibc maps a block at or above its mmap threshold afresh on every
     allocation and returns free memory at the top of its heap to the OS past
@@ -62,6 +67,7 @@ def _start_worker(initializer, initargs) -> None:
     32 MiB from the heap and keep freed memory there for the worker's life,
     which ends with its pool. Without glibc's mallopt nothing is set.
     """
+    global _bound
     import ctypes  # numpy has already imported it
 
     try:
@@ -72,32 +78,6 @@ def _start_worker(initializer, initargs) -> None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-    if initializer is not None:
-        initializer(*initargs)
-
-
-@contextlib.contextmanager
-def ordered_map(fn, shared, tasks, limit: int):
-    """An iterator of fn(*shared, task) for each task, in task order.
-
-    The tasks run on forked_pool(limit), whose workers inherit shared through
-    the pool initializer, so only a task and its result are pickled; without a
-    pool they run in-process as the iterator is read. An exception raised by
-    task i is raised, with its type, when result i is read.
-    """
-    with forked_pool(limit, _bind, (fn, shared)) as pool:
-        if pool is None:
-            yield map(functools.partial(fn, *shared), tasks)
-        else:
-            yield pool.imap(_call_bound, tasks)
-
-
-_bound = None  # in a worker: the mapped function bound to its shared arguments
-
-
-def _bind(fn, shared) -> None:
-    """Pool initializer: bind the shared arguments in the worker."""
-    global _bound
     _bound = functools.partial(fn, *shared)
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from fragaudit import workers as workers_mod
+from fragaudit import evidence as ev, workers as workers_mod
 from fragaudit.cli import main
 from fragaudit.measures import MeasureConfig, compute_all
 from fragaudit.persist import json_ready, read_jsonl
@@ -436,6 +436,48 @@ def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
         shutil.rmtree(rdir)
     assert pools_made == [2]
     assert reports[0] == reports[1]
+
+
+def test_evidence_experiment_is_byte_identical_at_1_2_and_3_workers(tmp_path, monkeypatch,
+                                                                    pools_made):
+    # 8 repetitions, more than the workers; each maps a mass estimate of 2 shards
+    cfg = base_config(tmp_path)
+    cfg["evidence"].update(repetitions=4, corruptions=[0.0, 0.25], draws=5000)
+    cp = write_config(tmp_path, cfg)
+    rdir = tmp_path / "out" / "reports" / "evidence"
+    reports = []
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        assert main(["evidence", "--config", cp, "--mode", "experiment"]) == 0
+        assert multiprocessing.active_children() == []
+        reports.append({p.name: p.read_bytes() for p in sorted(rdir.iterdir())})
+        shutil.rmtree(rdir)
+    assert pools_made == [2, 3]
+    assert sorted(reports[0]) == ["experiment.csv", "experiment.json"]
+    assert reports[0] == reports[1] == reports[2]
+    rows = json.loads(reports[0]["experiment.json"])["rows"]
+    assert [(r["corruption"], r["rep"]) for r in rows] == \
+        [(p, rep) for p in (0.0, 0.25) for rep in range(4)]
+
+
+@pytest.mark.parametrize("mode", ["bound", "experiment"])
+@pytest.mark.parametrize("key, value", [("delta", 0), ("gamma", 1.5), ("n_train", 1),
+                                        ("corruptions", [2.0]),
+                                        ("corruptions", [0.0, -0.25])])
+def test_evidence_settings_out_of_range_exit_2_before_any_draw(tmp_path, capsys,
+                                                              monkeypatch, mode, key,
+                                                              value):
+    def no_draw(*args):
+        raise AssertionError("a prior draw was made")
+
+    monkeypatch.setattr(ev, "prior_predictions", no_draw)
+    cfg = base_config(tmp_path)
+    cfg["evidence"][key] = value
+    cp = write_config(tmp_path, cfg)
+    assert main(["evidence", "--config", cp, "--mode", mode]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not (tmp_path / "out" / "reports" / "evidence").exists()
 
 
 def test_evidence_summary_lines_match_their_reports(tmp_path, capsys):

@@ -317,6 +317,26 @@ def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_ma
     assert multiprocessing.active_children() == []
 
 
+def test_repetition_error_in_a_worker_reaches_the_parent_with_its_type(monkeypatch,
+                                                                      pools_made):
+    parent = os.getpid()
+    real = evidence.gibbs_sample_consistent
+
+    def fail_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise InvalidDataset("raised in a repetition's worker")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evidence, "gibbs_sample_consistent", fail_in_worker)
+    _workers(monkeypatch, 2)
+    task = EvidenceTask(n_train=8, n_heldout=50, draws=3000, repetitions=3,
+                        max_attempts=20000)
+    with pytest.raises(InvalidDataset, match="raised in a repetition's worker"):
+        bound_vs_error_experiment(NetSpec((2, 4, 2)), task, seed=14)
+    assert pools_made == [2]
+    assert multiprocessing.active_children() == []
+
+
 def test_package_import_leaves_multiprocessing_unloaded(tmp_path):
     # a two-stack sweep with --jobs 1 trains in-process and loads no pool either
     cfg = {"out_dir": str(tmp_path / "out"), "net": {"layer_dims": [2, 4, 2]},

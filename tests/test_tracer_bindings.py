@@ -34,7 +34,10 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         assert {("fragaudit.optim", "train"), ("fragaudit.optim", "sgdm_step"),
                 ("fragaudit.optim", "evaluate_wb"), ("fragaudit.net", "backward_batch"),
                 ("fragaudit.exppp", "backward_batch"),
-                ("fragaudit.measures", "forward_batch")} <= wrapped
+                ("fragaudit.measures", "forward_batch"),
+                ("fragaudit.evidence", "estimate_consistency_mass"),
+                ("fragaudit.evidence", "gibbs_sample_consistent"),
+                ("fragaudit.evidence", "synth_blobs")} <= wrapped
     finally:
         tracer.uninstall()
     after = _bindings()

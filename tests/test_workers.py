@@ -1,9 +1,12 @@
-"""The forked worker pool: every worker runs with fixed malloc thresholds."""
+"""The forked worker pool: every worker runs with fixed malloc thresholds, a map
+inside a worker runs in-process, and ordered_map is the pool's only entry."""
 
+import ast
 import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +50,62 @@ def test_a_worker_without_mallopt_still_runs_the_initializer(monkeypatch):
         raise OSError("no C library")
 
     monkeypatch.setattr(ctypes, "CDLL", no_libc)
-    seen = []
-    workers._start_worker(seen.append, ("bound",))
-    assert seen == ["bound"]
+    monkeypatch.setattr(workers, "_bound", None)  # this process is no worker after the test
+    workers._start_worker(divmod, (17,))
+    assert workers._call_bound(5) == (3, 2)
+
+
+def _pid_square(x):
+    return os.getpid(), x * x
+
+
+def _squares(n):
+    """A map of n tasks made inside a task; its results, tagged with process ids."""
+    with workers.ordered_map(_pid_square, (), range(n), n) as inner:
+        return os.getpid(), list(inner)
+
+
+def test_a_map_inside_a_worker_runs_in_process(monkeypatch, pools_made):
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    with workers.ordered_map(_squares, (), [2, 3, 4], 3) as results:
+        pooled = list(results)
+    assert pools_made == [2]
+    for pid, inner in pooled:
+        assert pid != os.getpid() and {p for p, _ in inner} == {pid}
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+    with workers.ordered_map(_squares, (), [2, 3, 4], 3) as results:
+        direct = list(results)
+    assert pools_made == [2]
+    squares = [[x for _, x in inner] for _, inner in direct]
+    assert [[x for _, x in inner] for _, inner in pooled] == squares
+    assert squares == [[0, 1], [0, 1, 4], [0, 1, 4, 9]]
+
+
+def _imports(path):
+    """(module, name) per imported name in path: name is None for `import module`,
+    and `from . import m` gives ('.m', None)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if module.lstrip(".") in ("", "fragaudit"):
+                    yield f".{alias.name}", None
+                else:
+                    yield module, alias.name
+
+
+def test_ordered_map_is_the_only_way_into_the_pool():
+    # a second pool API, or a caller reaching past ordered_map, fails here
+    src = Path(workers.__file__).parent
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for module, name in _imports(path):
+            if module.split(".")[0] == "multiprocessing":
+                assert path.name == "workers.py", (path.name, module)
+            if module.rsplit(".", 1)[-1] == "workers":
+                assert name == "ordered_map", (path.name, module, name)
+                users.add(path.stem)
+    assert ("multiprocessing", None) in set(_imports(src / "workers.py"))
+    assert {"cli", "evidence", "optim"} <= users
