@@ -575,6 +575,9 @@ def cmd_evidence(cfg, out, args):
     rdir.mkdir(parents=True, exist_ok=True)
     if args.mode == "bound":
         train_ds, _ = _build_data(cfg)
+        if train_ds.n < 2:  # checked before the first draw
+            raise ConfigError(f"config key data.split.n_train must give the bound >= 2 "
+                              f"training points, got {train_ds.n}")
         est = ev.estimate_consistency_mass(spec, train_ds, e["draws"], e["seed"])
         report = {
             "hits": est.hits, "draws": est.draws, "p_hat": est.p_hat,

@@ -43,12 +43,11 @@ MEASURE_NAMES = (
     "PACBAYES_MAG_FLATNESS",
 )
 
-_MARGIN_MEASURES = frozenset(
-    n for n in MEASURE_NAMES if n.endswith("_OVER_MARGIN")
-) | {"INVERSE_MARGIN", "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN"}
-_SIGMA_MEASURES = frozenset({"PACBAYES_ORIG", "PACBAYES_INIT", "PACBAYES_FLATNESS"})
-_SIGMA0_MEASURES = frozenset({"PACBAYES_MAG_ORIG", "PACBAYES_MAG_INIT",
-                              "PACBAYES_MAG_FLATNESS"})
+# each *_OVER_MARGIN name -> the measure it divides by the margin
+_OVER_MARGIN = {n: n.removesuffix("_OVER_MARGIN") for n in MEASURE_NAMES
+                if n.endswith("_OVER_MARGIN")}
+_MARGIN_MEASURES = frozenset(_OVER_MARGIN) | {"INVERSE_MARGIN", "SPEC_ORIG_MAIN",
+                                              "SPEC_INIT_MAIN"}
 
 _SPECTRAL_START_SEED = 0x5EED5EED5EED5EED
 
@@ -347,114 +346,104 @@ def pacbayes_measures(w: np.ndarray, w0: np.ndarray, n: int, sigma=None,
     return out
 
 
+def _spectral(spec, ckpt, dataset, cfg, gamma, noise, diagnostics):
+    values, diagnostics["spectral_residuals"] = spectral_measures(
+        spec, ckpt, dataset.n, gamma, cfg.spectral_tol, cfg.spectral_max_iters)
+    return values
+
+
+def _pacbayes(spec, ckpt, dataset, cfg, gamma, noise, diagnostics,
+              magnitude_aware=False):
+    """One sigma search, then the PAC-Bayes measures of its radius."""
+    key = "sigma0" if magnitude_aware else "sigma"
+    res = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=magnitude_aware,
+                       draws=None if noise is None else noise[int(magnitude_aware)])
+    diagnostics[key], diagnostics[f"{key}_converged"] = res.sigma, res.converged
+    w = flatten_params(spec, ckpt.weights, ckpt.biases)
+    w0 = flatten_params(spec, ckpt.init_weights, ckpt.init_biases)
+    return pacbayes_measures(w, w0, dataset.n, delta=cfg.delta, kappa=cfg.kappa,
+                             **{key: res.sigma})
+
+
+# The measure families: the names each computes and its
+# run(spec, ckpt, dataset, cfg, gamma, noise, diagnostics) -> values, gamma the
+# margin if positive, else None. A run calls the measure functions through this
+# module's globals when it runs, so a binding patched here is the one called.
+_FAMILIES = (
+    (("PARAMS",), lambda spec, ckpt, ds, *_: {"PARAMS": vc_params_proxy(spec, ds.n)}),
+    (("FRO_DIST", "PARAM_NORM", "SUM_OF_FRO", "PROD_OF_FRO"),
+     lambda spec, ckpt, ds, *_: frobenius_measures(spec, ckpt, ds.n)),
+    (("SUM_OF_SPEC", "PROD_OF_SPEC", "DIST_SPEC_INIT", "FRO_OVER_SPEC",
+      "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN"), _spectral),
+    (("PATH_NORM",),
+     lambda spec, ckpt, ds, *_: {"PATH_NORM": path_norm(spec, ckpt, ds.n)}),
+    (("PACBAYES_ORIG", "PACBAYES_INIT", "PACBAYES_FLATNESS"), _pacbayes),
+    (("PACBAYES_MAG_ORIG", "PACBAYES_MAG_INIT", "PACBAYES_MAG_FLATNESS"),
+     functools.partial(_pacbayes, magnitude_aware=True)),
+)
+_FAMILY_OF = {name: i for i, (names, _) in enumerate(_FAMILIES) for name in names}
+
+
 def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = None,
                 include=(), noise=None) -> MeasureSet:
-    """Attempt every measure; per-measure failures are tagged, never fatal.
+    """The measures named in include (default: all); failures are tagged, never fatal.
+
+    The margins are always computed. A measure family runs only if a wanted
+    name needs it: one of its own, or an *_OVER_MARGIN name built on one of
+    them. A family that raises a toolkit error fails all its names. The first
+    of these rules that holds decides each wanted name:
+    1. it depends on the margin, and the margin is <= 0 or NaN: MarginNotPositive;
+    2. its family (for an *_OVER_MARGIN name, its base measure's) failed: the
+       type of that error;
+    3. it depends on the margin, and margins raised: the type of that error;
+    4. otherwise its value goes through MeasureSet.record.
 
     noise, if given, is the run's (plain, magnitude-aware) pair of sigma-search
-    noise rows from sigma_noise. A dataset whose labels do not fit the net's
-    outputs raises ConfigError.
+    noise rows from sigma_noise. Only a ConfigError (such as a dataset whose
+    labels do not fit the net's outputs) or a programming error raises.
     """
     cfg = cfg or MeasureConfig()
     if int(dataset.labels.max(initial=0)) >= spec.layer_dims[-1]:
         raise ConfigError(f"label {int(dataset.labels.max())} does not fit the net's "
                           f"{spec.layer_dims[-1]} outputs")
-    wanted = set(include or MEASURE_NAMES)
+    wanted = [name for name in MEASURE_NAMES if name in include] if include \
+        else MEASURE_NAMES
     ms = MeasureSet()
-    n = dataset.n
-
-    gamma = None
+    gamma = margin_error = None
     try:
-        stats = margins(spec, ckpt, dataset.features, dataset.labels,
-                        cfg.margin_percentile, dataset.num_classes)
-        gamma = stats.margin_gamma
+        gamma = margins(spec, ckpt, dataset.features, dataset.labels,
+                        cfg.margin_percentile, dataset.num_classes).margin_gamma
         ms.diagnostics["margin_gamma"] = gamma
     except FragAuditError as exc:
-        for name in _MARGIN_MEASURES & wanted:
-            ms.errors[name] = type(exc).__name__
+        margin_error = type(exc).__name__
+    positive_gamma = gamma if gamma is not None and gamma > 0 else None
 
-    if "PARAMS" in wanted:
-        ms.record("PARAMS", vc_params_proxy(spec, n))
+    needed = {_FAMILY_OF.get(_OVER_MARGIN.get(name, name)) for name in wanted}
+    values, failed = {}, {}
+    for i, (names, run) in enumerate(_FAMILIES):
+        if i in needed:
+            try:
+                values.update(run(spec, ckpt, dataset, cfg, positive_gamma, noise,
+                                  ms.diagnostics))
+            except ConfigError:
+                raise
+            except FragAuditError as exc:
+                failed.update(dict.fromkeys(names, type(exc).__name__))
 
-    fro = frobenius_measures(spec, ckpt, n)
-    for name in ("FRO_DIST", "PARAM_NORM", "SUM_OF_FRO", "PROD_OF_FRO"):
-        if name in wanted:
-            ms.record(name, fro[name])
-
-    if wanted & {"SUM_OF_SPEC", "PROD_OF_SPEC", "DIST_SPEC_INIT", "FRO_OVER_SPEC",
-                 "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN", "SUM_OF_SPEC_OVER_MARGIN",
-                 "PROD_OF_SPEC_OVER_MARGIN"}:
-        try:
-            spec_vals, residuals = spectral_measures(
-                spec, ckpt, n, gamma if (gamma is not None and gamma > 0) else None,
-                cfg.spectral_tol, cfg.spectral_max_iters)
-            ms.diagnostics["spectral_residuals"] = residuals
-            for name, value in spec_vals.items():
-                if name in wanted:
-                    ms.record(name, value)
-        except DegenerateLayer:
-            for name in ("SUM_OF_SPEC", "PROD_OF_SPEC", "DIST_SPEC_INIT",
-                         "FRO_OVER_SPEC", "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN",
-                         "SUM_OF_SPEC_OVER_MARGIN", "PROD_OF_SPEC_OVER_MARGIN"):
-                if name in wanted:
-                    ms.errors[name] = "DegenerateLayer"
-            spec_vals = {}
-    else:
-        spec_vals = {}
-
-    if wanted & {"PATH_NORM", "PATH_NORM_OVER_MARGIN"}:
-        pn = path_norm(spec, ckpt, n)
-        if "PATH_NORM" in wanted:
-            ms.record("PATH_NORM", pn)
-    else:
-        pn = None
-
-    if gamma is not None and gamma > 0:
-        if "INVERSE_MARGIN" in wanted:
-            ms.record("INVERSE_MARGIN", inverse_margin(gamma, n))
-        base_over_margin = {
-            "SUM_OF_FRO_OVER_MARGIN": fro["SUM_OF_FRO"],
-            "PROD_OF_FRO_OVER_MARGIN": fro["PROD_OF_FRO"],
-            "SUM_OF_SPEC_OVER_MARGIN": spec_vals.get("SUM_OF_SPEC"),
-            "PROD_OF_SPEC_OVER_MARGIN": spec_vals.get("PROD_OF_SPEC"),
-            "PATH_NORM_OVER_MARGIN": pn,
-        }
-        for name, base in base_over_margin.items():
-            if name in wanted and base is not None:
-                ms.record(name, base / gamma)
-    elif gamma is not None:
-        for name in _MARGIN_MEASURES & wanted:
+    for name in wanted:
+        base = _OVER_MARGIN.get(name, name)
+        if name in _MARGIN_MEASURES and gamma is not None and not gamma > 0:
             ms.errors[name] = "MarginNotPositive"
-
-    w = flatten_params(spec, ckpt.weights, ckpt.biases)
-    w0 = flatten_params(spec, ckpt.init_weights, ckpt.init_biases)
-    sigma = sigma0 = None
-    plain_rows, mag_rows = noise if noise is not None else (None, None)
-    if wanted & _SIGMA_MEASURES:
-        try:
-            res = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=False,
-                               draws=plain_rows)
-            sigma = res.sigma
-            ms.diagnostics["sigma"] = res.sigma
-            ms.diagnostics["sigma_converged"] = res.converged
-        except SigmaSearchFailed:
-            for name in _SIGMA_MEASURES & wanted:
-                ms.errors[name] = "SigmaSearchFailed"
-    if wanted & _SIGMA0_MEASURES:
-        try:
-            res0 = sigma_search(spec, ckpt, dataset, cfg, magnitude_aware=True,
-                                draws=mag_rows)
-            sigma0 = res0.sigma
-            ms.diagnostics["sigma0"] = res0.sigma
-            ms.diagnostics["sigma0_converged"] = res0.converged
-        except SigmaSearchFailed:
-            for name in _SIGMA0_MEASURES & wanted:
-                ms.errors[name] = "SigmaSearchFailed"
-    if sigma is not None or sigma0 is not None:
-        for name, value in pacbayes_measures(w, w0, n, sigma, sigma0, cfg.delta,
-                                             cfg.kappa).items():
-            if name in wanted:
-                ms.record(name, value)
+        elif base in failed:
+            ms.errors[name] = failed[base]
+        elif name in _MARGIN_MEASURES and margin_error is not None:
+            ms.errors[name] = margin_error
+        elif name == "INVERSE_MARGIN":
+            ms.record(name, inverse_margin(gamma, dataset.n))
+        elif name in _OVER_MARGIN:
+            ms.record(name, values[base] / gamma)
+        else:
+            ms.record(name, values[name])
     ms.diagnostics["delta"] = cfg.delta
     return ms
 

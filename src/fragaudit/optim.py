@@ -341,16 +341,10 @@ def _run_loop(spec, runs, ds_train, ds_test, trace_measures=(), measure_config=N
             run, theta = runs[i], stack.state.theta_curr[row]
             H, epoch = run.H, run.start_epoch + e
             snapshot = None
-            if trace_measures:
-                try:
-                    snapshot = measures_mod.compute_selected(
-                        spec, _as_ckpt(spec, run.ckpt0, theta, epoch, run.run_id),
-                        ds_train, trace_measures, measure_config)
-                except ConfigError:
-                    raise
-                except FragAuditError as exc:
-                    results[i] = exc
-                    continue
+            if trace_measures:  # a failed measure is None in the snapshot
+                snapshot = measures_mod.compute_selected(
+                    spec, _as_ckpt(spec, run.ckpt0, theta, epoch, run.run_id),
+                    ds_train, trace_measures, measure_config)
             run.trace.append(epoch, acc[row], ce[row], 1.0 - test_acc[row], snapshot)
             if want_interp_snapshot and run.interp is None and acc[row] == 1.0:
                 run.interp = _as_ckpt(spec, run.ckpt0, theta, epoch, run.run_id)

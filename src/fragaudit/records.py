@@ -2,7 +2,7 @@
 persists, the audit scores and the temporal reports read.
 """
 
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -90,28 +90,10 @@ class RunRecord:
                 self.max_epochs, self.n_train)
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "group": self.group,
-            "dataset": self.dataset,
-            "arch": self.arch,
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "stop_rule": self.stop_rule,
-            "n_train": self.n_train,
-            "seed": self.seed,
-            "test_error": self.test_error,
-            "measures": dict(sorted(self.measures.items())),
-            "t_int": self.t_int,
-            "parent_run_id": self.parent_run_id,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "stop_threshold": self.stop_threshold,
-            "max_epochs": self.max_epochs,
-            "status": self.status,
-            "measure_errors": dict(sorted(self.measure_errors.items())),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["measures"] = dict(sorted(self.measures.items()))
+        d["measure_errors"] = dict(sorted(self.measure_errors.items()))
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
@@ -119,12 +101,11 @@ class RunRecord:
         object, or that lacks a field without a default, raises FormatError."""
         if type(d) is not dict:
             raise FormatError(f"a run record must be an object, got {d!r}")
-        fields = cls.__dataclass_fields__.values()
-        missing = [f.name for f in fields if f.name not in d
+        missing = [f.name for f in fields(cls) if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise FormatError(f"not a run record: missing {', '.join(missing)}")
-        return cls(**{f.name: d[f.name] for f in fields if f.name in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass

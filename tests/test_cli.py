@@ -5,6 +5,7 @@ import multiprocessing
 import shutil
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fragaudit import evidence as ev, workers as workers_mod
@@ -519,6 +520,21 @@ def test_evidence_experiment_sizes_below_one_exit_2(tmp_path, capsys, key):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and key in err["message"]
     assert not (tmp_path / "out" / "reports" / "evidence" / "experiment.json").exists()
+
+
+def test_evidence_bound_checks_the_training_size_before_any_draw(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the mass estimate ran")
+
+    monkeypatch.setattr(ev, "estimate_consistency_mass", no_draws)
+    cfg = base_config(tmp_path)
+    cfg["data"]["split"] = {"n_train": 1, "seed": 12}
+    cp = write_config(tmp_path, cfg)
+    assert main(["evidence", "--config", cp, "--mode", "bound"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "data.split.n_train" in err["message"]
+    assert not (tmp_path / "out" / "reports" / "evidence" / "bound.json").exists()
 
 
 def test_transform_command(tmp_path):
@@ -1351,6 +1367,31 @@ def test_measure_of_one_block_forks_nothing(tmp_path, monkeypatch, pools_made):
     assert main(["sweep", "--config", cp]) == 0
     assert main(["measure", "--config", cp]) == 0
     assert pools_made == []
+
+
+def test_measure_tags_an_undefined_path_norm_and_goes_on(tmp_path, capsys):
+    from fragaudit.net import load_checkpoint, save_checkpoint
+
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(lrs=[0.1], seeds=[0], max_epochs=5)
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    (ckpt_path,) = (tmp_path / "out" / "runs").rglob("ckpt.bin")
+    spec, ckpt = load_checkpoint(ckpt_path)
+    # the squared-weight pass meets 0 * inf: its logit sum is NaN
+    ckpt.weights[0][1, 0] = 1e200
+    ckpt.weights[1][:, 1] = 0.0
+    save_checkpoint(ckpt_path, spec, ckpt)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["measure", "--config", cp]) == 0
+    path = tmp_path / "out" / "records.jsonl"
+    (record,) = read_jsonl(path)
+    assert record["measure_errors"]["PATH_NORM"] == "PathNormUndefined"
+    errors = Counter(record["measure_errors"].values())
+    assert capsys.readouterr().out == (
+        "measured 1 of 1 runs (skipped: none; measure errors: "
+        f"{', '.join(f'{errors[k]} {k}' for k in sorted(errors))}) -> {path}\n")
 
 
 def test_measure_summary_counts_runs_skipped_by_status_and_errors_by_tag(

@@ -587,3 +587,138 @@ def test_compute_all_propagates_margin_programming_errors(monkeypatch):
     spec = NetSpec((2, 4, 2))
     with pytest.raises(TypeError, match="injected bug"):
         compute_all(spec, random_ckpt(spec), ds, MeasureConfig(sigma_mc_draws=2))
+
+
+def test_compute_all_propagates_a_family_config_error(monkeypatch):
+    def misconfigured(*args, **kwargs):
+        raise ConfigError("injected")
+
+    monkeypatch.setattr(measures_mod, "path_norm", misconfigured)
+    ds = synth_blobs(30, 2, 2, 6.0, 5)
+    spec = NetSpec((2, 4, 2))
+    with pytest.raises(ConfigError, match="injected"):
+        compute_all(spec, random_ckpt(spec), ds, MeasureConfig(sigma_mc_draws=2),
+                    include=("PATH_NORM_OVER_MARGIN",))
+
+
+# --- compute_all's tagging rule, against the rule written out -------------------
+
+_FAMILY_NAMES = {
+    "params": ("PARAMS",),
+    "frobenius": ("FRO_DIST", "PARAM_NORM", "SUM_OF_FRO", "PROD_OF_FRO"),
+    "spectral": ("SUM_OF_SPEC", "PROD_OF_SPEC", "DIST_SPEC_INIT", "FRO_OVER_SPEC",
+                 "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN"),
+    "path": ("PATH_NORM",),
+    "sigma": ("PACBAYES_ORIG", "PACBAYES_INIT", "PACBAYES_FLATNESS"),
+    "sigma0": ("PACBAYES_MAG_ORIG", "PACBAYES_MAG_INIT", "PACBAYES_MAG_FLATNESS"),
+}
+_FAKE_VALUES = {name: 1.0 + i for i, name in enumerate(MEASURE_NAMES)}
+_FAKE_SIGMA = {False: 0.5, True: 0.25}
+
+
+def test_every_measure_name_has_exactly_one_source():
+    family_names = [name for names, _ in measures_mod._FAMILIES for name in names]
+    over_margin = measures_mod._OVER_MARGIN
+    for name in MEASURE_NAMES:
+        sources = family_names.count(name) + (name == "INVERSE_MARGIN") + \
+            (name in over_margin)
+        assert sources == 1, name
+    assert set(family_names) <= set(MEASURE_NAMES)
+    assert set(over_margin.values()) <= set(family_names)
+    assert sorted(family_names) == sorted(sum(_FAMILY_NAMES.values(), ()))
+
+
+def _install_fake_families(monkeypatch, gamma, ok, calls):
+    """Replace the margins and every family's function on the measures module.
+
+    gamma is the margin, or "raises"; ok[family] False makes that family raise
+    its toolkit error. calls collects the families that ran, in order.
+    """
+    from fragaudit.net import MarginStats
+
+    positive = gamma if gamma != "raises" and gamma > 0 else None
+
+    def fake_margins(spec, ckpt, X, y, percentile=0.1, num_classes=None):
+        if gamma == "raises":
+            raise NormalizationSingularity("injected")
+        return MarginStats(np.zeros(len(y)), gamma, len(y), percentile)
+
+    def run(family, error=None):
+        calls.append(family)
+        if not ok[family]:
+            raise error("injected")
+        return {name: _FAKE_VALUES[name] for name in _FAMILY_NAMES[family]}
+
+    def fake_spectral(spec, ckpt, n, margin_gamma=None, tol=1e-10, max_iters=20000):
+        assert margin_gamma == positive
+        values = run("spectral", DegenerateLayer)
+        if margin_gamma is None:  # as spectral_measures: no SPEC_*_MAIN
+            del values["SPEC_ORIG_MAIN"], values["SPEC_INIT_MAIN"]
+        return values, [1e-12]
+
+    def fake_path(spec, ckpt, n):
+        return run("path", PathNormUndefined)["PATH_NORM"]
+
+    def fake_sigma(spec, ckpt, dataset, cfg, magnitude_aware=False, draws=None):
+        run("sigma0" if magnitude_aware else "sigma", SigmaSearchFailed)
+        return measures_mod.SigmaSearchResult(_FAKE_SIGMA[magnitude_aware], 0.1, 2, 0,
+                                              True, 0.0, magnitude_aware)
+
+    monkeypatch.setattr(measures_mod, "margins", fake_margins)
+    monkeypatch.setattr(measures_mod, "vc_params_proxy",
+                        lambda spec, n: run("params")["PARAMS"])
+    monkeypatch.setattr(measures_mod, "frobenius_measures",
+                        lambda spec, ckpt, n: run("frobenius"))
+    monkeypatch.setattr(measures_mod, "spectral_measures", fake_spectral)
+    monkeypatch.setattr(measures_mod, "path_norm", fake_path)
+    monkeypatch.setattr(measures_mod, "sigma_search", fake_sigma)
+
+
+def _rule(name, gamma, ok, values, n):
+    """The tag or value of one wanted name; the first rule that holds decides."""
+    base = name.removesuffix("_OVER_MARGIN")
+    on_margin = base != name or name in ("INVERSE_MARGIN", "SPEC_ORIG_MAIN",
+                                         "SPEC_INIT_MAIN")
+    family = next((f for f, names in _FAMILY_NAMES.items() if base in names), None)
+    errors = {"spectral": "DegenerateLayer", "path": "PathNormUndefined",
+              "sigma": "SigmaSearchFailed", "sigma0": "SigmaSearchFailed"}
+    if on_margin and gamma != "raises" and not gamma > 0:
+        return "MarginNotPositive"
+    if family is not None and not ok[family]:
+        return errors[family]
+    if on_margin and gamma == "raises":
+        return "NormalizationSingularity"
+    if name == "INVERSE_MARGIN":
+        return float(np.sqrt(n) / gamma)
+    return values[base] / gamma if base != name else values[name]
+
+
+@pytest.mark.parametrize("gamma", [2.0, 0.0, -0.5, float("nan"), "raises"])
+@pytest.mark.parametrize("spectral_ok", [True, False])
+@pytest.mark.parametrize("path_ok", [True, False])
+@pytest.mark.parametrize("sigma_ok", [True, False])
+@pytest.mark.parametrize("sigma0_ok", [True, False])
+def test_compute_all_tags_by_the_rule(monkeypatch, gamma, spectral_ok, path_ok,
+                                      sigma_ok, sigma0_ok):
+    ok = dict(params=True, frobenius=True, spectral=spectral_ok, path=path_ok,
+              sigma=sigma_ok, sigma0=sigma0_ok)
+    calls = []
+    _install_fake_families(monkeypatch, gamma, ok, calls)
+    spec = NetSpec((2, 4, 2))
+    ck = random_ckpt(spec, 31)
+    ds = synth_blobs(24, 2, 2, 5.0, seed=32)
+    cfg = MeasureConfig(sigma_mc_draws=2)
+    w, w0 = flatten_params(spec, ck.weights, ck.biases), \
+        flatten_params(spec, ck.init_weights, ck.init_biases)
+    values = dict(_FAKE_VALUES, **pacbayes_measures(
+        w, w0, ds.n, _FAKE_SIGMA[False], _FAKE_SIGMA[True], cfg.delta, cfg.kappa))
+    order = list(_FAMILY_NAMES)
+    for include in [()] + [(name,) for name in MEASURE_NAMES]:
+        calls.clear()
+        ms = compute_all(spec, ck, ds, cfg, include=include)
+        names = include or MEASURE_NAMES
+        assert set(ms.values).isdisjoint(ms.errors)
+        assert {**ms.values, **ms.errors} == \
+            {name: _rule(name, gamma, ok, values, ds.n) for name in names}, include
+        bases = {name.removesuffix("_OVER_MARGIN") for name in names}
+        assert calls == [f for f in order if bases & set(_FAMILY_NAMES[f])], include

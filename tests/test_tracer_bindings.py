@@ -55,3 +55,20 @@ def test_tracer_counts_one_draw_per_seed_of_prior_predictions():
     finally:
         tracer.uninstall()
     assert tracer.counts()["evidence.draws"] == len(seeds)
+
+
+def test_compute_all_runs_its_families_through_the_traced_bindings():
+    # compute_all must look each family's function up when it runs: a table
+    # that kept the functions of import time would bypass the tracer
+    spec = net.NetSpec((2, 4, 2))
+    ckpt = net.init_checkpoint(spec, rng.Rng(1).spawn_key("init"))
+    ds = data.synth_blobs(24, 2, 2, 5.0, seed=2)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        measures.compute_all(spec, ckpt, ds,
+                             measures.MeasureConfig(sigma_mc_draws=2, sigma_iters=2))
+    finally:
+        tracer.uninstall()
+    assert {"measures.margins", "measures.spectral_norm", "measures.path_norm",
+            "measures.sigma_search"} <= {span[1] for span in tracer.spans}
