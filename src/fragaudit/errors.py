@@ -38,12 +38,6 @@ class InvalidSize(FragAuditError):
     pass
 
 
-class NumericalDivergence(FragAuditError):
-    def __init__(self, message, step=None):
-        super().__init__(message if step is None else f"{message} (step {step})")
-        self.step = step
-
-
 class IncompatibleCheckpoint(FragAuditError):
     pass
 

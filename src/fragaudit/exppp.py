@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComplexEndpoints, ConfigError, InadmissibleAlpha, \
-    NumericalDivergence, PredictionMismatch
+    PredictionMismatch
 from .measures import MeasureConfig, compute_all
 from .net import NetSpec, backward_batch, flatten_params, forward_batch, \
-    init_checkpoint, predict, unflatten_params
+    init_checkpoint, param_views, predict, unflatten_params
 from .optim import OptState, sgdm_step
 from .rng import Rng
 
@@ -116,17 +116,11 @@ def derive_params(params: ExpPPParams) -> ExpPPDerived:
 
 @dataclass
 class ExpPPSchedule:
-    alpha: float
-    eta0: float
     beta: float
-    horizon: int
-    etas: tuple  # eta_t for t = 0..T-1, consumed as the current LR of step t
+    etas: tuple  # eta_t for t = 0..T: step t runs at etas[t] and hands on etas[t + 1]
     lambdas: tuple  # lambda_t for t = 0..T-1
     theta_prev_scale: float = 0.0  # buffer override: theta_{-1} = alpha * theta_0
     eta_prev: float = 0.0  # buffer override: eta_{-1} = alpha * eta_0
-
-    def eta_at(self, t: int) -> float:
-        return self.eta0 * self.alpha ** (-2 * t - 1)
 
 
 def schedule(params: ExpPPParams, T: int) -> ExpPPSchedule:
@@ -140,18 +134,17 @@ def schedule(params: ExpPPParams, T: int) -> ExpPPSchedule:
             f"alpha {params.alpha} outside admissible interval {der.interval_str()}")
     a, eta0 = params.alpha, params.eta0
     try:
-        last = eta0 * a ** (-2 * T - 1)  # eta_at(T), the last step's next rate
+        etas = tuple(eta0 * a ** (-2 * t - 1) for t in range(T + 1))
+        finite = math.isfinite(etas[-1])  # the largest, as alpha < 1
     except OverflowError:
-        last = math.inf
-    if not math.isfinite(last):
+        finite = False
+    if not finite:
         raise ConfigError(f"alpha {a} with {T} steps: the matched learning rate "
                           f"eta0 * alpha^(-2T-1) exceeds the float range")
-    beta = der.beta(a)
     xi = der.xi(a)
-    etas = tuple(eta0 * a ** (-2 * t - 1) for t in range(T))
     lambdas = tuple(xi * a ** (2 * t - 1) for t in range(T))
-    return ExpPPSchedule(alpha=a, eta0=eta0, beta=beta, horizon=T, etas=etas,
-                         lambdas=lambdas, theta_prev_scale=a, eta_prev=a * eta0)
+    return ExpPPSchedule(beta=der.beta(a), etas=etas, lambdas=lambdas,
+                         theta_prev_scale=a, eta_prev=a * eta0)
 
 
 @dataclass
@@ -169,7 +162,6 @@ class VerifyReport:
     steps: list = field(default_factory=list)  # (t, rel_dev, logit_diff)
     checkpoint_a: object = None
     checkpoint_b: object = None
-    theta0_norm: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -191,9 +183,11 @@ def verify_equivalence(spec: NetSpec, dataset, params: ExpPPParams, T: int,
                        seed: int = 0) -> VerifyReport:
     """Run the fixed baseline (A) and the matched schedule (B) in lockstep.
 
-    Full-batch gradients; both runs share the initialization. The deviation is
-    measured against the predicted iterate alpha^(-t) * theta_A; the same
-    deviation normalized by ||theta_A|| is reported alongside.
+    A and B are the two rows of one optimizer stack and share the
+    initialization; gradients are full-batch. The deviation is measured
+    against the predicted iterate alpha^(-t) * theta_A; the same deviation
+    normalized by ||theta_A|| is reported alongside. A step that leaves a row
+    non-finite sets diverged_at and ends both runs before it.
     """
     if not spec.normalize_hidden:
         raise ConfigError("schedule equivalence requires a scale-invariant net")
@@ -202,43 +196,40 @@ def verify_equivalence(spec: NetSpec, dataset, params: ExpPPParams, T: int,
     theta0 = flatten_params(spec, ckpt0.weights, ckpt0.biases)
     X, y = dataset.features, dataset.labels
 
-    state_a = OptState.fresh(theta0, params.eta0)
-    state_b = OptState(theta0.copy(), sched.theta_prev_scale * theta0,
-                       sched.etas[0], sched.eta_prev, 0)
+    state = OptState(np.stack([theta0, theta0]),
+                     np.stack([theta0, sched.theta_prev_scale * theta0]),
+                     np.array([[params.eta0], [sched.etas[0]]]),
+                     np.array([[params.eta0], [sched.eta_prev]]), 0)
     report = VerifyReport(alpha=params.alpha, T=T, tol=tol, logit_tol=logit_tol,
-                          passed=False, theta0_norm=float(np.linalg.norm(theta0)))
-
-    def grad_at(theta):
-        ck = unflatten_params(spec, theta, ckpt0)
-        return backward_batch(spec, ck.weights, ck.biases, X, y)[0]
+                          passed=False)
 
     log_alpha = math.log(params.alpha)
     for t in range(T):
-        ga = grad_at(state_a.theta_curr)
-        gb = grad_at(state_b.theta_curr)
-        gnorm_a, gnorm_b = np.linalg.norm(ga), np.linalg.norm(gb)
+        w, b = param_views(spec, state.theta_curr, ckpt0)
+        g = backward_batch(spec, w, b, X, y)[0]
+        # row by row: a norm over axis 1 rounds differently
+        gnorm_a, gnorm_b = np.linalg.norm(g[0]), np.linalg.norm(g[1])
         if gnorm_a > 0:
             expected = math.exp(t * log_alpha) * gnorm_a
             report.max_grad_scale_err = max(report.max_grad_scale_err,
                                             abs(gnorm_b / expected - 1.0))
-        try:
-            state_a = sgdm_step(state_a, ga, params.gamma, params.lam, params.eta0)
-            state_b = sgdm_step(state_b, gb, params.gamma, sched.lambdas[t],
-                                sched.eta_at(t + 1))
-        except NumericalDivergence:
+        new = sgdm_step(state, g, params.gamma,
+                        np.array([[params.lam], [sched.lambdas[t]]]),
+                        np.array([[params.eta0], [sched.etas[t + 1]]]))
+        if new.diverged.any():
             report.diverged_at = t
             break
+        state = new
+        theta_a, theta_b = state.theta_curr
         scale = math.exp(-(t + 1) * log_alpha)
-        predicted = scale * state_a.theta_curr
-        dev = float(np.linalg.norm(state_b.theta_curr - predicted))
+        predicted = scale * theta_a
+        dev = float(np.linalg.norm(theta_b - predicted))
         denom_pred = float(np.linalg.norm(predicted))
-        denom_base = float(np.linalg.norm(state_a.theta_curr))
+        denom_base = float(np.linalg.norm(theta_a))
         rel = dev / denom_pred if denom_pred else np.inf
-        ck_a = unflatten_params(spec, state_a.theta_curr, ckpt0)
-        ck_b = unflatten_params(spec, state_b.theta_curr, ckpt0)
-        la = forward_batch(spec, ck_a.weights, ck_a.biases, X)
-        lb = forward_batch(spec, ck_b.weights, ck_b.biases, X)
-        logit_diff = float(np.max(np.abs(la - lb)))
+        w, b = param_views(spec, state.theta_curr, ckpt0)
+        logits = forward_batch(spec, w, b, X)
+        logit_diff = float(np.max(np.abs(logits[0] - logits[1])))
         report.max_rel_dev = max(report.max_rel_dev, rel)
         report.max_rel_dev_vs_baseline = max(
             report.max_rel_dev_vs_baseline, dev / denom_base if denom_base else np.inf)
@@ -247,12 +238,10 @@ def verify_equivalence(spec: NetSpec, dataset, params: ExpPPParams, T: int,
     report.passed = (report.diverged_at is None
                      and report.max_rel_dev <= tol
                      and report.max_logit_diff <= logit_tol)
-    ck_a = unflatten_params(spec, state_a.theta_curr, ckpt0)
-    ck_a.meta = dict(ckpt0.meta, epoch=T, run_id="exppp-baseline")
-    ck_b = unflatten_params(spec, state_b.theta_curr, ckpt0)
-    ck_b.meta = dict(ckpt0.meta, epoch=T, run_id="exppp-matched")
-    report.checkpoint_a = ck_a
-    report.checkpoint_b = ck_b
+    ckpts = [unflatten_params(spec, theta, ckpt0) for theta in state.theta_curr]
+    for ck, run_id in zip(ckpts, ("exppp-baseline", "exppp-matched")):
+        ck.meta = dict(ckpt0.meta, epoch=T, run_id=run_id)
+    report.checkpoint_a, report.checkpoint_b = ckpts
     return report
 
 

@@ -204,24 +204,23 @@ def spectral_measures(spec: NetSpec, ckpt: Checkpoint, n: int, margin_gamma=None
             s = 0.0
         dist_sq.append(s * s)
     fro_sq = [float(np.sum(W * W)) for W in Ws]
-    stable_ranks = [f / s for f, s in zip(fro_sq, spec_sq)]
+    stable_rank_sum = sum(f / s for f, s in zip(fro_sq, spec_sq))
     values = {
         "SUM_OF_SPEC": float(np.sqrt(sum(spec_sq) / n)),
         "PROD_OF_SPEC": float(np.sqrt(np.prod(spec_sq) / n)),
         "DIST_SPEC_INIT": float(np.sqrt(sum(dist_sq) / n)),
-        "FRO_OVER_SPEC": float(sum(stable_ranks)),
+        "FRO_OVER_SPEC": float(stable_rank_sum),
     }
     if margin_gamma is not None:
         if margin_gamma <= 0:
             raise MarginNotPositive(f"margin gamma {margin_gamma} <= 0")
         prod_spec = float(np.prod(spec_sq))
-        orig_sum = sum(f / s for f, s in zip(fro_sq, spec_sq))
         init_sum = sum(
             float(np.sum((W - W0) ** 2)) / s
             for W, W0, s in zip(Ws, W0s, spec_sq)
         )
         g2n = margin_gamma * margin_gamma * n
-        values["SPEC_ORIG_MAIN"] = prod_spec * orig_sum / g2n
+        values["SPEC_ORIG_MAIN"] = prod_spec * stable_rank_sum / g2n
         values["SPEC_INIT_MAIN"] = prod_spec * init_sum / g2n
     return values, residuals
 

@@ -9,8 +9,8 @@ The momentum update keeps explicit (theta, lr) buffers from the previous step:
           - grad(L(theta_{t-1})) - lambda_{t-1} * theta_{t-1}
 
 Training keeps eta and lambda fixed. The schedule-equivalence runs of exppp
-drive sgdm_step themselves, with time-varying eta and lambda and their own
-t=0 buffers.
+drive sgdm_step themselves, as a stack of two with time-varying eta and
+lambda columns and their own t=0 buffers.
 """
 
 import hashlib
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, subsample
-from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint, \
-    NumericalDivergence
+from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint
 from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
     flatten_params, init_checkpoint, param_views, unflatten_params
 from .records import RunRecord, TrainResult, TrainTrace, detect_T_int
@@ -78,8 +77,8 @@ class Hyperparams:
 
 @dataclass
 class OptState:
-    """Optimizer buffers of one run, theta (P,), or of a stack of K runs in
-    lockstep, theta (K, P) with (K, 1) learning-rate columns and a shared t."""
+    """Optimizer buffers of a stack of K runs in lockstep: theta (K, P), (K, 1)
+    learning-rate columns and a shared t. A single run is a stack of one."""
 
     theta_curr: np.ndarray
     theta_prev: np.ndarray
@@ -88,7 +87,7 @@ class OptState:
     t: int = 0
     adam_m: np.ndarray = None
     adam_v: np.ndarray = None
-    diverged: np.ndarray = None  # stacked steps: rows whose new iterate is non-finite
+    diverged: np.ndarray = None  # (K,) after a step: rows with a non-finite iterate
 
     @classmethod
     def fresh(cls, theta: np.ndarray, lr: float) -> "OptState":
@@ -97,13 +96,8 @@ class OptState:
 
 
 def _checked(state: OptState) -> OptState:
-    """A single run's non-finite iterate raises; a stack marks its rows."""
-    finite = np.isfinite(state.theta_curr).all(axis=-1)
-    if state.theta_curr.ndim == 1:
-        if not finite:
-            raise NumericalDivergence("non-finite iterate", step=state.t - 1)
-    else:
-        state.diverged = ~finite
+    """Mark the rows of the stack whose new iterate is non-finite."""
+    state.diverged = ~np.isfinite(state.theta_curr).all(axis=-1)
     return state
 
 
@@ -111,7 +105,7 @@ def sgdm_step(state: OptState, grad: np.ndarray, gamma: float, wd: float,
               next_lr: float) -> OptState:
     """One buffered momentum step; wd applies to the current iterate, buffers rotate.
 
-    On a stack, wd and next_lr may be (K, 1) columns, one value per run.
+    wd and next_lr are scalars or (K, 1) columns, one value per run.
     """
     eta = state.eta_curr
     theta = state.theta_curr
@@ -124,7 +118,7 @@ def sgdm_step(state: OptState, grad: np.ndarray, gamma: float, wd: float,
 
 def adam_step(state: OptState, grad: np.ndarray, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> OptState:
-    """Standard bias-corrected Adam step; on a stack lr may be a (K, 1) column."""
+    """Standard bias-corrected Adam step; lr is a scalar or a (K, 1) column."""
     t = state.t + 1
     m = beta1 * state.adam_m + (1.0 - beta1) * grad
     v = beta2 * state.adam_v + (1.0 - beta2) * grad * grad

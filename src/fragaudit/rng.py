@@ -157,9 +157,7 @@ class Rng:
         return float(self.uniforms(1)[0])
 
     def gaussians(self, n: int) -> np.ndarray:
-        cols = 2 * ((n + 1) // 2)
-        u = self.u64_block(cols).reshape(1, cols)
-        return _box_muller(u)[0, :n]
+        return gaussian_rows(self._state[None], n)[0]
 
     def gaussian(self) -> float:
         return float(self.gaussians(1)[0])

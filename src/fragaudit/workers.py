@@ -30,8 +30,10 @@ def ordered_map(fn, shared, tasks, limit: int):
     workers, where the platform lacks fork, while another thread runs (it
     could hold a lock across the fork), and inside a pool worker, which may
     not have children. An exception raised by task i is raised, with its
-    type, when result i is read. The pool is terminated and joined before the
-    block exits, on errors too.
+    type, when result i is read. The pool is closed and joined before the
+    block exits, after the tasks already queued; it is terminated only on an
+    interrupt such as Ctrl-C, since terminating can kill a worker holding the
+    result queue's lock and then wait for that lock forever.
     """
     workers = min(limit, cpu_count())
     # _bound is set only in a pool worker
@@ -42,8 +44,12 @@ def ordered_map(fn, shared, tasks, limit: int):
                                                             (fn, shared))
             try:
                 yield pool.imap(_call_bound, tasks)
+            except BaseException as exc:
+                if not isinstance(exc, Exception):  # an interrupt: drop the queue
+                    pool.terminate()
+                raise
             finally:
-                pool.terminate()
+                pool.close()  # after terminate() a no-op
                 pool.join()
             return
     yield map(functools.partial(fn, *shared), tasks)

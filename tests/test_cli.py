@@ -350,14 +350,14 @@ def test_exppp_prediction_mismatch_on_a_pool_ends_as_in_process(
 def test_exppp_verify_summary_counts_alphas_by_outcome(tmp_path, capsys, monkeypatch,
                                                        tol, counts):
     from fragaudit import exppp
-    from fragaudit.errors import NumericalDivergence
 
     real = exppp.sgdm_step
 
     def sgdm_step(state, grad, gamma, wd, next_lr):
-        if next_lr > 1.0:  # in 20 steps only the matched run of alpha 0.5 gets there
-            raise NumericalDivergence("planted", step=state.t)
-        return real(state, grad, gamma, wd, next_lr)
+        new = real(state, grad, gamma, wd, next_lr)
+        # in 20 steps only the matched run of alpha 0.5 gets there
+        new.diverged |= (next_lr > 1.0).ravel()
+        return new
 
     monkeypatch.setattr(exppp, "sgdm_step", sgdm_step)
     cp = write_config(tmp_path, _si_config(tmp_path, alphas=[0.5, 0.9], steps=20, tol=tol))
@@ -664,16 +664,16 @@ def test_sweep_summary_counts_runs_by_status(tmp_path, capsys, monkeypatch):
     records = tmp_path / "out" / "records.jsonl"
     statuses = Counter(r["status"] for r in read_jsonl(records))
     assert statuses == {"ok": 2, "diverged": 1, "stop_rule_not_met": 1,
-                        "error:NumericalDivergence": 2}
+                        "error:InvalidDataset": 2}
     assert capsys.readouterr().out == (
-        "sweep complete: 6 records (1 diverged, 2 error:NumericalDivergence, 2 ok, "
+        "sweep complete: 6 records (1 diverged, 2 error:InvalidDataset, 2 ok, "
         f"1 stop_rule_not_met) -> {records}\n")
 
 
 def _train_failing_for(monkeypatch, failing_seeds):
     """Make runs whose seed is listed raise a toolkit error as they initialize."""
     import fragaudit.optim as optim
-    from fragaudit.errors import NumericalDivergence
+    from fragaudit.errors import InvalidDataset
     from fragaudit.rng import Rng
 
     real_init = optim.init_checkpoint
@@ -681,7 +681,7 @@ def _train_failing_for(monkeypatch, failing_seeds):
 
     def init_checkpoint(spec, rng, *args, **kw):
         if rng.seed in failing:
-            raise NumericalDivergence("injected", step=0)
+            raise InvalidDataset("injected")
         return real_init(spec, rng, *args, **kw)
 
     monkeypatch.setattr(optim, "init_checkpoint", init_checkpoint)
@@ -695,7 +695,7 @@ def test_sweep_all_runs_failed_exits_1(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "AllRunsFailed" and err["count"] == 6
     records = read_jsonl(tmp_path / "out" / "records.jsonl")
-    assert [r["status"] for r in records] == ["error:NumericalDivergence"] * 6
+    assert [r["status"] for r in records] == ["error:InvalidDataset"] * 6
 
 
 def test_sweep_with_one_surviving_run_exits_0(tmp_path, capsys, monkeypatch):
@@ -706,7 +706,7 @@ def test_sweep_with_one_surviving_run_exits_0(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cp]) == 0
     assert capsys.readouterr().err == ""
     statuses = [r["status"] for r in read_jsonl(tmp_path / "out" / "records.jsonl")]
-    assert statuses.count("error:NumericalDivergence") == 4
+    assert statuses.count("error:InvalidDataset") == 4
     assert len(statuses) == 6
 
 
@@ -1408,5 +1408,5 @@ def test_measure_summary_counts_runs_skipped_by_status_and_errors_by_tag(
     errors = Counter(tag for r in records for tag in r["measure_errors"].values())
     assert errors == {"MarginNotPositive": 8, "NonFinite": 13}
     assert capsys.readouterr().out == (
-        "measured 3 of 6 runs (skipped: 1 diverged, 2 error:NumericalDivergence; "
+        "measured 3 of 6 runs (skipped: 1 diverged, 2 error:InvalidDataset; "
         f"measure errors: 8 MarginNotPositive, 13 NonFinite) -> {path}\n")

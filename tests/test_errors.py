@@ -7,7 +7,6 @@ from fragaudit import errors
 
 ARGS = {  # classes whose constructor takes more than a message
     "FormatError": ("truncated header", 12),
-    "NumericalDivergence": ("non-finite iterate", 3),
     "AllRunsFailed": (6,),
 }
 

@@ -86,7 +86,9 @@ def test_beta_in_unit_interval_on_dense_sample():
 
 def test_schedule_first_eta():
     sched = schedule(ExpPPParams(0.01, 0.9, 0.0, 0.8), 5)
+    assert len(sched.etas) == 6 and len(sched.lambdas) == 5  # etas runs to eta_T
     assert sched.etas[0] == pytest.approx(0.01 / 0.8, rel=1e-15)
+    assert sched.etas[5] == pytest.approx(0.01 * 0.8 ** -11, rel=1e-15)
     assert sched.eta_prev == pytest.approx(0.8 * 0.01, rel=1e-15)
     assert sched.theta_prev_scale == 0.8
     assert all(a < b for a, b in zip(sched.etas, sched.etas[1:]))  # increasing
@@ -119,7 +121,7 @@ def test_schedule_beyond_float_range_is_config_error(alpha, T):
 
 
 def test_schedule_checks_the_rate_after_the_last_step():
-    # etas ends at eta_{T-1}, but step T-1 also takes eta_at(T) as its next rate
+    # etas ends at eta_T, which step T-1 hands on as its next rate
     def finite(t):
         try:
             return math.isfinite(0.01 * 0.5 ** (-2 * t - 1))
@@ -128,7 +130,7 @@ def test_schedule_checks_the_rate_after_the_last_step():
 
     T = next(t for t in range(1, 2000) if not finite(t))
     params = ExpPPParams(0.01, 0.9, 0.0, 0.5)
-    assert math.isfinite(schedule(params, T - 1).eta_at(T - 1))
+    assert math.isfinite(schedule(params, T - 1).etas[-1])
     with pytest.raises(ConfigError):
         schedule(params, T)
 
@@ -162,6 +164,53 @@ def test_verify_first_step_shares_initialization():
     rep = verify_equivalence(si_spec((2, 8, 2)), tr,
                              ExpPPParams(0.01, 0.9, 0.0, 0.8), T=1, seed=3)
     assert rep.steps[0][1] <= 1e-12  # one step in, already matched
+
+
+def test_verify_steps_both_runs_as_one_stack(monkeypatch):
+    from fragaudit import exppp
+
+    calls = {}
+
+    def spy(name):
+        real = getattr(exppp, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exppp, name, counted)
+
+    for name in ("backward_batch", "sgdm_step", "forward_batch", "unflatten_params"):
+        spy(name)
+    tr, _ = blob_split()
+    rep = verify_equivalence(si_spec(), tr, ExpPPParams(0.01, 0.9, 0.0, 0.8), T=7)
+    assert rep.passed and len(rep.steps) == 7
+    assert calls == {"backward_batch": 7, "sgdm_step": 7, "forward_batch": 7,
+                     "unflatten_params": 2}
+
+
+def test_verify_divergence_stops_both_runs_at_the_last_finite_step(monkeypatch):
+    from fragaudit import exppp
+
+    tr, _ = blob_split()
+    params, k = ExpPPParams(0.01, 0.9, 0.2, 0.85), 6
+    clean = verify_equivalence(si_spec(), tr, params, T=k, seed=2)
+    assert clean.passed and clean.diverged_at is None
+    real = exppp.sgdm_step
+
+    def sgdm_step(state, *args):
+        new = real(state, *args)
+        if state.t == k:
+            new.diverged[1] = True  # only the matched run goes non-finite
+        return new
+
+    monkeypatch.setattr(exppp, "sgdm_step", sgdm_step)
+    rep = verify_equivalence(si_spec(), tr, params, T=k + 5, seed=2)
+    assert rep.diverged_at == k and not rep.passed
+    assert rep.steps == clean.steps
+    for got, want in ((rep.checkpoint_a, clean.checkpoint_a),
+                      (rep.checkpoint_b, clean.checkpoint_b)):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.weights, want.weights))
 
 
 def test_demo_alphas_inside_interval():

@@ -10,7 +10,7 @@ import pytest
 from fragaudit import optim, workers
 from fragaudit.data import split_train_test, synth_blobs
 from fragaudit.errors import ConfigError, IncompatibleCheckpoint, LogDomainError, \
-    NormalizationSingularity, NumericalDivergence, SlopeUndefined
+    NormalizationSingularity, SlopeUndefined
 from fragaudit.net import NetSpec
 from fragaudit.optim import Hyperparams, OptState, SweepConfig, adam_step, resume, \
     sgdm_step, sweep, train
@@ -138,8 +138,6 @@ def test_stacked_step_marks_only_non_finite_rows(optimizer):
     out = step(OptState.fresh(np.ones((3, 4)), np.full((3, 1), 0.1)), grad)
     assert out.diverged.tolist() == [False, True, False]
     assert np.isfinite(out.theta_curr[[0, 2]]).all()
-    with pytest.raises(NumericalDivergence):
-        step(OptState.fresh(np.ones(4), 0.1), grad[1])
 
 
 def test_detect_t_int_fixtures():

@@ -1,5 +1,6 @@
 """The forked worker pool: every worker runs with fixed malloc thresholds, a map
-inside a worker runs in-process, and ordered_map is the pool's only entry."""
+inside a worker runs in-process, a failing map shuts its pool down without
+terminating it, and ordered_map is the pool's only entry."""
 
 import ast
 import os
@@ -79,6 +80,42 @@ def test_a_map_inside_a_worker_runs_in_process(monkeypatch, pools_made):
     squares = [[x for _, x in inner] for _, inner in direct]
     assert [[x for _, x in inner] for _, inner in pooled] == squares
     assert squares == [[0, 1], [0, 1, 4], [0, 1, 4, 9]]
+
+
+def _fail_on_odd(x):
+    if x % 2:
+        raise ValueError(f"task {x}")
+    return x
+
+
+def test_a_failing_map_closes_its_pool_and_every_worker_exits_cleanly(monkeypatch):
+    # terminate() can kill a worker holding the result queue's lock, and the
+    # pool's shutdown then waits for that lock forever
+    import multiprocessing.context
+    import multiprocessing.pool
+
+    workers_made, terminated = [], []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def spy(ctx, *args, **kwargs):
+        pool = real_pool(ctx, *args, **kwargs)
+        workers_made.extend(pool._pool)
+        return pool
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
+
+    def terminate(pool):
+        terminated.append(pool)
+        pool.close()  # the safe shutdown, so a failing run of this test ends
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="task 1"):
+        with workers.ordered_map(_fail_on_odd, (), range(6), 2) as results:
+            list(results)
+    assert terminated == []
+    assert len(workers_made) == 2
+    assert [w.exitcode for w in workers_made] == [0, 0]
 
 
 def _imports(path):
