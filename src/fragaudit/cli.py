@@ -113,10 +113,10 @@ _OP = {"op": {
     "permute": _PERMUTE, "permute_pixels": _PERMUTE,
     "subsample": _Obj({"m": int, "seed": int}, "subsample"),
 }}
-_TRAIN = _Obj({"optimizer": str, "lr": float, "momentum": (float, "momentum_gamma"),
-               "weight_decay": float, "batch_size": int, "stop_rule": str,
-               "stop_threshold": float, "max_epochs": int, "seed": int,
-               "trace_measures": [MEASURE_NAMES]}, Hyperparams, train, seed=0)
+_TRAIN = _Obj({"optimizer": str, "lr": float, "momentum": float, "weight_decay": float,
+               "batch_size": int, "stop_rule": str, "stop_threshold": float,
+               "max_epochs": int, "seed": int, "trace_measures": [MEASURE_NAMES]},
+              Hyperparams, train, seed=0)
 # Every top-level key. A command raises for a section it needs that is left out.
 SCHEMA = {
     "out_dir": str,
@@ -249,13 +249,12 @@ def _write_records(out: Path, records, cfg_hash: str) -> None:
     persist.write_jsonl(out / "records.jsonl", records, cfg_hash)
 
 
-def _train_run(cfg, args, names=None, **kwargs):
+def _train_run(cfg, names=None, **kwargs):
     """(spec, (train, test), train section, result) of the train section's run;
     it traces names, or the section's trace_measures if names is None."""
     spec, data = NetSpec.from_dict(_section(cfg, "net")), _build_data(cfg)
     tcfg = _section(cfg, "train")
-    res = train(spec, *data, _make(Hyperparams, tcfg, **_tags(cfg)),
-                tcfg["seed"] + args.seed_offset,
+    res = train(spec, *data, _make(Hyperparams, tcfg, **_tags(cfg)), tcfg["seed"],
                 trace_measures=tcfg["trace_measures"] if names is None else names,
                 measure_config=_measure_config(cfg), **kwargs)
     return spec, data, tcfg, res
@@ -275,7 +274,7 @@ def _run_report(res, names) -> dict:
 # --- commands ----------------------------------------------------------------
 
 def cmd_train(cfg, out, args):
-    spec, _, _, res = _train_run(cfg, args)
+    spec, _, _, res = _train_run(cfg)
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, res, cfg_hash)
     _write_records(out, [res.record.to_dict()], cfg_hash)
@@ -291,7 +290,7 @@ def cmd_sweep(cfg, out, args):
     cfg_hash = persist.config_hash(cfg)
     results = sweep(spec, train_ds, test_ds, scfg,
                     on_result=lambda r: _persist_result(out, spec, r, cfg_hash),
-                    seed_offset=args.seed_offset, jobs=args.jobs)
+                    jobs=args.jobs)
     _write_records(out, [r.record.to_dict() for r in results], cfg_hash)
     by_status = _by_count(Counter(r.record.status for r in results))
     print(f"sweep complete: {len(results)} records ({by_status}) -> "
@@ -460,7 +459,7 @@ def cmd_audit(cfg, out, args):
 
 def cmd_temporal(cfg, out, args):
     names = _section(cfg, "temporal", required=False)["measures"]
-    spec, _, _, res = _train_run(cfg, args, names)
+    spec, _, _, res = _train_run(cfg, names)
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, res, cfg_hash)
     rdir = out / "reports" / "temporal"
@@ -473,13 +472,13 @@ def cmd_temporal(cfg, out, args):
 
 def cmd_hysteresis(cfg, out, args):
     names = _section(cfg, "temporal", required=False)["measures"]
-    spec, data, tcfg, parent = _train_run(cfg, args, names, want_interp_snapshot=True)
+    spec, data, tcfg, parent = _train_run(cfg, names, want_interp_snapshot=True)
     if parent.interp_checkpoint is None:
         raise ConfigError("parent run never reached 100% training accuracy")
     hcfg = _section(cfg, "hysteresis")
     # the train section with the keys of hysteresis.new in place
     new = _TRAIN.read(dict(cfg["train"], **cfg["hysteresis"].get("new", {})), "hysteresis.new")
-    seed = tcfg["seed"] + args.seed_offset + 1 if hcfg["seed"] is None else hcfg["seed"]
+    seed = tcfg["seed"] + 1 if hcfg["seed"] is None else hcfg["seed"]
     resumed = resume(spec, parent.interp_checkpoint, *data,
                      _make(Hyperparams, new, **_tags(cfg)), seed=seed, trace_measures=names,
                      measure_config=_measure_config(cfg))
@@ -518,7 +517,6 @@ def cmd_exppp(cfg, out, args):
     spec = NetSpec.from_dict(_section(cfg, "net"))
     train_ds, test_ds = _build_data(cfg)
     e = _section(cfg, "exppp")
-    seed = e["seed"] + args.seed_offset
     cfg_hash = persist.config_hash(cfg)
     rdir = out / "reports" / "exppp"
     rdir.mkdir(parents=True, exist_ok=True)
@@ -526,7 +524,7 @@ def cmd_exppp(cfg, out, args):
 
     def each_alpha(alphas, mcfg=None):
         # one worker per alpha, up to the CPUs: the outputs do not depend on it
-        shared = (spec, train_ds, test_ds, e, mcfg, seed, args.mode)
+        shared = (spec, train_ds, test_ds, e, mcfg, e["seed"], args.mode)
         return ordered_map(_exppp_alpha, shared, alphas, len(alphas))
 
     if args.mode == "verify":
@@ -645,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
         if name == "sweep":
             p.add_argument("--jobs", type=_positive_int, default=None,
                            help="most lockstep stacks of runs trained at once "

@@ -82,10 +82,6 @@ class BoundUndefined(FragAuditError):
     pass
 
 
-class ZeroHits(FragAuditError):
-    pass
-
-
 class RejectionExhausted(FragAuditError):
     pass
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, corrupt_labels, split_train_test, synth_blobs
-from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhausted, \
-    ZeroHits
+from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhausted
 from .fragility import median
 from .net import Checkpoint, NetSpec, _class_argmax, forward_batch, init_checkpoint, \
     predict
@@ -38,13 +37,6 @@ class ConsistencyEstimate:
     wilson_lo: float
     wilson_hi: float
     rule_of_three_upper: float = None  # flagged pessimistic option when hits == 0
-
-    def require_p_hat(self) -> float:
-        if self.p_hat is None:
-            raise ZeroHits(
-                f"no consistent draws in {self.draws}; "
-                f"rule-of-three upper mass {self.rule_of_three_upper}")
-        return self.p_hat
 
 
 def wilson_interval(hits: int, draws: int, z: float = _WILSON_Z):
@@ -131,12 +123,17 @@ def draw_checkpoint(spec: NetSpec, seed: int, index: int,
     return ck
 
 
+def _fits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, readout, lo: int,
+          hi: int) -> np.ndarray:
+    """(hi - lo,) bools: which of the prior draws lo..hi-1 of seed fit (X, y) exactly."""
+    preds = prior_predictions(spec, X, child_seeds(seed, lo, hi), readout)
+    return (preds == y[None, :]).all(axis=1)
+
+
 def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, readout,
                 draws: int, shard_size: int, lo: int) -> int:
     """Exact-fit draws among the shard of draws from lo (in-process or in a worker)."""
-    seeds = child_seeds(seed, lo, min(lo + shard_size, draws))
-    preds = prior_predictions(spec, X, seeds, readout)
-    return int((preds == y[None, :]).all(axis=1).sum())
+    return int(_fits(spec, X, y, seed, readout, lo, min(lo + shard_size, draws)).sum())
 
 
 def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
@@ -215,13 +212,9 @@ def gibbs_sample_consistent(spec: NetSpec, ds: Dataset, max_attempts: int,
                    shard_size)
     root = Rng(seed).spawn_key("gibbs")
     ro = _resolve_fixed_readout(spec, root.seed, fixed_readout)
-    y = ds.labels
     for lo in range(0, max_attempts, shard_size):
         hi = min(lo + shard_size, max_attempts)
-        seeds = child_seeds(root.seed, lo, hi)
-        preds = prior_predictions(spec, ds.features, seeds, ro)
-        ok = (preds == y[None, :]).all(axis=1)
-        where = np.flatnonzero(ok)
+        where = np.flatnonzero(_fits(spec, ds.features, ds.labels, root.seed, ro, lo, hi))
         if len(where):
             k = lo + int(where[0])
             ck = draw_checkpoint(spec, root.seed, k, ro)

@@ -187,7 +187,9 @@ def verify_equivalence(spec: NetSpec, dataset, params: ExpPPParams, T: int,
     initialization; gradients are full-batch. The deviation is measured
     against the predicted iterate alpha^(-t) * theta_A; the same deviation
     normalized by ||theta_A|| is reported alongside. A step that leaves a row
-    non-finite sets diverged_at and ends both runs before it.
+    non-finite sets diverged_at and ends both runs before it. The train-set
+    pass after step t gives its logit gap and, before the last step, the
+    gradient of step t + 1: T + 1 train-set forwards for T steps.
     """
     if not spec.normalize_hidden:
         raise ConfigError("schedule equivalence requires a scale-invariant net")
@@ -204,9 +206,10 @@ def verify_equivalence(spec: NetSpec, dataset, params: ExpPPParams, T: int,
                           passed=False)
 
     log_alpha = math.log(params.alpha)
-    for t in range(T):
+    if T:
         w, b = param_views(spec, state.theta_curr, ckpt0)
         g = backward_batch(spec, w, b, X, y)[0]
+    for t in range(T):
         # row by row: a norm over axis 1 rounds differently
         gnorm_a, gnorm_b = np.linalg.norm(g[0]), np.linalg.norm(g[1])
         if gnorm_a > 0:
@@ -228,7 +231,12 @@ def verify_equivalence(spec: NetSpec, dataset, params: ExpPPParams, T: int,
         denom_base = float(np.linalg.norm(theta_a))
         rel = dev / denom_pred if denom_pred else np.inf
         w, b = param_views(spec, state.theta_curr, ckpt0)
-        logits = forward_batch(spec, w, b, X)
+        if t < T - 1:
+            record = []
+            g = backward_batch(spec, w, b, X, y, record)[0]
+            logits = record[-1][0]
+        else:
+            logits = forward_batch(spec, w, b, X)
         logit_diff = float(np.max(np.abs(logits[0] - logits[1])))
         report.max_rel_dev = max(report.max_rel_dev, rel)
         report.max_rel_dev_vs_baseline = max(

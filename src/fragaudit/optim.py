@@ -23,7 +23,7 @@ from .data import Dataset, subsample
 from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint
 from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
     flatten_params, init_checkpoint, param_views, unflatten_params
-from .records import RunRecord, TrainResult, TrainTrace, detect_T_int
+from .records import H_FIELDS, RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
 from .workers import ordered_map
 
@@ -36,9 +36,12 @@ BUDGET = 1 << 14
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """A run's training settings. The H_FIELDS among them identify its config;
+    dataset and arch name its group."""
+
     optimizer: str = "sgdm"
     lr: float = 0.01
-    momentum_gamma: float = 0.9
+    momentum: float = 0.9
     weight_decay: float = 0.0
     batch_size: int = 0  # 0 = full batch
     stop_rule: str = "train_acc_100"
@@ -51,7 +54,7 @@ class Hyperparams:
     def __post_init__(self):
         if self.optimizer not in ("sgdm", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.momentum_gamma < 1.0:
+        if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
@@ -61,18 +64,12 @@ class Hyperparams:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
 
     def h_fields(self) -> dict:
-        """The hyperparameter identity used for seed-vs-config pair splitting."""
-        return {
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "momentum": self.momentum_gamma,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "stop_rule": self.stop_rule,
-            "stop_threshold": self.stop_threshold,
-            "max_epochs": self.max_epochs,
-            "n_train": self.n_train,
-        }
+        """{name: value} of the H_FIELDS: the config identity of the run."""
+        return {name: getattr(self, name) for name in H_FIELDS}
+
+    @property
+    def group(self) -> str:
+        return f"{self.dataset}/{self.arch}"
 
 
 @dataclass
@@ -128,9 +125,11 @@ def adam_step(state: OptState, grad: np.ndarray, lr: float, beta1: float = 0.9,
     return _checked(OptState(new, state.theta_curr, lr, state.eta_curr, t, m, v))
 
 
-def make_run_id(group: str, H: Hyperparams, seed: int, parent: str = "") -> str:
+def make_run_id(H: Hyperparams, seed: int, parent: str = "") -> str:
+    """16 hex digits of the sha256 of the run's group, config identity, seed and
+    parent run id: the config's settings alone name the run."""
     blob = json.dumps(
-        {"group": group, "h": H.h_fields(), "seed": seed, "parent": parent},
+        {"group": H.group, "h": H.h_fields(), "seed": seed, "parent": parent},
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -201,7 +200,7 @@ def _apply_step(state: OptState, grad: np.ndarray, H: Hyperparams) -> OptState:
     """One step of a stack; each run keeps its fixed lr in the eta_curr column."""
     if H.optimizer == "adam":
         return adam_step(state, grad, state.eta_curr)
-    return sgdm_step(state, grad, H.momentum_gamma, H.weight_decay, state.eta_curr)
+    return sgdm_step(state, grad, H.momentum, H.weight_decay, state.eta_curr)
 
 
 def _epoch(spec, runs, stack, e, data):
@@ -371,14 +370,9 @@ def _finish(spec, run, theta, e, ds_test, status="ok", stop_met=False) -> TrainR
 
 def _record(H: Hyperparams, run_id: str, seed: int, status: str, test_error=1.0,
             t_int=None, parent_id: str = "") -> RunRecord:
-    return RunRecord(
-        run_id=run_id, group=f"{H.dataset}/{H.arch}", dataset=H.dataset, arch=H.arch,
-        optimizer=H.optimizer, lr=H.lr, stop_rule=H.stop_rule, n_train=H.n_train,
-        seed=seed, test_error=test_error, t_int=t_int, parent_run_id=parent_id,
-        momentum=H.momentum_gamma, weight_decay=H.weight_decay,
-        batch_size=H.batch_size, stop_threshold=H.stop_threshold,
-        max_epochs=H.max_epochs, status=status,
-    )
+    return RunRecord(run_id=run_id, group=H.group, dataset=H.dataset, arch=H.arch,
+                     seed=seed, test_error=test_error, t_int=t_int,
+                     parent_run_id=parent_id, status=status, **H.h_fields())
 
 
 def _as_ckpt(spec, template, flat, epoch, run_id) -> Checkpoint:
@@ -395,7 +389,7 @@ def _only(results) -> TrainResult:
 
 
 def _new_run(spec: NetSpec, H: Hyperparams, seed: int, parent_id: str = "") -> _Run:
-    run_id = make_run_id(f"{H.dataset}/{H.arch}", H, seed, parent_id)
+    run_id = make_run_id(H, seed, parent_id)
     ckpt0 = init_checkpoint(spec, Rng(seed).spawn_key("init"), meta={"run_id": run_id})
     return _Run(H, seed, run_id, parent_id, ckpt0)
 
@@ -417,7 +411,7 @@ def resume(spec: NetSpec, ckpt: Checkpoint, ds_train: Dataset, ds_test: Dataset,
         raise IncompatibleCheckpoint("checkpoint spec hash does not match")
     H_new = replace(H_new, n_train=H_new.n_train or ds_train.n)
     parent_id = str(ckpt.meta.get("run_id", ""))
-    run_id = make_run_id(f"{H_new.dataset}/{H_new.arch}", H_new, seed, parent_id)
+    run_id = make_run_id(H_new, seed, parent_id)
     base = ckpt.copy()
     base.meta = dict(base.meta, run_id=run_id)
     run = _Run(H_new, seed, run_id, parent_id, base, int(ckpt.meta.get("epoch", 0)))
@@ -471,7 +465,7 @@ def _sweep_stacks(spec: NetSpec, cfg: SweepConfig, subsets: dict) -> list:
     return stacks
 
 
-def _sweep_stack(spec, subsets, ds_test, cfg, seed_offset, stack) -> list:
+def _sweep_stack(spec, subsets, ds_test, cfg, stack) -> list:
     """TrainResults of one stack of grid items, in grid order.
 
     A run that fails with a FragAuditError becomes an "error:<name>" record.
@@ -480,18 +474,18 @@ def _sweep_stack(spec, subsets, ds_test, cfg, seed_offset, stack) -> list:
     slots, runs = [], []  # per item: its index in runs, or its error result
     for lr, opt, rule, thresh, _, seed in items:
         H = Hyperparams(
-            optimizer=opt, lr=lr, momentum_gamma=cfg.momentum,
+            optimizer=opt, lr=lr, momentum=cfg.momentum,
             weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
             stop_rule=rule, stop_threshold=thresh, max_epochs=cfg.max_epochs,
             n_train=subsets[n].n, dataset=cfg.dataset, arch=cfg.arch,
         )
         try:
-            runs.append(_new_run(spec, H, seed + seed_offset))
+            runs.append(_new_run(spec, H, seed))
             slots.append(len(runs) - 1)
         except ConfigError:
             raise  # a config error fails every run alike
         except FragAuditError as exc:  # one failed run must not abort the sweep
-            slots.append(_error_result(cfg, H, seed + seed_offset, exc))
+            slots.append(_error_result(H, seed, exc))
     results = _run_loop(spec, runs, subsets[n], ds_test) if runs else []
     out = []
     for slot in slots:
@@ -500,13 +494,13 @@ def _sweep_stack(spec, subsets, ds_test, cfg, seed_offset, stack) -> list:
             # The traceback's frames reach results, which holds the error: a
             # cycle that would keep the stack's arrays until a full collection.
             res.__traceback__ = None
-            res = _error_result(cfg, runs[slot].H, runs[slot].seed, res)
+            res = _error_result(runs[slot].H, runs[slot].seed, res)
         out.append(res)
     return out
 
 
-def _error_result(cfg, H, seed, exc) -> TrainResult:
-    rid = make_run_id(f"{cfg.dataset}/{cfg.arch}", H, seed)
+def _error_result(H, seed, exc) -> TrainResult:
+    rid = make_run_id(H, seed)
     return TrainResult(_record(H, rid, seed, f"error:{type(exc).__name__}"), None,
                        TrainTrace(run_id=rid))
 
@@ -525,7 +519,7 @@ def train_subsets(base_train: Dataset, sizes, subsample_seed: int) -> dict:
 
 
 def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig,
-          on_result=None, seed_offset: int = 0, jobs: int = None):
+          on_result=None, jobs: int = None):
     """Run the full grid; per-run failures are recorded, the sweep continues.
 
     Runs sharing a training subset and an optimizer train in lockstep stacks
@@ -545,7 +539,7 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
         raise ConfigError("sweep grid is empty")
     subsets = train_subsets(base_train, cfg.train_sizes or (0,), cfg.subsample_seed)
     stacks = _sweep_stacks(spec, cfg, subsets)
-    shared = (spec, subsets, ds_test, cfg, seed_offset)
+    shared = (spec, subsets, ds_test, cfg)
     results = []
     limit = min(jobs or len(stacks), len(stacks))
     with ordered_map(_sweep_stack, shared, stacks, limit) as parts:

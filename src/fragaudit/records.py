@@ -9,6 +9,12 @@ import numpy as np
 from .errors import ConfigError, FormatError, LogDomainError, SlopeUndefined
 from .net import Checkpoint
 
+# The hyperparameters that identify a run's config, fields of both RunRecord
+# and optim.Hyperparams: the audit splits seed pairs from config pairs by them,
+# and optim.make_run_id hashes them.
+H_FIELDS = ("optimizer", "lr", "momentum", "weight_decay", "batch_size", "stop_rule",
+            "stop_threshold", "max_epochs", "n_train")
+
 
 @dataclass
 class TrainTrace:
@@ -85,9 +91,7 @@ class RunRecord:
     measure_errors: dict = field(default_factory=dict)
 
     def h_key(self) -> tuple:
-        return (self.optimizer, self.lr, self.momentum, self.weight_decay,
-                self.batch_size, self.stop_rule, self.stop_threshold,
-                self.max_epochs, self.n_train)
+        return tuple(getattr(self, name) for name in H_FIELDS)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fragaudit import evidence as ev, workers as workers_mod
-from fragaudit.cli import main
+from fragaudit.cli import COMMANDS, main
 from fragaudit.measures import MeasureConfig, compute_all
 from fragaudit.persist import json_ready, read_jsonl
 
@@ -578,19 +578,18 @@ def test_missing_section_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
-def test_seed_offset_changes_runs(tmp_path):
-    cfg = base_config(tmp_path)
-    cfg["sweep"] = {"lrs": [0.1], "optimizers": ["sgdm"],
-                    "stop_rules": [["max_epochs", 0.01]], "seeds": [0],
-                    "max_epochs": 5}
-    cp = write_config(tmp_path, cfg)
-    assert main(["sweep", "--config", cp]) == 0
-    a = read_jsonl(tmp_path / "out" / "records.jsonl")[0]
-    assert main(["sweep", "--config", cp, "--seed-offset", "10",
-                 "--out", str(tmp_path / "out2")]) == 0
-    b = read_jsonl(tmp_path / "out2" / "records.jsonl")[0]
-    assert a["seed"] == 0 and b["seed"] == 10
-    assert a["run_id"] != b["run_id"]
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_takes_a_seed_offset(tmp_path, capsys, command):
+    # every seed is a config key, so the config hash identifies every output
+    argv = [command, "--config", write_config(tmp_path, base_config(tmp_path)),
+            "--seed-offset", "1"]
+    if command in ("exppp", "evidence"):
+        argv += ["--mode", "verify" if command == "exppp" else "bound"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed-offset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_jobs_flag_matches_sequential(tmp_path):

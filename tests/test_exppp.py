@@ -185,8 +185,22 @@ def test_verify_steps_both_runs_as_one_stack(monkeypatch):
     tr, _ = blob_split()
     rep = verify_equivalence(si_spec(), tr, ExpPPParams(0.01, 0.9, 0.0, 0.8), T=7)
     assert rep.passed and len(rep.steps) == 7
-    assert calls == {"backward_batch": 7, "sgdm_step": 7, "forward_batch": 7,
+    # the pass after each step but the last is the next step's backward_batch
+    assert calls == {"backward_batch": 7, "sgdm_step": 7, "forward_batch": 1,
                      "unflatten_params": 2}
+
+
+def test_verify_of_zero_steps_makes_no_train_pass(monkeypatch):
+    from fragaudit import exppp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no train-set pass at T = 0")
+
+    for name in ("backward_batch", "forward_batch"):
+        monkeypatch.setattr(exppp, name, forbidden)
+    tr, _ = blob_split()
+    rep = verify_equivalence(si_spec(), tr, ExpPPParams(0.01, 0.9, 0.0, 0.8), T=0)
+    assert rep.passed and rep.steps == []
 
 
 def test_verify_divergence_stops_both_runs_at_the_last_finite_step(monkeypatch):

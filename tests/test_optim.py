@@ -2,7 +2,7 @@
 
 import multiprocessing
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from fragaudit.errors import ConfigError, IncompatibleCheckpoint, LogDomainError
 from fragaudit.net import NetSpec
 from fragaudit.optim import Hyperparams, OptState, SweepConfig, adam_step, resume, \
     sgdm_step, sweep, train
-from fragaudit.records import TrainTrace, detect_T_int, post_interp_slope
+from fragaudit.records import H_FIELDS, RunRecord, TrainTrace, detect_T_int, \
+    post_interp_slope
 from fragaudit.rng import Rng
 
 
@@ -233,6 +234,32 @@ def test_train_seed_changes_init_not_config():
     b = train(spec, tr, te, H, seed=2)
     assert a.record.h_key() == b.record.h_key()
     assert not np.array_equal(a.checkpoint.init_weights[0], b.checkpoint.init_weights[0])
+
+
+def _pinned_hyperparams():
+    return Hyperparams(optimizer="adam", lr=0.0032, momentum=0.5, weight_decay=1e-4,
+                       batch_size=32, stop_rule="train_ce_below", stop_threshold=0.02,
+                       max_epochs=77, n_train=64, dataset="blobs", arch="fcn")
+
+
+def test_identity_fields_are_fields_of_records_and_hyperparams():
+    for cls in (RunRecord, Hyperparams):
+        assert set(H_FIELDS) <= {f.name for f in fields(cls)}
+    assert tuple(_pinned_hyperparams().h_fields()) == H_FIELDS
+
+
+def test_record_of_a_run_carries_its_config_identity():
+    H = _pinned_hyperparams()
+    rec = optim._record(H, "rid", 3, "ok")
+    assert rec.h_key() == tuple(H.h_fields()[name] for name in H_FIELDS)
+    assert (rec.group, rec.dataset, rec.arch, rec.seed) == ("blobs/fcn", "blobs", "fcn", 3)
+
+
+def test_run_ids_are_pinned():
+    # a run id names files in existing output trees: it must never change
+    H = _pinned_hyperparams()
+    assert optim.make_run_id(H, 3) == "4e6a8750301314e9"
+    assert optim.make_run_id(H, 3, "abc") == "b20636fd309eecc6"
 
 
 def test_stop_rule_ce_threshold():

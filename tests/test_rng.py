@@ -1,6 +1,12 @@
 """Stream generator tests: reference vectors, backend equivalence, spawning."""
 
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
 import sys
+import sysconfig
 import threading
 
 import numpy as np
@@ -353,3 +359,60 @@ def test_box_muller_rejects_a_strided_buffer():
     u = np.zeros((2, 8), dtype=np.uint64)
     with pytest.raises(ValueError):
         rng_mod._box_muller(u[:, :4])
+
+
+# --- the compiled backend, built here from the committed _kernels.c ------------
+
+@pytest.fixture(scope="module")
+def compiled_kernels(tmp_path_factory):
+    """The committed _kernels.c compiled with the host C compiler and loaded
+    without entering sys.modules, so the backend chosen at import stays active.
+    Skips only where there is no C compiler or no Python.h."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(cc[0]) is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or no Python.h to build the compiled backend")
+    path = tmp_path_factory.mktemp("kernels") / (
+        "_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        cc + ["-shared", "-fPIC", "-O1", "-I", include, "-I", np.get_include(),
+              "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION",
+              os.path.join(os.path.dirname(rng_mod.__file__), "_kernels.c"),
+              "-o", str(path)],
+        capture_output=True, text=True, timeout=300)
+    assert build.returncode == 0, build.stderr
+    loader = importlib.machinery.ExtensionFileLoader("fragaudit._kernels", str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name,
+                                                                            loader))
+    loader.exec_module(module)
+    assert module.BACKEND == "cython"
+    return module
+
+
+def test_compiled_reference_vector_seed42(compiled_kernels, monkeypatch):
+    monkeypatch.setattr(rng_mod, "_kernels", compiled_kernels)
+    assert list(Rng(42).u64_block(6)) == SEED42_REFERENCE
+
+
+@pytest.mark.parametrize("n", [0, 1, 257, CUTOFF, 5000])
+def test_compiled_fill_matches_serial_reference(compiled_kernels, n):
+    expect, expect_state = _serial(2024, n)
+    state = states_from_seeds(np.array([2024], dtype=np.uint64))[0].copy()
+    out = np.empty(n, dtype=np.uint64)
+    compiled_kernels.fill_u64(state, out)
+    assert np.array_equal(out, expect)
+    assert np.array_equal(state, expect_state)
+
+
+# (K, m) on each route of _kernels_py._fill_rows: serial rows, lockstep, lanes
+@pytest.mark.parametrize("shape", [(3, 17), (3, 0), (33, 17), (33, 1500), (1, 5000),
+                                   (5, 400)])
+def test_compiled_multi_fill_matches_numpy_backend(compiled_kernels, shape):
+    states = states_from_seeds(child_seeds(99, 0, shape[0]))
+    states_ref = states.copy()
+    out = np.empty(shape, dtype=np.uint64)
+    out_ref = np.empty(shape, dtype=np.uint64)
+    compiled_kernels.fill_u64_multi(states, out)
+    _kernels_py.fill_u64_multi(states_ref, out_ref)
+    assert np.array_equal(out, out_ref)
+    assert np.array_equal(states, states_ref)
