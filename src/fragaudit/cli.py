@@ -321,7 +321,7 @@ def _read_records(out, args) -> list:
 # of 178), one search alone took 1.7-2.1 ms, blocks of 2^14 words (3 runs,
 # 90 rows) 0.67-0.72 ms and of 2^15 words (6 runs, 180 rows) 0.41-0.45 ms;
 # 2^16 words gave 0.29 ms for twice the block's memory
-# (benchmarks/bench_kernels.py, 2-core x86-64 host, numpy backend).
+# (2-core x86-64 host, numpy backend).
 NOISE_BUDGET = 1 << 15
 
 

@@ -1,15 +1,16 @@
 """Marginal-likelihood PAC-Bayes bound with Monte Carlo consistency mass.
 
-The prior over hypotheses is the initialization distribution (fan-in-scaled
-Gaussian weights). P(C(S)) -- the prior mass of nets with zero training error
--- is estimated by counting exact-fit draws; the posterior is realized by
-rejection sampling, which returns the prior restricted to the consistency set.
-Draw k always uses the stream spawned at index k, so sharding the draw budget
-cannot change any result. The experiment maps its repetitions, and the mass
-estimate its shards, through workers.ordered_map: a repetition takes its
-streams from its own key and returns its row, a shard returns its integer hit
-count, and the parent reads them in task order, so where a task runs changes
-no result.
+The prior over hypotheses is the initialization distribution, net.init_weights
+(fan-in-scaled Gaussian weights); a frozen readout is one draw of it on the
+seed's "frozen-readout" stream, shared by every prior draw. P(C(S)) -- the
+prior mass of nets with zero training error -- is estimated by counting
+exact-fit draws; the posterior is realized by rejection sampling, which
+returns the prior restricted to the consistency set. Draw k always uses the
+stream spawned at index k, so sharding the draw budget cannot change any
+result. The experiment maps its repetitions, and the mass estimate its
+shards, through workers.ordered_map: a repetition takes its streams from its
+own key and returns its row, a shard returns its integer hit count, and the
+parent reads them in task order, so where a task runs changes no result.
 """
 
 import math
@@ -21,12 +22,13 @@ from .data import Dataset, corrupt_labels, split_train_test, synth_blobs
 from .errors import BoundUndefined, ConfigError, InvalidDataset, RejectionExhausted
 from .fragility import median
 from .net import Checkpoint, NetSpec, _class_argmax, forward_batch, init_checkpoint, \
-    predict
-from .rng import Rng, child_seeds, gaussian_rows, states_from_seeds
+    init_weights, predict
+from .rng import Rng, child_seeds, states_from_seeds
 from .workers import ordered_map
 
 _WILSON_Z = 1.96
 _MASS_SHARD = 4096  # draws per shard of the mass estimate
+_GIBBS_SHARD = 2048  # attempts the rejection sampler tests in one batch
 
 
 @dataclass
@@ -39,11 +41,12 @@ class ConsistencyEstimate:
     rule_of_three_upper: float = None  # flagged pessimistic option when hits == 0
 
 
-def wilson_interval(hits: int, draws: int, z: float = _WILSON_Z):
+def wilson_interval(hits: int, draws: int):
     """95% Wilson score interval for a binomial proportion."""
     if draws <= 0:
         raise ConfigError("draws must be positive")
     phat = hits / draws
+    z = _WILSON_Z
     z2 = z * z
     center = (phat + z2 / (2 * draws)) / (1 + z2 / draws)
     half = z * math.sqrt(phat * (1 - phat) / draws + z2 / (4 * draws * draws)) / (
@@ -51,26 +54,12 @@ def wilson_interval(hits: int, draws: int, z: float = _WILSON_Z):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _layer_plan(spec: NetSpec):
-    """(sizes, stds, shapes) for the sampled (trainable) layers, in order."""
-    sizes, stds, shapes = [], [], []
-    for i in spec.trainable_layers:
-        fan_in, fan_out = spec.layer_dims[i], spec.layer_dims[i + 1]
-        sizes.append(fan_out * fan_in)
-        stds.append(math.sqrt(2.0 / fan_in))
-        shapes.append((fan_out, fan_in))
-    return sizes, stds, shapes
-
-
-def _resolve_fixed_readout(spec: NetSpec, seed: int, fixed_readout):
+def _readout(spec: NetSpec, seed: int):
+    """The frozen readout (out, in) shared by the prior draws of seed, or None."""
     if not spec.frozen_readout:
         return None
-    if fixed_readout is not None:
-        return np.asarray(fixed_readout, dtype=np.float64)
-    i = spec.num_layers - 1
-    fan_in, fan_out = spec.layer_dims[i], spec.layer_dims[i + 1]
-    return Rng(seed).spawn_key("frozen-readout").gaussians(
-        fan_out * fan_in).reshape(fan_out, fan_in) * math.sqrt(2.0 / fan_in)
+    stream = Rng(seed).spawn_key("frozen-readout")
+    return init_weights(spec, stream.stack(), [spec.num_layers - 1])[0][0]
 
 
 def _require_plain(spec: NetSpec) -> None:
@@ -78,15 +67,12 @@ def _require_plain(spec: NetSpec) -> None:
         raise ConfigError("prior sampling supports plain (bias-free) nets")
 
 
-def _check_sampler(spec: NetSpec, ds: Dataset, what: str, count: int, unit: str,
-                   shard_size: int) -> None:
+def _check_sampler(spec: NetSpec, ds: Dataset, what: str, count: int, unit: str) -> None:
     """Every input check of a sampler, run before any shard is drawn."""
     if ds.num_classes != 2:
         raise InvalidDataset(f"{what} is binary-only")
     if count < 1:
         raise ConfigError(f"need at least one {unit}")
-    if shard_size < 1:
-        raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
     if ds.dim != spec.layer_dims[0]:
         raise ConfigError(
             f"dataset dim {ds.dim} does not match the net's input width "
@@ -95,31 +81,28 @@ def _check_sampler(spec: NetSpec, ds: Dataset, what: str, count: int, unit: str,
 
 
 def prior_predictions(spec: NetSpec, X: np.ndarray, seeds: np.ndarray,
-                      fixed_readout=None) -> np.ndarray:
+                      readout=None) -> np.ndarray:
     """Predicted labels, shape (K, n), for one prior draw per seed.
 
-    Each seed's weight layout matches the scalar initialization stream exactly,
-    so draw k can be re-materialized with spawn_index(k).
+    The trainable layers of draw k come from init_weights on the stream of
+    seeds[k], in the scalar initialization's layout, so draw k can be
+    re-materialized with draw_checkpoint; a frozen readout is the one given.
     """
     _require_plain(spec)
-    states = states_from_seeds(seeds)
-    weights = [(gaussian_rows(states, size) * std).reshape((len(seeds),) + shape)
-               for size, std, shape in zip(*_layer_plan(spec))]
+    if spec.frozen_readout and readout is None:
+        raise ConfigError("frozen readout weights required")
+    weights = init_weights(spec, states_from_seeds(seeds), spec.trainable_layers)
     if spec.frozen_readout:
-        if fixed_readout is None:
-            raise ConfigError("frozen readout weights required")
-        weights.append(fixed_readout)
+        weights.append(readout)
     return _class_argmax(forward_batch(spec, weights, [], X))
 
 
-def draw_checkpoint(spec: NetSpec, seed: int, index: int,
-                    fixed_readout=None) -> Checkpoint:
+def draw_checkpoint(spec: NetSpec, seed: int, index: int, readout) -> Checkpoint:
     """Materialize prior draw `index` (bit-identical to the vectorized row)."""
     ck = init_checkpoint(spec, Rng(seed).spawn_index(index))
     if spec.frozen_readout:
-        ro = _resolve_fixed_readout(spec, seed, fixed_readout)
-        ck.weights[-1] = ro.copy()
-        ck.init_weights[-1] = ro.copy()
+        ck.weights[-1] = readout.copy()
+        ck.init_weights[-1] = readout.copy()
     return ck
 
 
@@ -131,37 +114,27 @@ def _fits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, readout, lo: i
 
 
 def _shard_hits(spec: NetSpec, X: np.ndarray, y: np.ndarray, seed: int, readout,
-                draws: int, shard_size: int, lo: int) -> int:
+                draws: int, lo: int) -> int:
     """Exact-fit draws among the shard of draws from lo (in-process or in a worker)."""
-    return int(_fits(spec, X, y, seed, readout, lo, min(lo + shard_size, draws)).sum())
+    return int(_fits(spec, X, y, seed, readout, lo, min(lo + _MASS_SHARD, draws)).sum())
 
 
-def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int, seed: int,
-                              fixed_readout=None,
-                              shard_size: int = _MASS_SHARD) -> ConsistencyEstimate:
+def estimate_consistency_mass(spec: NetSpec, ds: Dataset, draws: int,
+                              seed: int) -> ConsistencyEstimate:
     """Hit fraction of exact-interpolation prior draws, with a Wilson interval.
 
-    The shards run on worker processes, one per CPU up to one per shard (see
-    workers.ordered_map); the result does not depend on where they run.
+    The shards of _MASS_SHARD draws run on worker processes, one per CPU up to
+    one per shard (see workers.ordered_map); the result does not depend on
+    where they run.
     """
-    _check_sampler(spec, ds, "consistency mass estimation", draws, "draw",
-                   shard_size)
-    ro = _resolve_fixed_readout(spec, seed, fixed_readout)
-    shared = (spec, ds.features, ds.labels, seed, ro, draws, shard_size)
-    starts = range(0, draws, shard_size)
+    _check_sampler(spec, ds, "consistency mass estimation", draws, "draw")
+    shared = (spec, ds.features, ds.labels, seed, _readout(spec, seed), draws)
+    starts = range(0, draws, _MASS_SHARD)
     with ordered_map(_shard_hits, shared, starts, len(starts)) as shard_hits:
         hits = sum(shard_hits)
-    est = ConsistencyEstimate(
-        hits=hits,
-        draws=draws,
-        p_hat=(hits / draws) if hits else None,
-        wilson_lo=0.0,
-        wilson_hi=0.0,
-    )
-    est.wilson_lo, est.wilson_hi = wilson_interval(hits, draws)
-    if hits == 0:
-        est.rule_of_three_upper = 3.0 / draws
-    return est
+    lo, hi = wilson_interval(hits, draws)
+    return ConsistencyEstimate(hits, draws, hits / draws if hits else None, lo, hi,
+                               None if hits else 3.0 / draws)
 
 
 @dataclass(frozen=True)
@@ -201,19 +174,18 @@ def ml_pacbayes_bound(inp: BoundInput) -> BoundResult:
     return BoundResult(rhs=rhs, epsilon_bound=eps, vacuous=eps >= 0.5)
 
 
-def gibbs_sample_consistent(spec: NetSpec, ds: Dataset, max_attempts: int,
-                            seed: int, fixed_readout=None, shard_size: int = 2048):
+def gibbs_sample_consistent(spec: NetSpec, ds: Dataset, max_attempts: int, seed: int):
     """First prior draw with zero training error: an exact posterior sample.
 
     Returns (checkpoint, attempts). Uses its own stream family ('gibbs'), kept
-    independent from the mass estimator's draws.
+    independent from the mass estimator's draws, and tests _GIBBS_SHARD draws
+    at a time.
     """
-    _check_sampler(spec, ds, "rejection sampling", max_attempts, "attempt",
-                   shard_size)
+    _check_sampler(spec, ds, "rejection sampling", max_attempts, "attempt")
     root = Rng(seed).spawn_key("gibbs")
-    ro = _resolve_fixed_readout(spec, root.seed, fixed_readout)
-    for lo in range(0, max_attempts, shard_size):
-        hi = min(lo + shard_size, max_attempts)
+    ro = _readout(spec, root.seed)
+    for lo in range(0, max_attempts, _GIBBS_SHARD):
+        hi = min(lo + _GIBBS_SHARD, max_attempts)
         where = np.flatnonzero(_fits(spec, ds.features, ds.labels, root.seed, ro, lo, hi))
         if len(where):
             k = lo + int(where[0])
@@ -229,7 +201,6 @@ class EvidenceTask:
     n_heldout: int = 2000
     dim: int = 2
     separation: float = 4.0
-    num_classes: int = 2
     draws: int = 100000
     repetitions: int = 100
     delta_conf: float = 0.05
@@ -258,8 +229,8 @@ def _repetition(spec: NetSpec, task: EvidenceTask, seed: int, job) -> dict:
     posterior sample and its true error."""
     p, rep = job
     rs = Rng(seed).spawn_key(f"rep={rep}|p={p!r}")
-    full = synth_blobs(task.n_train + task.n_heldout, task.dim, task.num_classes,
-                       task.separation, seed=rs.spawn_key("data").next_u64())
+    full = synth_blobs(task.n_train + task.n_heldout, task.dim, 2, task.separation,
+                       seed=rs.spawn_key("data").next_u64())
     train, heldout = split_train_test(full, task.n_train,
                                       seed=rs.spawn_key("split").next_u64())
     if p > 0:

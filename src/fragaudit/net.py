@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidDataset, NormalizationSingularity
 from .persist import read_header
+from .rng import gaussian_rows
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -95,13 +96,24 @@ class MarginStats:
     percentile: float = 0.10
 
 
-def init_checkpoint(spec: NetSpec, rng, meta=None) -> Checkpoint:
-    """Fan-in-scaled Gaussian init (std = sqrt(2/fan_in)); zero biases."""
-    weights = []
-    for i in range(spec.num_layers):
+def init_weights(spec: NetSpec, states: np.ndarray, layers) -> list:
+    """The init distribution: fan-in-scaled Gaussian weights, std sqrt(2/fan_in).
+
+    Draws the given layers, in order, from each stream of states (K, 4), which
+    advance in place (see rng.gaussian_rows), and returns each layer as
+    (K, out, in): row k is what stream k alone would draw.
+    """
+    out = []
+    for i in layers:
         fan_in, fan_out = spec.layer_dims[i], spec.layer_dims[i + 1]
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.gaussians(fan_out * fan_in).reshape(fan_out, fan_in) * std)
+        w = gaussian_rows(states, fan_out * fan_in) * math.sqrt(2.0 / fan_in)
+        out.append(w.reshape(len(states), fan_out, fan_in))
+    return out
+
+
+def init_checkpoint(spec: NetSpec, rng, meta=None) -> Checkpoint:
+    """Every layer drawn by init_weights from the stream rng; zero biases."""
+    weights = [w[0] for w in init_weights(spec, rng.stack(), range(spec.num_layers))]
     biases = (
         [np.zeros(spec.layer_dims[i + 1]) for i in range(spec.num_layers)]
         if spec.bias_enabled
@@ -180,9 +192,9 @@ def forward(spec: NetSpec, ckpt: Checkpoint, x) -> np.ndarray:
 # column passes: one ufunc call per class over all rows. numpy reduces a short
 # last axis row by row, at tens of ns per row: on (4096, 16, 2) logits `max`
 # took 4.2-4.6 ms that way against 0.1 ms in columns, and `argmax` 1.4 against
-# 0.3 ms (benchmarks/bench_kernels.py, 2-core x86-64 host, numpy 2.4). Below 8
-# elements numpy's pairwise sum is a plain left-to-right loop from +0.0, so
-# each column pass gives numpy's bits; from 8 on numpy reduces itself.
+# 0.3 ms (2-core x86-64 host, numpy 2.4). Below 8 elements numpy's pairwise
+# sum is a plain left-to-right loop from +0.0, so each column pass gives
+# numpy's bits; from 8 on numpy reduces itself.
 _COLUMN_CLASSES = 8
 
 

@@ -62,6 +62,14 @@ class Hyperparams:
             raise ConfigError("weight decay must be >= 0")
         if self.stop_rule not in STOP_RULES:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
+        if self.batch_size < 0:
+            raise ConfigError(f"batch size must be >= 0 (0 = full batch), "
+                              f"got {self.batch_size}")
+        if self.max_epochs < 0:
+            raise ConfigError(f"max epochs must be >= 0, got {self.max_epochs}")
+        if self.stop_rule == "train_ce_below" and not self.stop_threshold > 0:
+            raise ConfigError(f"train_ce_below needs a positive stop threshold, "
+                              f"got {self.stop_threshold}")
 
     def h_fields(self) -> dict:
         """{name: value} of the H_FIELDS: the config identity of the run."""

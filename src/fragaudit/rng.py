@@ -31,17 +31,13 @@ Stream derivation rules (documented so audits can be replayed elsewhere):
 """
 
 import hashlib
-import os
 
 import numpy as np
 
-if os.environ.get("FRAGAUDIT_BACKEND", "auto") == "python":
+try:
+    from . import _kernels  # type: ignore[attr-defined]
+except ImportError:
     from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
 
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -89,7 +85,7 @@ def child_seeds(seed: int, start: int, stop: int) -> np.ndarray:
 # (64 KiB each) stay in cache, where one pass over a large buffer streams
 # every step through memory: a 301,056-word image draw took 13.1-13.4 ms in
 # one pass and 10.2-12.2 ms in blocks, a (4096, 30) prior shard 4.6-5.2 and
-# 3.9-5.0 ms (benchmarks/bench_kernels.py, 2-core x86-64 host).
+# 3.9-5.0 ms (2-core x86-64 host).
 _BOX_MULLER_BLOCK = 1 << 14
 
 
@@ -156,8 +152,13 @@ class Rng:
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
+    def stack(self) -> np.ndarray:
+        """This stream as a (1, 4) stack of states for the multi-stream
+        functions; what they draw from it advances this stream."""
+        return self._state[None]
+
     def gaussians(self, n: int) -> np.ndarray:
-        return gaussian_rows(self._state[None], n)[0]
+        return gaussian_rows(self.stack(), n)[0]
 
     def gaussian(self) -> float:
         return float(self.gaussians(1)[0])

@@ -635,6 +635,30 @@ def test_sweep_labels_wider_than_net_outputs_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("train", [
+    {"batch_size": -5}, {"max_epochs": -1},
+    {"stop_rule": "train_ce_below", "stop_threshold": 0.0},
+    {"stop_rule": "train_ce_below", "stop_threshold": -0.01},
+])
+def test_train_settings_out_of_range_exit_2(tmp_path, capsys, train):
+    # each trained before: full batch recorded as -5, zero epochs, a rule never met
+    cfg = base_config(tmp_path)
+    cfg["train"].update(train)
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError", err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_sweep_negative_batch_size_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(batch_size=-5, max_epochs=3)
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "batch size" in err["message"], err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 def test_sweep_config_error_in_a_worker_matches_in_process(tmp_path, capsys,
                                                            monkeypatch, pools_made):
     cfg = base_config(tmp_path)

@@ -18,8 +18,8 @@ from fragaudit.errors import BoundUndefined, ConfigError, InvalidDataset, \
 from fragaudit.evidence import BoundInput, ConsistencyEstimate, EvidenceTask, \
     bound_vs_error_experiment, draw_checkpoint, estimate_consistency_mass, \
     gibbs_sample_consistent, ml_pacbayes_bound, prior_predictions, wilson_interval
-from fragaudit.net import NetSpec, forward_batch
-from fragaudit.rng import Rng, child_seeds
+from fragaudit.net import NetSpec, forward_batch, init_checkpoint, init_weights, predict
+from fragaudit.rng import Rng, child_seeds, states_from_seeds
 
 
 def test_bound_fixture_half():
@@ -84,22 +84,23 @@ def test_estimator_single_example_near_half():
     assert est.wilson_lo < est.p_hat < est.wilson_hi
 
 
-def test_estimator_frozen_constant_net_hits_everything():
+def test_estimator_frozen_constant_net_hits_everything(monkeypatch):
     spec = NetSpec((2, 3, 2), frozen_readout=True)
     readout = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    monkeypatch.setattr(evidence, "_readout", lambda spec, seed: readout)
     ds = Dataset(np.array([[0.2, 0.8], [0.5, 0.1]]), np.zeros(2, dtype=np.int64), 2)
-    est = estimate_consistency_mass(spec, ds, draws=500, seed=4,
-                                    fixed_readout=readout)
+    est = estimate_consistency_mass(spec, ds, draws=500, seed=4)
     assert est.hits == 500
     assert est.p_hat == 1.0
 
 
-def test_estimator_deterministic_and_shard_invariant():
+def test_estimator_deterministic_and_shard_invariant(monkeypatch):
     ds = synth_blobs(8, 2, 2, 4.0, seed=5)
     spec = NetSpec((2, 4, 2))
     a = estimate_consistency_mass(spec, ds, draws=3000, seed=6)
     b = estimate_consistency_mass(spec, ds, draws=3000, seed=6)
-    c = estimate_consistency_mass(spec, ds, draws=3000, seed=6, shard_size=7)
+    monkeypatch.setattr(evidence, "_MASS_SHARD", 7)
+    c = estimate_consistency_mass(spec, ds, draws=3000, seed=6)
     assert a.hits == b.hits == c.hits
 
 
@@ -130,12 +131,63 @@ def test_vectorized_draws_match_scalar_checkpoints():
         # the origin gives every class the logit 0: a tie argmax resolves to 0
         X = np.vstack([synth_blobs(16, dim, 2, 4.0, seed=10).features, np.zeros(dim)])
         ro = Rng(12).gaussians(8).reshape(2, 4) if spec.frozen_readout else None
-        preds = prior_predictions(spec, X, seeds, fixed_readout=ro)
+        preds = prior_predictions(spec, X, seeds, ro)
         assert preds.shape == (256, 17) and not preds[:, -1].any()
         for k in range(256):
-            ck = draw_checkpoint(spec, seed, k, fixed_readout=ro)
+            ck = draw_checkpoint(spec, seed, k, ro)
             direct = forward_batch(spec, ck.weights, ck.biases, X).argmax(axis=1)
             assert np.array_equal(direct, preds[k]), (spec.layer_dims, k)
+
+
+PRIOR_SPECS = [NetSpec((2, 5, 2)), NetSpec((3, 6, 2), bias_enabled=True),
+               NetSpec((2, 5, 4, 2), frozen_readout=True)]
+
+
+def _init_oracle(spec, stream, layers):
+    """The layers drawn one at a time from one stream, without init_weights."""
+    dims = spec.layer_dims
+    return [stream.gaussians(dims[i + 1] * dims[i]).reshape(dims[i + 1], dims[i])
+            * math.sqrt(2.0 / dims[i]) for i in layers]
+
+
+@pytest.mark.parametrize("spec", PRIOR_SPECS, ids=lambda s: str(list(s.layer_dims)))
+def test_one_prior_matches_the_per_stream_oracle(spec):
+    seeds = child_seeds(21, 0, 5)
+    layers = range(spec.num_layers)
+    drawn = init_weights(spec, states_from_seeds(seeds), layers)
+    assert [w.shape for w in drawn] == [
+        (5, spec.layer_dims[i + 1], spec.layer_dims[i]) for i in layers]
+    for k, seed in enumerate(seeds):
+        oracle = _init_oracle(spec, Rng(int(seed)), layers)
+        for w, want in zip(drawn, oracle):
+            assert np.array_equal(w[k], want)
+        if k == 0:
+            ck = init_checkpoint(spec, Rng(int(seed)))
+            for got in (ck.weights, ck.init_weights):
+                assert all(np.array_equal(a, b) for a, b in zip(got, oracle))
+            assert len(ck.biases) == (spec.num_layers if spec.bias_enabled else 0)
+            assert not any(b.any() for b in ck.biases)
+    ro = evidence._readout(spec, 33)
+    if not spec.frozen_readout:
+        assert ro is None
+        return
+    stream = Rng(33).spawn_key("frozen-readout")
+    assert np.array_equal(ro, _init_oracle(spec, stream, [spec.num_layers - 1])[0])
+
+
+def test_frozen_readout_gibbs_sample_is_its_prior_row():
+    spec = NetSpec((2, 5, 4, 2), frozen_readout=True)
+    ds = _single_point_task(y=1)
+    probes = np.vstack([ds.features, synth_blobs(32, 2, 2, 4.0, seed=3).features])
+    ck, attempts = gibbs_sample_consistent(spec, ds, max_attempts=1000, seed=17)
+    root = Rng(17).spawn_key("gibbs").seed
+    readout = evidence._readout(spec, root)
+    assert np.array_equal(ck.weights[-1], readout)
+    assert np.array_equal(ck.init_weights[-1], readout)
+    row = prior_predictions(spec, probes, child_seeds(root, attempts - 1, attempts),
+                            readout)[0]
+    assert row[0] == 1
+    assert np.array_equal(predict(spec, ck, probes), row)
 
 
 def test_gibbs_sample_is_consistent():
@@ -232,19 +284,9 @@ def test_experiment_skips_failures_without_aborting():
 def _samplers():
     ds = synth_blobs(8, 2, 2, 4.0, seed=5)
     return ds, {
-        "mass": lambda spec, data, n, **kw: estimate_consistency_mass(
-            spec, data, draws=n, seed=6, **kw),
-        "gibbs": lambda spec, data, n, **kw: gibbs_sample_consistent(
-            spec, data, max_attempts=n, seed=6, **kw),
+        "mass": lambda spec, data, n: estimate_consistency_mass(spec, data, n, seed=6),
+        "gibbs": lambda spec, data, n: gibbs_sample_consistent(spec, data, n, seed=6),
     }
-
-
-@pytest.mark.parametrize("sampler", ["mass", "gibbs"])
-@pytest.mark.parametrize("shard_size", [0, -5])
-def test_samplers_reject_shard_size_below_one(sampler, shard_size):
-    ds, run = _samplers()
-    with pytest.raises(ConfigError, match="shard_size must be >= 1"):
-        run[sampler](NetSpec((2, 4, 2)), ds, 100, shard_size=shard_size)
 
 
 def test_gibbs_rejects_dataset_of_other_width_and_zero_attempts():
@@ -264,11 +306,11 @@ def _workers(monkeypatch, n):
 def test_mass_hits_do_not_depend_on_the_worker_count(monkeypatch, pools_made):
     ds = synth_blobs(8, 2, 2, 6.0, seed=5)
     spec = NetSpec((2, 4, 2))
+    monkeypatch.setattr(evidence, "_MASS_SHARD", 7)
     hits = []
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
-        hits.append(estimate_consistency_mass(spec, ds, draws=3000, seed=6,
-                                              shard_size=7).hits)
+        hits.append(estimate_consistency_mass(spec, ds, draws=3000, seed=6).hits)
         assert multiprocessing.active_children() == []
     assert pools_made == [2, 3]
     assert hits[0] > 0 and hits == [hits[0]] * 3
@@ -282,12 +324,13 @@ def test_one_shard_or_a_running_thread_starts_no_process(monkeypatch, pools_made
     task = EvidenceTask(n_train=8, n_heldout=50, draws=4096, repetitions=1,
                         max_attempts=100)
     bound_vs_error_experiment(spec, task, seed=1)
+    monkeypatch.setattr(evidence, "_MASS_SHARD", 512)
     # fork is unsafe while another thread may hold a lock
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        many = estimate_consistency_mass(spec, ds, draws=4096, seed=6, shard_size=512)
+        many = estimate_consistency_mass(spec, ds, draws=4096, seed=6)
     finally:
         release.set()
         waiter.join(timeout=10)
@@ -306,11 +349,11 @@ def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_ma
         return real(*args)
 
     monkeypatch.setattr(evidence, "prior_predictions", fail_in_worker)
+    monkeypatch.setattr(evidence, "_MASS_SHARD", 1000)
     _workers(monkeypatch, 2)
     ds = synth_blobs(8, 2, 2, 4.0, seed=5)
     with pytest.raises(InvalidDataset, match="raised in a worker"):
-        estimate_consistency_mass(NetSpec((2, 4, 2)), ds, draws=3000, seed=6,
-                                  shard_size=1000)
+        estimate_consistency_mass(NetSpec((2, 4, 2)), ds, draws=3000, seed=6)
     assert pools_made == [2]
     assert multiprocessing.active_children() == []
 
