@@ -229,6 +229,13 @@ def split_train_test(ds: Dataset, n_train: int, seed: int):
 
 # --- synthesis --------------------------------------------------------------
 
+def _check_sizes(n: int, num_classes: int) -> None:
+    if num_classes < 1:
+        raise InvalidSize(f"num_classes {num_classes} < 1")
+    if n < num_classes:
+        raise InvalidSize("need n >= num_classes")
+
+
 def synth_blobs(n: int, dim: int, num_classes: int, separation: float, seed: int) -> Dataset:
     """Gaussian clusters (unit noise) with minimum center distance = separation.
 
@@ -237,8 +244,9 @@ def synth_blobs(n: int, dim: int, num_classes: int, separation: float, seed: int
     in the first place: unit-noise Gaussians overlap at any finite separation,
     so a sample can hold points that no hyperplane splits by label.
     """
-    if n < num_classes:
-        raise InvalidSize("need n >= num_classes")
+    _check_sizes(n, num_classes)
+    if dim < 1:
+        raise InvalidSize(f"dim {dim} < 1")
     rng = Rng(seed)
     centers = rng.gaussians(num_classes * dim).reshape(num_classes, dim)
     if num_classes > 1 and separation > 0:
@@ -275,9 +283,12 @@ def synth_images(n: int, num_classes: int, seed: int, side: int = 28,
     uses the same count, so row value multisets are class-independent and an
     independent pixel permutation of train vs test destroys all usable signal.
     """
-    if n < num_classes:
-        raise InvalidSize("need n >= num_classes")
+    _check_sizes(n, num_classes)
+    if side < 1:
+        raise InvalidSize(f"side {side} < 1")
     d = side * side
+    if not 0 <= active_pixels <= d:
+        raise InvalidSize(f"active_pixels {active_pixels} outside [0, {d}] (side {side})")
     rng = Rng(seed)
     masks = np.zeros((num_classes, d))
     for c in range(num_classes):

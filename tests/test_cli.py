@@ -1,7 +1,6 @@
 """CLI end-to-end: every subcommand, byte-stable reruns, pipeline composition."""
 
 import json
-import multiprocessing
 import shutil
 from collections import Counter
 
@@ -253,14 +252,15 @@ def _files(rdir) -> dict:
     ("demo", [], [2, 3]),  # the 8 demo_alphas
 ])
 def test_exppp_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
-                                                         pools_made, mode, alphas, pools):
+                                                         pools_made, mode, alphas, pools,
+                                                         children_left):
     cp = write_config(tmp_path, _si_config(tmp_path, alphas=alphas))
     rdir = tmp_path / "out" / "reports" / "exppp"
     outputs = []
     for workers in (1, 2, 3):
         _workers(monkeypatch, workers)
         assert main(["exppp", "--config", cp, "--mode", mode]) == 0
-        assert multiprocessing.active_children() == []
+        assert not children_left()
         outputs.append((_files(rdir), capsys.readouterr().out))
         shutil.rmtree(rdir)
     assert pools_made == pools  # two alphas open one pool of 2 workers on 2 or 3 CPUs
@@ -275,7 +275,7 @@ def test_exppp_verify_of_one_alpha_forks_nothing(tmp_path, monkeypatch, pools_ma
     assert pools_made == []
 
 
-def _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode):
+def _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode, children_left):
     """(exit code, stderr, report files) of exppp on 1 worker, checked equal on 2."""
     cp = write_config(tmp_path, cfg)
     rdir = tmp_path / "out" / "reports" / "exppp"
@@ -283,7 +283,7 @@ def _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode):
     for workers in (1, 2):
         _workers(monkeypatch, workers)
         code = main(["exppp", "--config", cp, "--mode", mode])
-        assert multiprocessing.active_children() == []
+        assert not children_left()
         ends.append((code, capsys.readouterr().err, _files(rdir)))
         shutil.rmtree(rdir, ignore_errors=True)
     assert ends[0] == ends[1]
@@ -291,19 +291,21 @@ def _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode):
 
 
 def test_exppp_inadmissible_second_alpha_on_a_pool_ends_as_in_process(
-        tmp_path, capsys, monkeypatch, pools_made):
+        tmp_path, capsys, monkeypatch, pools_made, children_left):
     cfg = _si_config(tmp_path, alphas=[0.8, 0.2])
-    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "verify")
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "verify",
+                                   children_left)
     assert pools_made == [2]
     assert code == 1 and json.loads(err)["error"] == "InadmissibleAlpha"
     assert list(files) == ["verify-alpha-0_8.csv"]  # and no verify.json
 
 
 def test_exppp_alpha_beyond_float_range_on_a_pool_ends_as_in_process(
-        tmp_path, capsys, monkeypatch, pools_made):
+        tmp_path, capsys, monkeypatch, pools_made, children_left):
     # 0.5 is admissible, but 0.5^(-2 * 600 - 1) overflows a float
     cfg = _si_config(tmp_path, alphas=[0.8, 0.5], steps=600)
-    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "verify")
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "verify",
+                                   children_left)
     assert pools_made == [2]
     error = json.loads(err)  # one JSON line, no traceback
     assert code == 2 and error["error"] == "ConfigError"
@@ -313,17 +315,17 @@ def test_exppp_alpha_beyond_float_range_on_a_pool_ends_as_in_process(
 
 @pytest.mark.parametrize("mode", ["verify", "demo"])
 def test_exppp_net_not_scale_invariant_on_a_pool_ends_as_in_process(
-        tmp_path, capsys, monkeypatch, pools_made, mode):
+        tmp_path, capsys, monkeypatch, pools_made, mode, children_left):
     cfg = base_config(tmp_path)
     cfg["exppp"]["alphas"] = [0.8, 0.9]
-    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode)
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, mode, children_left)
     assert pools_made == [2]
     assert code == 2 and json.loads(err)["error"] == "ConfigError"
     assert files == {}
 
 
 def test_exppp_prediction_mismatch_on_a_pool_ends_as_in_process(
-        tmp_path, capsys, monkeypatch, pools_made):
+        tmp_path, capsys, monkeypatch, pools_made, children_left):
     from fragaudit import exppp
 
     real = exppp.predict
@@ -339,7 +341,8 @@ def test_exppp_prediction_mismatch_on_a_pool_ends_as_in_process(
 
     monkeypatch.setattr(exppp, "predict", predict_flipping_matched_test_pass)
     cfg = _si_config(tmp_path, alphas=[0.8, 0.9])
-    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "demo")
+    code, err, files = _exppp_ends(tmp_path, capsys, monkeypatch, cfg, "demo",
+                                   children_left)
     assert pools_made == [2]
     assert code == 1 and json.loads(err)["error"] == "PredictionMismatch"
     assert files == {}
@@ -421,8 +424,8 @@ def test_evidence_experiment_command(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["bound", "experiment"])
-def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
-                                                            pools_made, mode):
+def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, pools_made,
+                                                            mode, children_left):
     cfg = base_config(tmp_path)
     cfg["data"]["split"] = {"n_train": 8, "seed": 12}
     cfg["evidence"]["draws"] = 9000  # three shards of 4096
@@ -432,15 +435,15 @@ def test_evidence_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
     for workers in (1, 2):
         _workers(monkeypatch, workers)
         assert main(["evidence", "--config", cp, "--mode", mode]) == 0
-        assert multiprocessing.active_children() == []
+        assert not children_left()
         reports.append({p.name: p.read_bytes() for p in sorted(rdir.iterdir())})
         shutil.rmtree(rdir)
     assert pools_made == [2]
     assert reports[0] == reports[1]
 
 
-def test_evidence_experiment_is_byte_identical_at_1_2_and_3_workers(tmp_path, monkeypatch,
-                                                                    pools_made):
+def test_evidence_experiment_is_byte_identical_at_1_2_and_3_workers(
+        tmp_path, monkeypatch, pools_made, children_left):
     # 8 repetitions, more than the workers; each maps a mass estimate of 2 shards
     cfg = base_config(tmp_path)
     cfg["evidence"].update(repetitions=4, corruptions=[0.0, 0.25], draws=5000)
@@ -450,7 +453,7 @@ def test_evidence_experiment_is_byte_identical_at_1_2_and_3_workers(tmp_path, mo
     for workers in (1, 2, 3):
         _workers(monkeypatch, workers)
         assert main(["evidence", "--config", cp, "--mode", "experiment"]) == 0
-        assert multiprocessing.active_children() == []
+        assert not children_left()
         reports.append({p.name: p.read_bytes() for p in sorted(rdir.iterdir())})
         shutil.rmtree(rdir)
     assert pools_made == [2, 3]
@@ -535,6 +538,28 @@ def test_evidence_bound_checks_the_training_size_before_any_draw(tmp_path, capsy
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "data.split.n_train" in err["message"]
     assert not (tmp_path / "out" / "reports" / "evidence" / "bound.json").exists()
+
+
+_IMAGES = {"kind": "images", "n": 20, "num_classes": 2, "seed": 1}
+_BLOBS = {"kind": "blobs", "n": 20, "dim": 2, "num_classes": 2, "separation": 2.0, "seed": 1}
+
+
+@pytest.mark.parametrize("source, message", [
+    (dict(_IMAGES, active_pixels=1000), "active_pixels 1000 outside [0, 784] (side 28)"),
+    (dict(_IMAGES, active_pixels=-3), "active_pixels -3 outside [0, 784] (side 28)"),
+    (dict(_IMAGES, side=0), "side 0 < 1"),
+    (dict(_BLOBS, num_classes=0), "num_classes 0 < 1"),
+    (dict(_BLOBS, dim=0), "dim 0 < 1"),
+])
+def test_transform_of_a_bad_synthetic_size_is_a_typed_error(tmp_path, capsys, source,
+                                                            message):
+    cfg = base_config(tmp_path)
+    cfg["transform"] = {"input": source, "ops": [], "output": "transformed.dsc"}
+    cp = write_config(tmp_path, cfg)
+    assert main(["transform", "--config", cp]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": message}
+    assert not (tmp_path / "out" / "transformed.dsc").exists()
 
 
 def test_transform_command(tmp_path):
@@ -659,8 +684,8 @@ def test_sweep_negative_batch_size_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
-def test_sweep_config_error_in_a_worker_matches_in_process(tmp_path, capsys,
-                                                           monkeypatch, pools_made):
+def test_sweep_config_error_in_a_worker_matches_in_process(tmp_path, capsys, monkeypatch,
+                                                           pools_made, children_left):
     cfg = base_config(tmp_path)
     cfg["net"]["layer_dims"] = [2, 4, 2]
     cfg["data"]["source"]["num_classes"] = 3
@@ -670,7 +695,7 @@ def test_sweep_config_error_in_a_worker_matches_in_process(tmp_path, capsys,
     errs = []
     for jobs in ("1", "2"):
         assert main(["sweep", "--config", cp, "--jobs", jobs]) == 2
-        assert multiprocessing.active_children() == []
+        assert not children_left()
         errs.append(capsys.readouterr().err)
     assert pools_made == [2]
     assert errs[0] == errs[1]
@@ -750,8 +775,8 @@ LOCKSTEP_NETS = {
 
 @pytest.mark.parametrize("batch_size", [0, 32])
 @pytest.mark.parametrize("net", sorted(LOCKSTEP_NETS))
-def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch,
-                                                        pools_made, net, batch_size):
+def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch, pools_made,
+                                                        net, batch_size, children_left):
     import fragaudit.optim as optim
     from fragaudit.rng import Rng
 
@@ -780,7 +805,7 @@ def test_lockstep_sweep_outputs_independent_of_stacking(tmp_path, monkeypatch,
         assert main(["sweep", "--config", cp, "--out", str(out), "--jobs", str(jobs)]) == 0
         outputs[budget, jobs] = _output_bytes(out)
     assert pools_made == [2]  # only --jobs 2 forks
-    assert multiprocessing.active_children() == []
+    assert not children_left()
     first, *rest = outputs.values()
     assert all(other == first for other in rest)
     records = read_jsonl(tmp_path / f"out-{optim.BUDGET}-1" / "records.jsonl")
@@ -816,14 +841,14 @@ def _stacked_sweep_config(tmp_path, train_sizes):
 
 @pytest.mark.parametrize("train_sizes, stacks", [([128], 2), ([96, 128], 4)])
 def test_sweep_defaults_to_one_worker_per_cpu(tmp_path, monkeypatch, pools_made,
-                                              train_sizes, stacks):
+                                              train_sizes, stacks, children_left):
     cp = _stacked_sweep_config(tmp_path, train_sizes)
     _workers(monkeypatch, 2)
     outputs = []
     for jobs in (["--jobs", "1"], []):
         out = tmp_path / f"out{len(outputs)}"
         assert main(["sweep", "--config", cp, "--out", str(out)] + jobs) == 0
-        assert multiprocessing.active_children() == []
+        assert not children_left()
         outputs.append(_output_bytes(out))
     assert pools_made == [min(stacks, 2)]
     assert len(outputs[0]) == 3 * 6 * stacks + 1  # three files a run, records.jsonl
@@ -1306,7 +1331,7 @@ def _measure_cmd(cp, out, records):
 
 
 def test_measure_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
-                                                           pools_made):
+                                                           pools_made, children_left):
     from fragaudit import cli
 
     cp, out, records = _mixed_width_runs(tmp_path, "grouped")
@@ -1320,7 +1345,7 @@ def test_measure_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch
             assert main(_measure_cmd(cp, run_out, records)) == 0
             outputs[workers, budget] = _measure_outputs(run_out)
     assert pools_made == [2, 2, 2, 3, 3, 2]
-    assert multiprocessing.active_children() == []
+    assert not children_left()
     first, *rest = outputs.values()
     assert len(first) == 13 and all(other == first for other in rest)
 
@@ -1353,7 +1378,8 @@ def test_measure_on_a_pool_stops_at_a_bad_checkpoint_after_the_runs_before_it(
         assert (after[name] != before[name]) == (i < bad), name
 
 
-def test_measure_bug_in_a_worker_matches_in_process(tmp_path, monkeypatch, pools_made):
+def test_measure_bug_in_a_worker_matches_in_process(tmp_path, monkeypatch, pools_made,
+                                                    children_left):
     from fragaudit import cli
 
     cp, out, records = _mixed_width_runs(tmp_path, "grouped")
@@ -1376,7 +1402,7 @@ def test_measure_bug_in_a_worker_matches_in_process(tmp_path, monkeypatch, pools
         errors.append(str(exc.value))
         outputs.append(_measure_outputs(run_out))
     assert pools_made == [2]
-    assert multiprocessing.active_children() == []
+    assert not children_left()
     assert errors == ["planted in the first wide run"] * 2
     assert outputs[0] == outputs[1]
     unmeasured = _measure_outputs(out)

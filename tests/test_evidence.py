@@ -2,7 +2,6 @@
 
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -303,7 +302,8 @@ def _workers(monkeypatch, n):
     monkeypatch.setattr(workers, "cpu_count", lambda: n)
 
 
-def test_mass_hits_do_not_depend_on_the_worker_count(monkeypatch, pools_made):
+def test_mass_hits_do_not_depend_on_the_worker_count(monkeypatch, pools_made,
+                                                     children_left):
     ds = synth_blobs(8, 2, 2, 6.0, seed=5)
     spec = NetSpec((2, 4, 2))
     monkeypatch.setattr(evidence, "_MASS_SHARD", 7)
@@ -311,7 +311,7 @@ def test_mass_hits_do_not_depend_on_the_worker_count(monkeypatch, pools_made):
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
         hits.append(estimate_consistency_mass(spec, ds, draws=3000, seed=6).hits)
-        assert multiprocessing.active_children() == []
+        assert not children_left()
     assert pools_made == [2, 3]
     assert hits[0] > 0 and hits == [hits[0]] * 3
 
@@ -339,7 +339,8 @@ def test_one_shard_or_a_running_thread_starts_no_process(monkeypatch, pools_made
     assert pools_made == []
 
 
-def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_made):
+def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_made,
+                                                           children_left):
     parent = os.getpid()
     real = evidence.prior_predictions
 
@@ -355,11 +356,11 @@ def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch, pools_ma
     with pytest.raises(InvalidDataset, match="raised in a worker"):
         estimate_consistency_mass(NetSpec((2, 4, 2)), ds, draws=3000, seed=6)
     assert pools_made == [2]
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
-def test_repetition_error_in_a_worker_reaches_the_parent_with_its_type(monkeypatch,
-                                                                      pools_made):
+def test_repetition_error_in_a_worker_reaches_the_parent_with_its_type(
+        monkeypatch, pools_made, children_left):
     parent = os.getpid()
     real = evidence.gibbs_sample_consistent
 
@@ -375,11 +376,11 @@ def test_repetition_error_in_a_worker_reaches_the_parent_with_its_type(monkeypat
     with pytest.raises(InvalidDataset, match="raised in a repetition's worker"):
         bound_vs_error_experiment(NetSpec((2, 4, 2)), task, seed=14)
     assert pools_made == [2]
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_package_import_leaves_multiprocessing_unloaded(tmp_path):
-    # a two-stack sweep with --jobs 1 trains in-process and loads no pool either
+    # a two-stack sweep with --jobs 1 trains in-process and loads no pool module either
     cfg = {"out_dir": str(tmp_path / "out"), "net": {"layer_dims": [2, 4, 2]},
            "data": {"source": {"kind": "blobs", "n": 32, "dim": 2, "num_classes": 2,
                                "separation": 6.0, "seed": 1},
@@ -387,13 +388,13 @@ def test_package_import_leaves_multiprocessing_unloaded(tmp_path):
            "sweep": {"lrs": [0.1], "optimizers": ["sgdm", "adam"], "max_epochs": 2}}
     cp = tmp_path / "config.json"
     cp.write_text(json.dumps(cfg))
-    code = ("import sys, fragaudit.cli as cli\n"
-            "print('multiprocessing' in sys.modules)\n"
-            f"print(cli.main(['sweep', '--config', {str(cp)!r}, '--jobs', '1']))\n"
-            "print('multiprocessing' in sys.modules)\n")
+    loaded = "print(sorted({'multiprocessing', 'select', 'fcntl'} & set(sys.modules)))\n"
+    code = ("import sys, fragaudit.cli as cli\n" + loaded
+            + f"print(cli.main(['sweep', '--config', {str(cp)!r}, '--jobs', '1']))\n"
+            + loaded)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True, timeout=60)
     first, summary, rc, last = out.stdout.splitlines()
     assert summary.startswith("sweep complete: 2 records") and rc == "0"
-    assert first == last == "False"
+    assert first == last == "[]"

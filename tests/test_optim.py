@@ -1,6 +1,5 @@
 """Optimizer update fixtures, stop rules, traces, resume, sweeps."""
 
-import multiprocessing
 import threading
 from dataclasses import fields, replace
 
@@ -406,7 +405,7 @@ def _tiny_sweep_config():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_propagates_programming_errors(monkeypatch, pools_made, jobs):
+def test_sweep_propagates_programming_errors(monkeypatch, pools_made, jobs, children_left):
     tr, te = _blob_task(n=16)
     real = optim._new_run
 
@@ -425,7 +424,7 @@ def test_sweep_propagates_programming_errors(monkeypatch, pools_made, jobs):
     assert [(r.record.optimizer, r.record.seed) for r in seen] == \
         [("sgdm", 0), ("sgdm", 1)]
     assert pools_made == ([2] if jobs == 2 else [])
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_sweep_records_toolkit_errors_per_run(monkeypatch):
