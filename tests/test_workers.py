@@ -58,10 +58,10 @@ def test_a_worker_without_mallopt_still_runs_the_initializer(monkeypatch, pools_
         raise OSError("no C library")
 
     monkeypatch.setattr(ctypes, "CDLL", no_libc)  # no mallopt and no BLAS symbol either
-    monkeypatch.setattr(workers, "_in_worker", False)  # this process is no worker after the test
+    monkeypatch.setattr(workers, "_in_worker", False)  # no worker once the test ends
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     workers._start_worker()
-    with workers.ordered_map(divmod, (17,), [5], 2) as results:  # a worker's map: in-process
+    with workers.ordered_map(divmod, (17,), [5], 2) as results:  # a worker's: in-process
         assert list(results) == [(3, 2)]
     assert pools_made == []
 
@@ -160,7 +160,8 @@ def test_a_failing_map_closes_its_pool_and_every_worker_exits_cleanly(monkeypatc
     assert signalled == []
     assert len(pools) == 1 and len(pools[0].workers) == 2 and _closed(pools[0])
     assert len(statuses) == 2
-    assert all(os.WIFEXITED(s) and os.WEXITSTATUS(s) == 0 for s in statuses)  # none signalled
+    # exited with status 0, so none was signalled
+    assert all(os.WIFEXITED(s) and os.WEXITSTATUS(s) == 0 for s in statuses)
 
 
 def _jittered(x):
@@ -222,11 +223,9 @@ def test_an_unpicklable_task_error_arrives_naming_its_type_and_message(monkeypat
 def test_an_interrupt_in_the_block_signals_the_workers_and_reaps_them(monkeypatch):
     pools, signalled = _pools(monkeypatch)
     statuses = _statuses(monkeypatch)
-    start = time.monotonic()
-    with _within(20), pytest.raises(KeyboardInterrupt):
+    with _within(20), pytest.raises(KeyboardInterrupt):  # the workers sleep for 60 s
         with workers.ordered_map(time.sleep, (), [60, 60, 60], 2):
             raise KeyboardInterrupt
-    assert time.monotonic() - start < 20
     assert signalled == pools and len(pools) == 1 and _closed(pools[0])
     assert len(statuses) == 2
     assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGTERM for s in statuses)
@@ -272,8 +271,9 @@ def test_ordered_map_is_the_only_way_into_the_pool():
 
 
 def _blas_run(tmp_path, name, blas_threads):
-    """Every output file of a two-stack (one per optimizer) images sweep and an exppp demo of two alphas,
-    each run in a fresh interpreter with OPENBLAS_NUM_THREADS as given (None: unset)."""
+    """Every output file of a two-stack images sweep (one stack per optimizer) and an
+    exppp demo of two alphas, each run in a fresh interpreter with
+    OPENBLAS_NUM_THREADS as given (None: unset)."""
     out = tmp_path / name
     cfg = {"out_dir": "out",  # in the config hash, so the same for both runs
            "net": {"layer_dims": [196, 32, 32, 10], "normalize_hidden": True,
