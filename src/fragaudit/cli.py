@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import data as datakit
@@ -288,9 +288,12 @@ def cmd_sweep(cfg, out, args):
     train_ds, test_ds = _build_data(cfg)
     scfg = SweepConfig(**_section(cfg, "sweep"), **_tags(cfg))
     cfg_hash = persist.config_hash(cfg)
-    results = sweep(spec, train_ds, test_ds, scfg,
-                    on_result=lambda r: _persist_result(out, spec, r, cfg_hash),
-                    jobs=args.jobs)
+
+    def write_run(res):
+        _persist_result(out, spec, res, cfg_hash)
+        res.checkpoint = res.trace = None  # written; the summary needs only the record
+
+    results = sweep(spec, train_ds, test_ds, scfg, on_result=write_run, jobs=args.jobs)
     _write_records(out, [r.record.to_dict() for r in results], cfg_hash)
     by_status = _by_count(Counter(r.record.status for r in results))
     print(f"sweep complete: {len(results)} records ({by_status}) -> "
@@ -431,16 +434,13 @@ def cmd_audit(cfg, out, args):
     for delta in fcfg.deltas:
         stem = f"cms_delta_{repr(delta).replace('.', '_')}"
         for ext, emit in (("csv", frag.emit_table_csv), ("txt", frag.emit_table_text)):
-            with open(rdir / f"{stem}.{ext}", "w") as fh:
-                fh.write(f"# config_hash={cfg_hash} tool_version={persist.TOOL_VERSION}\n")
-                fh.write(emit(aggregates, groups, measures, delta))
+            persist.write_text(rdir / f"{stem}.{ext}",
+                               emit(aggregates, groups, measures, delta), cfg_hash)
     cells = {
         f"{m}|{delta!r}": {
             "cms_med": agg.cms_med, "ecms_med": agg.ecms_med,
             "cms_coverage": agg.cms_coverage, "ecms_coverage": agg.ecms_coverage,
-            "per_group": {g: {k: getattr(c, k) for k in (
-                "cms", "ecms", "cms_seed", "cms_inter", "n_pairs", "n_seed_pairs",
-                "n_inter_pairs")} for g, c in agg.per_group.items()},
+            "per_group": {g: asdict(c) for g, c in agg.per_group.items()},
         }
         for (m, delta), agg in sorted(aggregates.items())
     }

@@ -99,3 +99,7 @@ class AllRunsFailed(FragAuditError):
 
     def payload(self) -> dict:
         return dict(super().payload(), count=self.count)
+
+
+class WorkerLost(FragAuditError, ChildProcessError):
+    """A pool worker ended, by a signal or an exit, without sending its result."""

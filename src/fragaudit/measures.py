@@ -1,6 +1,7 @@
 """Post-mortem generalization measures computed from a checkpoint and a dataset.
 
-The vocabulary matches the audit report tables exactly. All quantities use the
+MEASURES is the vocabulary: each measure's name, family, formula and source,
+as the audit report tables and the README name them. All quantities use the
 flattened trainable parameter vector w (frozen readouts are excluded, so the
 schedule-equivalence scaling identities hold for the reported values).
 """
@@ -16,38 +17,64 @@ from .net import Checkpoint, NetSpec, accuracy, flatten_params, forward_batch, \
     margins, param_views
 from .rng import Rng, child_seeds, gaussian_matrix
 
-MEASURE_NAMES = (
-    "PARAMS",
-    "INVERSE_MARGIN",
-    "FRO_DIST",
-    "PARAM_NORM",
-    "SUM_OF_FRO",
-    "SUM_OF_FRO_OVER_MARGIN",
-    "PROD_OF_FRO",
-    "PROD_OF_FRO_OVER_MARGIN",
-    "SUM_OF_SPEC",
-    "SUM_OF_SPEC_OVER_MARGIN",
-    "PROD_OF_SPEC",
-    "PROD_OF_SPEC_OVER_MARGIN",
-    "DIST_SPEC_INIT",
-    "FRO_OVER_SPEC",
-    "SPEC_ORIG_MAIN",
-    "SPEC_INIT_MAIN",
-    "PATH_NORM",
-    "PATH_NORM_OVER_MARGIN",
-    "PACBAYES_ORIG",
-    "PACBAYES_INIT",
-    "PACBAYES_FLATNESS",
-    "PACBAYES_MAG_ORIG",
-    "PACBAYES_MAG_INIT",
-    "PACBAYES_MAG_FLATNESS",
+# The vocabulary, one row per measure in report order: name, the family that
+# computes it, whether it needs a positive margin, formula and source. W_i are
+# the weights of the d trainable layers and W_i⁰ their initial values; w and w⁰
+# the trainable weights and biases, flattened; n is the train size, γ the
+# margin, σ and σ' the plain and the magnitude-aware sigma-search radii, s_j =
+# σ'(|w_j| + κ), and f_W² the plain net with every weight and bias squared.
+# Jiang is Jiang et al. 2019 (arXiv:1912.02178).
+MEASURES = (
+    ("PARAMS", "params", False, "sqrt(Σ_i c_(i-1)(c_i + 1) / n), c the layer widths",
+     "Jiang: params, as a sqrt(·/n) surrogate of the count"),
+    ("INVERSE_MARGIN", "margin", True, "sqrt(n) / γ", "Jiang: inverse-margin"),
+    ("FRO_DIST", "frobenius", False, "sqrt(Σ‖W_i − W_i⁰‖_F² / n)", "Jiang: fro-dist"),
+    ("PARAM_NORM", "frobenius", False, "sqrt(Σ‖W_i‖_F² / n)",
+     "Jiang: param-norm; equals PROD_OF_FRO when d = 1"),
+    ("PARAM_NORM_OVER_MARGIN", "frobenius", True, "PARAM_NORM / γ",
+     "Jiang's param-norm over γ; was SUM_OF_FRO_OVER_MARGIN"),
+    ("PROD_OF_FRO", "frobenius", False, "sqrt(∏‖W_i‖_F² / n)",
+     "Jiang: prod-of-fro; the sqrt halves the CMS of ∏‖W_i‖_F² at fixed n"),
+    ("PROD_OF_FRO_OVER_MARGIN", "frobenius", True, "PROD_OF_FRO / γ",
+     "Jiang: prod-of-fro/margin"),
+    ("SUM_OF_SPEC", "spectral", False, "sqrt(Σ‖W_i‖₂² / n)",
+     "not Jiang's sum-of-spec, d·(∏‖W_i‖₂²)^(1/d); equals PROD_OF_SPEC when d = 1"),
+    ("SUM_OF_SPEC_OVER_MARGIN", "spectral", True, "SUM_OF_SPEC / γ",
+     "Jiang: sum-of-spec/margin, with SUM_OF_SPEC's variant"),
+    ("PROD_OF_SPEC", "spectral", False, "sqrt(∏‖W_i‖₂² / n)",
+     "Jiang: prod-of-spec; the sqrt halves the CMS of ∏‖W_i‖₂² at fixed n"),
+    ("PROD_OF_SPEC_OVER_MARGIN", "spectral", True, "PROD_OF_SPEC / γ",
+     "Jiang: prod-of-spec/margin"),
+    ("DIST_SPEC_INIT", "spectral", False, "sqrt(Σ‖W_i − W_i⁰‖₂² / n)",
+     "Jiang: dist-spec-init"),
+    ("FRO_OVER_SPEC", "spectral", False, "Σ‖W_i‖_F² / ‖W_i‖₂²", "Jiang: fro/spec"),
+    ("SPEC_ORIG_MAIN", "spectral", True, "∏‖W_i‖₂² · FRO_OVER_SPEC / (γ² n)",
+     "Jiang: spec-orig-main"),
+    ("SPEC_INIT_MAIN", "spectral", True,
+     "∏‖W_i‖₂² · Σ(‖W_i − W_i⁰‖_F² / ‖W_i‖₂²) / (γ² n)", "Jiang: spec-init-main"),
+    ("PATH_NORM", "path", False, "sqrt(Σ_k f_W²(1)_k / n), 1 the all-ones input",
+     "Jiang: path-norm"),
+    ("PATH_NORM_OVER_MARGIN", "path", True, "PATH_NORM / γ", "Jiang: path-norm/margin"),
+    ("PACBAYES_ORIG", "pacbayes", False, "sqrt(‖w‖² / (4σ²) + ln(n/δ) + 10) / sqrt(n)",
+     "Jiang: pacbayes-orig"),
+    ("PACBAYES_INIT", "pacbayes", False,
+     "sqrt(‖w − w⁰‖² / (4σ²) + ln(n/δ) + 10) / sqrt(n)", "Jiang: pacbayes-init"),
+    ("PACBAYES_FLATNESS", "pacbayes", False, "1 / (σ sqrt(n))",
+     "Jiang: pacbayes-flatness"),
+    ("PACBAYES_MAG_ORIG", "pacbayes_mag", False,
+     "sqrt(Σ_j w_j² / (4s_j²) + ln(n/δ) + 10) / sqrt(n)", "Jiang: pacbayes-mag-orig"),
+    ("PACBAYES_MAG_INIT", "pacbayes_mag", False,
+     "sqrt(Σ_j (w_j − w_j⁰)² / (4s_j²) + ln(n/δ) + 10) / sqrt(n)",
+     "Jiang: pacbayes-mag-init"),
+    ("PACBAYES_MAG_FLATNESS", "pacbayes_mag", False, "1 / (σ' sqrt(n))",
+     "Jiang: pacbayes-mag-flatness"),
 )
-
+MEASURE_NAMES = tuple(row[0] for row in MEASURES)
+_FAMILY = {row[0]: row[1] for row in MEASURES}
+_MARGIN_MEASURES = frozenset(row[0] for row in MEASURES if row[2])
 # each *_OVER_MARGIN name -> the measure it divides by the margin
 _OVER_MARGIN = {n: n.removesuffix("_OVER_MARGIN") for n in MEASURE_NAMES
                 if n.endswith("_OVER_MARGIN")}
-_MARGIN_MEASURES = frozenset(_OVER_MARGIN) | {"INVERSE_MARGIN", "SPEC_ORIG_MAIN",
-                                              "SPEC_INIT_MAIN"}
 
 _SPECTRAL_START_SEED = 0x5EED5EED5EED5EED
 
@@ -159,15 +186,18 @@ def _spectral_start(k: int) -> np.ndarray:
     return v
 
 
+def _frobenius_sq(Ws, W0s):
+    """Per layer, ||W_i||_F^2 and ||W_i - W_i^0||_F^2."""
+    return [float(np.sum(W * W)) for W in Ws], \
+        [float(np.sum((W - W0) ** 2)) for W, W0 in zip(Ws, W0s)]
+
+
 def frobenius_measures(spec: NetSpec, ckpt: Checkpoint, n: int) -> dict:
-    """FRO_DIST, PARAM_NORM, SUM_OF_FRO, PROD_OF_FRO."""
-    Ws, W0s = measure_layers(spec, ckpt)
-    sq = [float(np.sum(W * W)) for W in Ws]
-    dist_sq = [float(np.sum((W - W0) ** 2)) for W, W0 in zip(Ws, W0s)]
+    """FRO_DIST, PARAM_NORM, PROD_OF_FRO."""
+    sq, dist_sq = _frobenius_sq(*measure_layers(spec, ckpt))
     return {
         "FRO_DIST": float(np.sqrt(sum(dist_sq) / n)),
         "PARAM_NORM": float(np.sqrt(sum(sq) / n)),
-        "SUM_OF_FRO": float(np.sqrt(sum(sq) / n)),
         "PROD_OF_FRO": float(np.sqrt(np.prod(sq) / n)),
     }
 
@@ -203,7 +233,7 @@ def spectral_measures(spec: NetSpec, ckpt: Checkpoint, n: int, margin_gamma=None
         else:
             s = 0.0
         dist_sq.append(s * s)
-    fro_sq = [float(np.sum(W * W)) for W in Ws]
+    fro_sq, fro_dist_sq = _frobenius_sq(Ws, W0s)
     stable_rank_sum = sum(f / s for f, s in zip(fro_sq, spec_sq))
     values = {
         "SUM_OF_SPEC": float(np.sqrt(sum(spec_sq) / n)),
@@ -215,10 +245,7 @@ def spectral_measures(spec: NetSpec, ckpt: Checkpoint, n: int, margin_gamma=None
         if margin_gamma <= 0:
             raise MarginNotPositive(f"margin gamma {margin_gamma} <= 0")
         prod_spec = float(np.prod(spec_sq))
-        init_sum = sum(
-            float(np.sum((W - W0) ** 2)) / s
-            for W, W0, s in zip(Ws, W0s, spec_sq)
-        )
+        init_sum = sum(f / s for f, s in zip(fro_dist_sq, spec_sq))
         g2n = margin_gamma * margin_gamma * n
         values["SPEC_ORIG_MAIN"] = prod_spec * stable_rank_sum / g2n
         values["SPEC_INIT_MAIN"] = prod_spec * init_sum / g2n
@@ -364,23 +391,22 @@ def _pacbayes(spec, ckpt, dataset, cfg, gamma, noise, diagnostics,
                              **{key: res.sigma})
 
 
-# The measure families: the names each computes and its
+# The measure families that run, in order: the names each computes (its rows
+# of MEASURES but the *_OVER_MARGIN ones) and its
 # run(spec, ckpt, dataset, cfg, gamma, noise, diagnostics) -> values, gamma the
 # margin if positive, else None. A run calls the measure functions through this
 # module's globals when it runs, so a binding patched here is the one called.
-_FAMILIES = (
-    (("PARAMS",), lambda spec, ckpt, ds, *_: {"PARAMS": vc_params_proxy(spec, ds.n)}),
-    (("FRO_DIST", "PARAM_NORM", "SUM_OF_FRO", "PROD_OF_FRO"),
-     lambda spec, ckpt, ds, *_: frobenius_measures(spec, ckpt, ds.n)),
-    (("SUM_OF_SPEC", "PROD_OF_SPEC", "DIST_SPEC_INIT", "FRO_OVER_SPEC",
-      "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN"), _spectral),
-    (("PATH_NORM",),
-     lambda spec, ckpt, ds, *_: {"PATH_NORM": path_norm(spec, ckpt, ds.n)}),
-    (("PACBAYES_ORIG", "PACBAYES_INIT", "PACBAYES_FLATNESS"), _pacbayes),
-    (("PACBAYES_MAG_ORIG", "PACBAYES_MAG_INIT", "PACBAYES_MAG_FLATNESS"),
-     functools.partial(_pacbayes, magnitude_aware=True)),
-)
-_FAMILY_OF = {name: i for i, (names, _) in enumerate(_FAMILIES) for name in names}
+# The margin family is compute_all's own.
+_FAMILIES = tuple(
+    (tuple(n for n in MEASURE_NAMES if _FAMILY[n] == family and n not in _OVER_MARGIN),
+     run) for family, run in (
+        ("params", lambda spec, ckpt, ds, *_: {"PARAMS": vc_params_proxy(spec, ds.n)}),
+        ("frobenius", lambda spec, ckpt, ds, *_: frobenius_measures(spec, ckpt, ds.n)),
+        ("spectral", _spectral),
+        ("path", lambda spec, ckpt, ds, *_: {"PATH_NORM": path_norm(spec, ckpt, ds.n)}),
+        ("pacbayes", _pacbayes),
+        ("pacbayes_mag", functools.partial(_pacbayes, magnitude_aware=True)),
+    ))
 
 
 def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = None,
@@ -402,9 +428,7 @@ def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = N
     labels do not fit the net's outputs) or a programming error raises.
     """
     cfg = cfg or MeasureConfig()
-    if int(dataset.labels.max(initial=0)) >= spec.layer_dims[-1]:
-        raise ConfigError(f"label {int(dataset.labels.max())} does not fit the net's "
-                          f"{spec.layer_dims[-1]} outputs")
+    spec.check_labels(dataset.labels)
     wanted = [name for name in MEASURE_NAMES if name in include] if include \
         else MEASURE_NAMES
     ms = MeasureSet()
@@ -417,10 +441,10 @@ def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = N
         margin_error = type(exc).__name__
     positive_gamma = gamma if gamma is not None and gamma > 0 else None
 
-    needed = {_FAMILY_OF.get(_OVER_MARGIN.get(name, name)) for name in wanted}
+    bases = {_OVER_MARGIN.get(name, name) for name in wanted}
     values, failed = {}, {}
-    for i, (names, run) in enumerate(_FAMILIES):
-        if i in needed:
+    for names, run in _FAMILIES:
+        if not bases.isdisjoint(names):
             try:
                 values.update(run(spec, ckpt, dataset, cfg, positive_gamma, noise,
                                   ms.diagnostics))
@@ -437,7 +461,7 @@ def compute_all(spec: NetSpec, ckpt: Checkpoint, dataset, cfg: MeasureConfig = N
             ms.errors[name] = failed[base]
         elif name in _MARGIN_MEASURES and margin_error is not None:
             ms.errors[name] = margin_error
-        elif name == "INVERSE_MARGIN":
+        elif _FAMILY[name] == "margin":
             ms.record(name, inverse_margin(gamma, dataset.n))
         elif name in _OVER_MARGIN:
             ms.record(name, values[base] / gamma)

@@ -49,6 +49,12 @@ class NetSpec:
         n = self.num_layers
         return tuple(range(n - 1)) if self.frozen_readout else tuple(range(n))
 
+    def check_labels(self, labels) -> None:
+        """ConfigError if a label does not fit the net's outputs."""
+        if int(labels.max(initial=0)) >= self.layer_dims[-1]:
+            raise ConfigError(f"label {int(labels.max())} does not fit the net's "
+                              f"{self.layer_dims[-1]} outputs")
+
     def to_dict(self) -> dict:
         return {
             "layer_dims": list(self.layer_dims),

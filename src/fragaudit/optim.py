@@ -317,9 +317,7 @@ def _run_loop(spec, runs, ds_train, ds_test, trace_measures=(), measure_config=N
     from . import measures as measures_mod
 
     for ds in (ds_train, ds_test):
-        if int(ds.labels.max(initial=0)) >= spec.layer_dims[-1]:
-            raise ConfigError(f"label {int(ds.labels.max())} does not fit the net's "
-                              f"{spec.layer_dims[-1]} outputs")
+        spec.check_labels(ds.labels)
     results = [None] * len(runs)
     data = (ds_train.features, ds_train.labels, ds_test.features, ds_test.labels)
     stack = _new_stack(spec, runs)

@@ -114,13 +114,17 @@ def fmt_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows, cfg_hash: str) -> None:
-    """CSV with a comment header carrying the config hash and tool version."""
+def write_text(path, body: str, cfg_hash: str) -> None:
+    """body under a comment line carrying the config hash and tool version."""
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} tool_version={TOOL_VERSION}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_cell(v) for v in row) + "\n")
+        fh.write(body)
+
+
+def write_csv(path, header, rows, cfg_hash: str) -> None:
+    """CSV under write_text's comment line."""
+    write_text(path, "".join(",".join(fmt_cell(v) for v in row) + "\n"
+                             for row in [header, *rows]), cfg_hash)
 
 
 def trace_csv_rows(trace):

@@ -7,9 +7,9 @@ workers are forked with os.fork, each with two pipes of its own: the parent
 sends task indices down one and reads pickled results from the other. It reads
 them on its main thread, so it runs no helper thread and unpickles every
 result in its own malloc arena. A worker that ends without sending its result
-raises ChildProcessError when that result is read, instead of leaving the map
-waiting. Each worker runs BLAS on one thread, since the workers already share
-the CPUs.
+raises errors.WorkerLost, a ChildProcessError, when that result is read,
+instead of leaving the map waiting. Each worker runs BLAS on one thread, since
+the workers already share the CPUs.
 """
 
 import contextlib
@@ -39,10 +39,10 @@ def ordered_map(fn, shared, tasks, limit: int):
     could hold a lock across the fork), and inside a worker, which may not have
     children. A worker takes its next task when the parent reads its previous
     result. An exception raised by task i is raised, with its type, when result
-    i is read; a worker that ends without sending result i raises
-    ChildProcessError there. When the block exits, the parent sends no further
-    task, closes the pipes and reaps every worker, after the tasks already
-    running; on an interrupt such as Ctrl-C it signals the workers first.
+    i is read; a worker that ends without sending result i raises WorkerLost,
+    a ChildProcessError, there. When the block exits, the parent sends no
+    further task, closes the pipes and reaps every worker, after the tasks
+    already running; on an interrupt such as Ctrl-C it signals the workers first.
     """
     count = min(limit, cpu_count())
     if not _in_worker and count >= 2 and hasattr(os, "fork") \
@@ -148,13 +148,15 @@ class _Pool:
 
     def _lost(self, w):
         """The error for worker w's task, whose result pipe reached EOF: w has ended."""
+        from .errors import WorkerLost
+
         self._close_pipes(w)
         _, status = os.waitpid(w.pid, 0)
         w.pid = None
         code = os.waitstatus_to_exitcode(status)
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        return ChildProcessError(f"the worker running task {w.task} ended without "
-                                 f"its result ({how}, wait status {status})")
+        return WorkerLost(f"the worker running task {w.task} ended without its "
+                          f"result ({how}, wait status {status})")
 
     def kill(self):
         """Signal every live worker to end now, without its running task."""

@@ -1,15 +1,17 @@
 """CLI end-to-end: every subcommand, byte-stable reruns, pipeline composition."""
 
 import json
+import os
 import shutil
+import signal
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fragaudit import evidence as ev, workers as workers_mod
-from fragaudit.cli import COMMANDS, main
-from fragaudit.measures import MeasureConfig, compute_all
+from fragaudit import evidence as ev, optim, workers as workers_mod
+from fragaudit.cli import COMMANDS, SCHEMA, main
+from fragaudit.measures import MEASURE_NAMES, MeasureConfig, compute_all
 from fragaudit.persist import json_ready, read_jsonl
 
 
@@ -1093,6 +1095,68 @@ def test_audit_rejects_degenerate_fragility_config(tmp_path, capsys, fragility, 
     assert not (tmp_path / "out" / "reports").exists()
 
 
+def test_config_naming_a_measure_outside_the_vocabulary_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["fragility"]["measures"] = ["PARAM_NORM", "SUM_OF_FRO"]
+    assert main(["audit", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ConfigError", "message": "config key fragility.measures[1] "
+                   "must be a measure name, got 'SUM_OF_FRO'"}
+
+
+def test_default_measure_lists_hold_only_measure_names():
+    # defaults skip the schema check, and a name outside the vocabulary would
+    # be a silently empty column
+    for section in ("fragility", "temporal"):
+        assert set(SCHEMA[section].defaults["measures"]) <= set(MEASURE_NAMES), section
+
+
+def test_audit_json_counts_the_runs_each_cell_used_and_excluded(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["fragility"] = {"deltas": [0.5], "measures": ["PARAM_NORM", "PATH_NORM"]}
+    cp = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    # four runs of one group; the last two have no PATH_NORM value
+    with open(out / "records.jsonl", "w") as fh:
+        for seed in range(4):
+            measures = {"PARAM_NORM": 1.0 + seed}
+            if seed < 2:
+                measures["PATH_NORM"] = 2.0 + seed
+            fh.write(json.dumps({
+                "run_id": f"r{seed}", "group": "g", "dataset": "d", "arch": "a",
+                "optimizer": "sgdm", "lr": 0.1, "stop_rule": "train_acc_100",
+                "n_train": 8, "seed": seed, "test_error": 0.1 * seed,
+                "measures": measures, "t_int": None, "parent_run_id": "",
+            }) + "\n")
+    assert main(["audit", "--config", cp]) == 0
+    rdir = next((out / "reports").glob("audit-*"))
+    cells = json.loads((rdir / "audit.json").read_text())["cells"]
+    counts = {key: tuple(c["per_group"]["g"][k] for k in (
+        "n_runs_used", "n_runs_excluded", "n_pairs")) for key, c in cells.items()}
+    assert counts == {"PARAM_NORM|0.5": (4, 0, 6), "PATH_NORM|0.5": (2, 2, 1)}
+
+
+def test_a_lost_sweep_worker_ends_the_command_with_the_json_error_line(
+        tmp_path, capsys, monkeypatch, children_left):
+    _workers(monkeypatch, 2)
+    real = optim._sweep_stack
+
+    def stack(*args):
+        if workers_mod._in_worker:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(optim, "_sweep_stack", stack)
+    cfg = base_config(tmp_path)
+    cfg["sweep"]["optimizers"] = ["sgdm", "adam"]  # two stacks, one per worker
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "WorkerLost"
+    assert "task 0 " in err["message"] and "killed by signal 9" in err["message"]
+    assert not children_left()
+
+
 @pytest.mark.parametrize("command", ["measure", "audit"])
 def test_missing_records_file_is_config_error(tmp_path, capsys, command):
     cp = write_config(tmp_path, base_config(tmp_path))
@@ -1455,7 +1519,7 @@ def test_measure_summary_counts_runs_skipped_by_status_and_errors_by_tag(
     path = tmp_path / "out" / "records.jsonl"
     records = read_jsonl(path)
     errors = Counter(tag for r in records for tag in r["measure_errors"].values())
-    assert errors == {"MarginNotPositive": 8, "NonFinite": 13}
+    assert errors == {"MarginNotPositive": 8, "NonFinite": 12}
     assert capsys.readouterr().out == (
         "measured 3 of 6 runs (skipped: 1 diverged, 2 error:InvalidDataset; "
-        f"measure errors: 8 MarginNotPositive, 13 NonFinite) -> {path}\n")
+        f"measure errors: 8 MarginNotPositive, 12 NonFinite) -> {path}\n")

@@ -1,5 +1,7 @@
 """Measure engine: hand fixtures, SVD oracle, homogeneity, sigma search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,6 @@ def test_param_norm_single_layer():
     ck = ckpt_from([[[3.0, 4.0]]])
     out = frobenius_measures(spec, ck, 1)
     assert out["PARAM_NORM"] == pytest.approx(5.0, abs=1e-12)
-    assert out["SUM_OF_FRO"] == out["PARAM_NORM"]
 
 
 def test_fro_dist_zero_at_init():
@@ -248,7 +249,7 @@ def test_margin_variants_equal_plain_at_gamma_one():
     fro = frobenius_measures(spec, ck, n)
     pn = path_norm(spec, ck, n)
     gamma = 1.0
-    assert fro["SUM_OF_FRO"] / gamma == fro["SUM_OF_FRO"]
+    assert fro["PARAM_NORM"] / gamma == fro["PARAM_NORM"]
     assert pn / gamma == pn
 
 
@@ -601,11 +602,52 @@ def test_compute_all_propagates_a_family_config_error(monkeypatch):
                     include=("PATH_NORM_OVER_MARGIN",))
 
 
+# --- the vocabulary --------------------------------------------------------------
+
+def test_the_measure_table_names_each_measure_once():
+    names = [row[0] for row in measures_mod.MEASURES]
+    assert tuple(names) == MEASURE_NAMES and len(set(names)) == len(names)
+    family = {name: fam for name, fam, *_ in measures_mod.MEASURES}
+    for name, fam, on_margin, formula, source in measures_mod.MEASURES:
+        assert formula and source, name
+        base = name.removesuffix("_OVER_MARGIN")
+        if base != name:  # X / gamma, computed in X's family
+            assert family.get(base) == fam and on_margin, name
+
+
+def test_no_two_measures_are_equal_or_log_affine_on_trained_nets():
+    # 12 short runs that all interpolate; PARAMS depends only on the net and n,
+    # so it is one constant here and is left out
+    spec = NetSpec((4, 8, 8, 2), bias_enabled=True)
+    tr, te = split_train_test(synth_blobs(96, 4, 2, 8.0, seed=1), 64, seed=2)
+    grid = [("sgdm", 0.05), ("sgdm", 0.1), ("sgdm", 0.2),
+            ("adam", 0.01), ("adam", 0.02), ("adam", 0.05)]
+    names = [name for name in MEASURE_NAMES if name != "PARAMS"]
+    logs = []
+    for (opt, lr), seed in itertools.product(grid, (0, 1)):
+        H = Hyperparams(optimizer=opt, lr=lr, max_epochs=50, dataset="blobs", arch="fcn")
+        res = train(spec, tr, te, H, seed=seed)
+        ms = compute_all(spec, res.checkpoint, tr,
+                         MeasureConfig(sigma_mc_draws=3, sigma_iters=8, seed=seed))
+        assert not ms.errors, ms.errors
+        logs.append([np.log(ms.values[name]) for name in names])
+    logs = np.array(logs)
+    for name, column in zip(names, logs.T):
+        assert len(set(column)) >= 3, name  # else an affine fit is trivially exact
+    # log C_a = slope * log C_b + offset exactly (equal measures included)
+    for a, b in itertools.combinations(range(len(names)), 2):
+        x, y = logs[:, b], logs[:, a]
+        A = np.stack([x, np.ones_like(x)], axis=1)
+        fit = A @ np.linalg.lstsq(A, y, rcond=None)[0]
+        assert np.max(np.abs(fit - y)) > 1e-9 * (1.0 + np.max(np.abs(y))), \
+            (names[a], names[b])
+
+
 # --- compute_all's tagging rule, against the rule written out -------------------
 
 _FAMILY_NAMES = {
     "params": ("PARAMS",),
-    "frobenius": ("FRO_DIST", "PARAM_NORM", "SUM_OF_FRO", "PROD_OF_FRO"),
+    "frobenius": ("FRO_DIST", "PARAM_NORM", "PROD_OF_FRO"),
     "spectral": ("SUM_OF_SPEC", "PROD_OF_SPEC", "DIST_SPEC_INIT", "FRO_OVER_SPEC",
                  "SPEC_ORIG_MAIN", "SPEC_INIT_MAIN"),
     "path": ("PATH_NORM",),

@@ -37,3 +37,15 @@ def test_readme_example_config_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(block)
     assert _load_config(path) == json.loads(block)
+
+
+def test_readme_measure_table_is_the_code_table():
+    from fragaudit.measures import MEASURES
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"\n## Measures\n(.*?)\n## ", readme, re.S).group(1)
+    rows = ["| measure | family | formula | source |", "| --- | --- | --- | --- |"]
+    rows += [f"| `{name}` | {family} | `{formula}` | {source} |"
+             for name, family, _, formula, source in MEASURES]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    assert table == rows
