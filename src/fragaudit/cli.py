@@ -2,8 +2,10 @@
 
 Outputs land under --out (default: the config's out_dir) in a re-runnable
 layout: runs/<group>/<run_id>/{record.json, ckpt.bin, trace.csv} plus
-records.jsonl, and reports/<name>/... for audits and experiments. Every file
-embeds the config hash and tool version; reruns are byte-identical.
+records.jsonl, reports/<name>/... for audits and experiments, and
+data/<key>-{train,test}.dsc, the split of a synthetic source. Every other
+file embeds the config hash and tool version, and a data file its key, a
+hash of the data section and tool version; reruns are byte-identical.
 """
 
 import argparse
@@ -200,30 +202,10 @@ def _tags(cfg: dict) -> dict:
             "arch": _section(cfg, "net")["tag"]}
 
 
-def _apply_ops(ds, ops):
-    """ds after each read transform op."""
-    for fn, fields in ops:
-        if fn == "make_permutation":
-            ds = datakit.permute_pixels(ds, datakit.make_permutation(ds.dim, **fields))
-        else:
-            ds = getattr(datakit, fn)(ds, **fields)
-    return ds
-
-
-def _build_data(cfg: dict):
-    """(train, test) per the data section: source, transforms, split, permute."""
-    d = _section(cfg, "data")
-    fn, fields = d["source"]
-    ds = _apply_ops(getattr(datakit, fn)(**fields), d["transforms"])
-    train_ds, test_ds = datakit.split_train_test(ds, **d["split"])
-    mode = d["permute"]["mode"]
-    if mode != "none":
-        p_train, p_test = datakit.permutation_pair(
-            train_ds.dim, d["permute"]["seed"], independent=(mode == "independent"))
-        train_ds = datakit.permute_pixels(train_ds, p_train)
-        test_ds = datakit.permute_pixels(test_ds, p_test)
-    return (_apply_ops(train_ds, d["train_transforms"]),
-            _apply_ops(test_ds, d["test_transforms"]))
+def _build_data(cfg: dict, out: Path):
+    """(train, test) per the data section; a synthetic source's split is built
+    by the first command on out and kept under out/data for the later ones."""
+    return datakit.build_split(_section(cfg, "data"), out / "data")
 
 
 def _measure_config(cfg: dict) -> MeasureConfig:
@@ -249,10 +231,10 @@ def _write_records(out: Path, records, cfg_hash: str) -> None:
     persist.write_jsonl(out / "records.jsonl", records, cfg_hash)
 
 
-def _train_run(cfg, names=None, **kwargs):
+def _train_run(cfg, out, names=None, **kwargs):
     """(spec, (train, test), train section, result) of the train section's run;
     it traces names, or the section's trace_measures if names is None."""
-    spec, data = NetSpec.from_dict(_section(cfg, "net")), _build_data(cfg)
+    spec, data = NetSpec.from_dict(_section(cfg, "net")), _build_data(cfg, out)
     tcfg = _section(cfg, "train")
     res = train(spec, *data, _make(Hyperparams, tcfg, **_tags(cfg)), tcfg["seed"],
                 trace_measures=tcfg["trace_measures"] if names is None else names,
@@ -274,7 +256,7 @@ def _run_report(res, names) -> dict:
 # --- commands ----------------------------------------------------------------
 
 def cmd_train(cfg, out, args):
-    spec, _, _, res = _train_run(cfg)
+    spec, _, _, res = _train_run(cfg, out)
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, res, cfg_hash)
     _write_records(out, [res.record.to_dict()], cfg_hash)
@@ -285,7 +267,7 @@ def cmd_train(cfg, out, args):
 
 def cmd_sweep(cfg, out, args):
     spec = NetSpec.from_dict(_section(cfg, "net"))
-    train_ds, test_ds = _build_data(cfg)
+    train_ds, test_ds = _build_data(cfg, out)
     scfg = SweepConfig(**_section(cfg, "sweep"), **_tags(cfg))
     cfg_hash = persist.config_hash(cfg)
 
@@ -391,7 +373,7 @@ def _measure_block(out, subsets, blocks, i) -> list:
 
 def cmd_measure(cfg, out, args):
     spec = NetSpec.from_dict(_section(cfg, "net"))
-    base_train, _ = _build_data(cfg)
+    base_train, _ = _build_data(cfg, out)
     mcfg = _measure_config(cfg)
     records = _read_records(out, args)
     subsample_seed = _section(cfg, "sweep")["subsample_seed"] if "sweep" in cfg \
@@ -448,8 +430,10 @@ def cmd_audit(cfg, out, args):
                        {"groups": groups, "cells": cells}, cfg_hash)
     pairs = sum(c.n_pairs for agg in aggregates.values() for c in agg.per_group.values())
     defined = frag.defined_cells(aggregates)
-    print(f"audit of {len(records)} records in {len(groups)} groups: {pairs} close-error "
-          f"pairs, {defined} of {len(aggregates)} cells defined -> {rdir}")
+    by_status = _by_count(Counter(r.status for r in records))
+    print(f"audit of {len(records)} records ({by_status}) in {len(groups)} groups: "
+          f"{pairs} close-error pairs, {defined} of {len(aggregates)} cells defined "
+          f"-> {rdir}")
     if not defined:
         sys.stderr.write(persist.canonical_json(
             {"error": "AllUndefined", "message": "every score was Undefined"}) + "\n")
@@ -459,7 +443,7 @@ def cmd_audit(cfg, out, args):
 
 def cmd_temporal(cfg, out, args):
     names = _section(cfg, "temporal", required=False)["measures"]
-    spec, _, _, res = _train_run(cfg, names)
+    spec, _, _, res = _train_run(cfg, out, names)
     cfg_hash = persist.config_hash(cfg)
     _persist_result(out, spec, res, cfg_hash)
     rdir = out / "reports" / "temporal"
@@ -472,7 +456,7 @@ def cmd_temporal(cfg, out, args):
 
 def cmd_hysteresis(cfg, out, args):
     names = _section(cfg, "temporal", required=False)["measures"]
-    spec, data, tcfg, parent = _train_run(cfg, names, want_interp_snapshot=True)
+    spec, data, tcfg, parent = _train_run(cfg, out, names, want_interp_snapshot=True)
     if parent.interp_checkpoint is None:
         raise ConfigError("parent run never reached 100% training accuracy")
     hcfg = _section(cfg, "hysteresis")
@@ -515,7 +499,7 @@ def _exppp_alpha(spec, train_ds, test_ds, e, mcfg, seed, mode, a):
 
 def cmd_exppp(cfg, out, args):
     spec = NetSpec.from_dict(_section(cfg, "net"))
-    train_ds, test_ds = _build_data(cfg)
+    train_ds, test_ds = _build_data(cfg, out)
     e = _section(cfg, "exppp")
     cfg_hash = persist.config_hash(cfg)
     rdir = out / "reports" / "exppp"
@@ -572,7 +556,7 @@ def cmd_evidence(cfg, out, args):
     rdir = out / "reports" / "evidence"
     rdir.mkdir(parents=True, exist_ok=True)
     if args.mode == "bound":
-        train_ds, _ = _build_data(cfg)
+        train_ds, _ = _build_data(cfg, out)
         if train_ds.n < 2:  # checked before the first draw
             raise ConfigError(f"config key data.split.n_train must give the bound >= 2 "
                               f"training points, got {train_ds.n}")
@@ -605,7 +589,7 @@ def cmd_evidence(cfg, out, args):
 def cmd_transform(cfg, out, args):
     t = _section(cfg, "transform")
     fn, fields = t["input"]
-    ds = _apply_ops(getattr(datakit, fn)(**fields), t["ops"])
+    ds = datakit.apply_ops(getattr(datakit, fn)(**fields), t["ops"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / t["output"]
     datakit.save_cache(path, ds)

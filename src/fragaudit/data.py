@@ -5,12 +5,14 @@ chain is recorded in provenance so any dataset can be replayed bit-exactly.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, InvalidDataset, InvalidPermutation, InvalidSize, InvalidSplit
-from .persist import read_header
+from .persist import TOOL_VERSION, config_hash, read_header
 from .rng import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -318,8 +320,14 @@ def synth_images(n: int, num_classes: int, seed: int, side: int = 28,
 _CACHE_FORMAT = "fragaudit-dataset-v1"
 
 
-def save_cache(path, ds: Dataset) -> None:
-    """JSON header line + little-endian float64 feature matrix."""
+def save_cache(path, ds: Dataset, key=None) -> None:
+    """JSON header line + little-endian float64 feature matrix; the header
+    holds key when one is given.
+
+    The file is written under a name of this process beside path and then
+    renamed over path, so an interrupted write, or two commands writing at
+    once, never leaves a part-written file at path.
+    """
     header = {
         "format": _CACHE_FORMAT,
         "n": ds.n,
@@ -328,29 +336,105 @@ def save_cache(path, ds: Dataset) -> None:
         "labels": ds.labels.tolist(),
         "provenance": ds.provenance,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
+    if key is not None:
+        header["key"] = key
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            fh.write(np.ascontiguousarray(ds.features, dtype="<f8"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_cache(path) -> Dataset:
-    """The dataset of a save_cache file; a malformed file raises FormatError."""
+def load_cache(path, key=None) -> Dataset:
+    """The dataset of a save_cache file.
+
+    A malformed or truncated file, or one whose header key is not key when key
+    is given, raises FormatError naming path.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    header, start = read_header(blob, _CACHE_FORMAT, "dataset cache", {
-        "n": int, "dim": int, "num_classes": int, "labels": list})
-    n, d = header["n"], header["dim"]
-    if d < 1:
-        raise FormatError(f"dataset cache dim {d} < 1", offset=0)
-    if len(header["labels"]) != n:
-        raise FormatError(f"{len(header['labels'])} labels for n = {n}", offset=0)
-    payload = blob[start:]
-    if len(payload) != n * d * 8:
-        raise FormatError(f"payload length {len(payload)} != {n * d * 8}", offset=start)
-    features = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, d)
+        try:
+            header, start = read_header(fh.readline(), _CACHE_FORMAT, "dataset cache", {
+                "n": int, "dim": int, "num_classes": int, "labels": list,
+                "provenance": dict})
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        n, d, labels = header["n"], header["dim"], header["labels"]
+        if d < 1:
+            raise FormatError(f"{path}: dataset cache dim {d} < 1", offset=0)
+        if len(labels) != n:
+            raise FormatError(f"{path}: {len(labels)} labels for n = {n}", offset=0)
+        if not all(type(v) is int and 0 <= v < header["num_classes"] for v in labels):
+            raise FormatError(f"{path}: labels must be integers in "
+                              f"[0, {header['num_classes']})", offset=0)
+        if key is not None and header.get("key") != key:
+            raise FormatError(f"{path}: header key {header.get('key')!r} is not the "
+                              f"file's key {key!r}", offset=0)
+        size, need = os.fstat(fh.fileno()).st_size - start, n * d * 8
+        if size != need:
+            raise FormatError(f"{path}: payload length {size} != {need}", offset=start)
+        features = np.empty((n, d), dtype="<f8")
+        if fh.readinto(features) != need:  # the file shrank while it was read
+            raise FormatError(f"{path}: payload shorter than {need}", offset=start)
     return _check(Dataset(
         features=features,
-        labels=np.asarray(header["labels"], dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64),
         num_classes=header["num_classes"],
-        provenance=header.get("provenance", {}),
+        provenance=header["provenance"],
     ))
+
+
+# --- one split per data section --------------------------------------------
+
+# Sources that are a pure function of their fields. The split of any other
+# source (a file read) is built anew each time: its bytes can change under an
+# unchanged config.
+_SYNTHETIC = ("synth_blobs", "synth_images")
+
+
+def apply_ops(ds: Dataset, ops) -> Dataset:
+    """ds after each op, an (op function name, fields) pair of a read config."""
+    for fn, fields in ops:
+        if fn == "make_permutation":
+            ds = permute_pixels(ds, make_permutation(ds.dim, **fields))
+        else:
+            ds = globals()[fn](ds, **fields)
+    return ds
+
+
+def build_split(section: dict, cache_dir: Path):
+    """(train, test) of a read data section: source, transforms, split, permute,
+    then the train and test transforms.
+
+    A synthetic source's split is built once per cache_dir. The first call
+    writes it as cache_dir/<key>-train.dsc and <key>-test.dsc, key the config
+    hash of the section and TOOL_VERSION, each file's header keyed by its name
+    without the suffix, and each later call loads those files. A file there
+    that does not load, or whose header key is not its name's (a stale or
+    swapped file), raises FormatError: the split is never built again over it.
+    """
+    fn, fields = section["source"]
+    if fn in _SYNTHETIC:
+        key = config_hash({"data": section, "tool_version": TOOL_VERSION})
+        paths = [cache_dir / f"{key}-{part}.dsc" for part in ("train", "test")]
+        try:
+            return tuple(load_cache(path, path.stem) for path in paths)
+        except FileNotFoundError:
+            pass  # not built yet, or deleted: build it
+    ds = apply_ops(globals()[fn](**fields), section["transforms"])
+    train, test = split_train_test(ds, **section["split"])
+    mode = section["permute"]["mode"]
+    if mode != "none":
+        p_train, p_test = permutation_pair(
+            train.dim, section["permute"]["seed"], independent=(mode == "independent"))
+        train, test = permute_pixels(train, p_train), permute_pixels(test, p_test)
+    train = apply_ops(train, section["train_transforms"])
+    test = apply_ops(test, section["test_transforms"])
+    if fn in _SYNTHETIC:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        for path, ds in zip(paths, (train, test)):
+            save_cache(path, ds, path.stem)
+    return train, test

@@ -100,7 +100,7 @@ def read_header(blob: bytes, fmt: str, what: str, keys: dict):
     if not isinstance(header, dict) or header.get("format") != fmt:
         raise FormatError(f"not a fragaudit {what}", offset=0)
     for key, kind in keys.items():
-        if not isinstance(header.get(key), kind):
+        if type(header.get(key)) is not kind:  # a JSON true is no int
             raise FormatError(f"{what} header needs {key!r} of type {kind.__name__}",
                               offset=0)
     return header, nl + 1

@@ -1,10 +1,12 @@
 """CLI end-to-end: every subcommand, byte-stable reruns, pipeline composition."""
 
+import functools
 import json
 import os
 import shutil
 import signal
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,6 +589,123 @@ def test_transform_command(tmp_path):
                    "permute_pixels"]
 
 
+# --- one dataset build per output directory -----------------------------------
+
+_IMAGES_DATA = {"source": {"kind": "images", "n": 60, "num_classes": 4, "seed": 2,
+                           "side": 6, "active_pixels": 5},
+                "transforms": [{"op": "binarize", "positive": [0, 1]},
+                               {"op": "corrupt", "p": 0.1, "seed": 3}],
+                "split": {"n_train": 40, "seed": 4}}
+SPLIT_CONFIGS = {
+    "blobs": base_config(Path("."))["data"],
+    "images-transforms": _IMAGES_DATA,
+    "images-shared-permute": dict(_IMAGES_DATA, permute={"mode": "shared", "seed": 5}),
+    "images-independent-permute-train-test-transforms": dict(
+        _IMAGES_DATA, permute={"mode": "independent", "seed": 5},
+        train_transforms=[{"op": "subsample", "m": 30, "seed": 6}],
+        test_transforms=[{"op": "corrupt", "p": 0.2, "seed": 7}, {"op": "permute", "seed": 8}],
+        tag="images"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CONFIGS))
+def test_a_kept_split_equals_a_fresh_build(tmp_path, monkeypatch, name):
+    from fragaudit import cli, data as datakit
+
+    cfg = dict(base_config(tmp_path), data=SPLIT_CONFIGS[name])
+    out = tmp_path / "out"
+    fresh = cli._build_data(cfg, out)
+    assert len(list((out / "data").iterdir())) == 2
+    for fn in ("synth_blobs", "synth_images", "split_train_test"):
+        # wraps keeps the signature, which the config schema reads defaults from
+        monkeypatch.setattr(datakit, fn, functools.wraps(getattr(datakit, fn))(
+            lambda *a, **k: pytest.fail("built again")))
+    kept = cli._build_data(cfg, out)
+    for a, b in zip(fresh, kept, strict=True):
+        assert a.features.dtype == b.features.dtype == np.float64
+        assert a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.dtype == b.labels.dtype and a.labels.tolist() == b.labels.tolist()
+        assert type(b.num_classes) is int and a.num_classes == b.num_classes
+        assert a.provenance == b.provenance
+
+
+def test_editing_any_data_key_writes_a_new_pair_of_files(tmp_path):
+    from fragaudit import cli
+
+    base = SPLIT_CONFIGS["images-independent-permute-train-test-transforms"]
+    edits = [("source", "n", 61), ("source", "num_classes", 5), ("source", "seed", 9),
+             ("source", "side", 5), ("source", "active_pixels", 4),
+             ("source", "noise", 0.1), ("split", "n_train", 41), ("split", "seed", 9),
+             ("permute", "mode", "shared"), ("permute", "seed", 9),
+             (None, "transforms", []), (None, "train_transforms", []),
+             (None, "test_transforms", []), (None, "tag", "other")]
+    out = tmp_path / "out"
+    cli._build_data(dict(base_config(tmp_path), data=base), out)
+    for section, key, value in edits:
+        data = json.loads(json.dumps(base))
+        (data if section is None else data[section])[key] = value
+        before = set(os.listdir(out / "data"))
+        cli._build_data(dict(base_config(tmp_path), data=data), out)
+        new = set(os.listdir(out / "data")) - before
+        assert sorted(name.split("-")[1] for name in new) == ["test.dsc", "train.dsc"], key
+    assert len(os.listdir(out / "data")) == 2 * (len(edits) + 1)
+
+
+def test_file_backed_sources_are_read_each_time_and_never_kept(tmp_path):
+    from fragaudit import cli
+    from fragaudit.data import save_cache, synth_images, write_idx
+
+    ds = synth_images(30, 3, seed=1, side=4, active_pixels=3)
+    write_idx(tmp_path / "i.idx", tmp_path / "l.idx", ds.features, ds.labels, 4, 4)
+    out = tmp_path / "out"
+    for source in ({"kind": "idx", "images": str(tmp_path / "i.idx"),
+                    "labels": str(tmp_path / "l.idx"), "num_classes": 3},
+                   {"kind": "cache", "path": str(tmp_path / "c.dsc")}):
+        cfg = dict(base_config(tmp_path), data={"source": source,
+                                                "split": {"n_train": 20, "seed": 2}})
+        builds = []
+        for seed in (1, 2):  # the same config, the source file's bytes changed
+            ds = synth_images(30, 3, seed=seed, side=4, active_pixels=3)
+            write_idx(tmp_path / "i.idx", tmp_path / "l.idx", ds.features, ds.labels, 4, 4)
+            save_cache(tmp_path / "c.dsc", ds)
+            builds.append(cli._build_data(cfg, out)[0].features)
+        assert not np.array_equal(*builds), source["kind"]
+        assert not (out / "data").exists()
+
+
+def _swap(train, test):
+    blob = train.read_bytes()
+    train.write_bytes(test.read_bytes())
+    test.write_bytes(blob)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda train, test, other: train.write_bytes(train.read_bytes()[:-8]),
+    lambda train, test, other: test.write_bytes(test.read_bytes()[:-1]),
+    lambda train, test, other: shutil.copyfile(other, train),
+    lambda train, test, other: _swap(train, test),
+], ids=["train-truncated", "test-truncated", "another-sections-file", "train-test-swapped"])
+def test_measure_on_a_tampered_data_file_exits_1_naming_it(tmp_path, capsys, tamper):
+    from fragaudit import cli
+
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(max_epochs=5, seeds=[0])
+    cp = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", cp]) == 0
+    data = tmp_path / "out" / "data"
+    (train,), (test,) = data.glob("*-train.dsc"), data.glob("*-test.dsc")
+    other_cfg = dict(cfg, data=dict(cfg["data"], tag="other"))
+    cli._build_data(other_cfg, tmp_path / "other")
+    other, = (tmp_path / "other" / "data").glob("*-train.dsc")
+    tamper(train, test, other)
+    capsys.readouterr()
+    assert main(["measure", "--config", cp]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FormatError"
+    assert str(train) in err["message"] or str(test) in err["message"]
+
+
 def test_bad_config_machine_readable_error(tmp_path, capsys):
     cp = tmp_path / "bad.json"
     cp.write_text("{not json")
@@ -853,7 +972,8 @@ def test_sweep_defaults_to_one_worker_per_cpu(tmp_path, monkeypatch, pools_made,
         assert not children_left()
         outputs.append(_output_bytes(out))
     assert pools_made == [min(stacks, 2)]
-    assert len(outputs[0]) == 3 * 6 * stacks + 1  # three files a run, records.jsonl
+    # three files a run, records.jsonl, the data split's two files
+    assert len(outputs[0]) == 3 * 6 * stacks + 1 + 2
     assert outputs[0] == outputs[1]
 
 
@@ -1063,9 +1183,9 @@ def test_permute_modes_build_the_named_permutations(tmp_path, mode):
 
     cfg = base_config(tmp_path)
     cfg["data"]["source"]["dim"] = 8
-    plain = cli._build_data(cfg)
+    plain = cli._build_data(cfg, tmp_path)
     cfg["data"]["permute"] = {"mode": mode, "seed": 4}
-    train_ds, test_ds = cli._build_data(cfg)
+    train_ds, test_ds = cli._build_data(cfg, tmp_path)
     if mode == "none":
         want = plain
     else:
@@ -1212,9 +1332,11 @@ def test_audit_summary_line(tmp_path, capsys):
     pairs = sum(g["n_pairs"] for c in cells for g in c["per_group"].values())
     defined = sum(c["cms_med"] is not None or c["ecms_med"] is not None for c in cells)
     assert 0 < pairs and 0 < defined <= len(cells) == 2 * len(MEASURE_NAMES)
+    statuses = Counter(r["status"] for r in read_jsonl(tmp_path / "out" / "records.jsonl"))
+    by_status = ", ".join(f"{statuses[k]} {k}" for k in sorted(statuses))
     assert capsys.readouterr().out == (
-        f"audit of 6 records in {len(audit['groups'])} groups: {pairs} close-error "
-        f"pairs, {defined} of {len(cells)} cells defined -> {rdir}\n")
+        f"audit of 6 records ({by_status}) in {len(audit['groups'])} groups: {pairs} "
+        f"close-error pairs, {defined} of {len(cells)} cells defined -> {rdir}\n")
 
 
 # --- measure: sigma-search noise drawn in blocks of runs -------------------------
@@ -1317,7 +1439,7 @@ def test_measure_block_runs_match_compute_all_alone(tmp_path):
     cp, out, records = _mixed_width_runs(tmp_path, "grouped")
     assert main(["measure", "--config", cp, "--records", str(records)]) == 0
     cfg = json.loads(open(cp).read())
-    train_ds, _ = _build_data(cfg)
+    train_ds, _ = _build_data(cfg, out)
     mcfg = _measure_config(cfg)
     measured = read_jsonl(out / "records.jsonl")
     assert len(measured) == 12

@@ -1,5 +1,7 @@
 """Dataset ingestion and transform tests, IDX fixture bytes written by hand."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -300,7 +302,11 @@ def test_synth_images_match_the_fresh_array_expression(n, side):
     lambda h: dict(h, labels=h["labels"][:1]),  # n 2, one label, payload of n 2
     lambda h: dict(h, dim="3"),
     lambda h: [1, 2],
-], ids=["no-n", "no-labels", "n-2-one-label", "dim-not-int", "not-an-object"])
+    lambda h: dict(h, labels=[0.5, 1.7]),  # np.asarray(..., int64) reads [0, 1]
+    lambda h: dict(h, labels=[True, 0]),  # and [1, 0]
+    lambda h: dict(h, provenance=[]),  # Dataset.with_chain needs a dict
+], ids=["no-n", "no-labels", "n-2-one-label", "dim-not-int", "not-an-object",
+        "float-labels", "bool-label", "provenance-list"])
 def test_cache_malformed_header_is_format_error(tmp_path, edit):
     import json
 
@@ -308,8 +314,31 @@ def test_cache_malformed_header_is_format_error(tmp_path, edit):
     save_cache(path, synth_blobs(2, 3, 2, 2.0, seed=26))
     head, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         load_cache(path)
+
+
+@pytest.mark.parametrize("saved_key, cut", [("k", 8), ("k", 1), ("other", 0), (None, 0)],
+                         ids=["8-bytes-short", "1-byte-short", "other-key", "no-key"])
+def test_cache_truncated_or_of_another_key_is_format_error(tmp_path, saved_key, cut):
+    path = tmp_path / "ds.dsc"
+    save_cache(path, synth_blobs(4, 3, 2, 2.0, seed=26), saved_key)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) - cut])
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_cache(path, "k")
+
+
+def test_save_cache_replaces_the_file_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "ds.dsc"
+    ds = synth_blobs(4, 3, 2, 2.0, seed=26)
+    save_cache(path, ds)
+    before = path.read_bytes()
+    unwritable = Dataset(np.full((4, 3), "x", dtype=object), ds.labels, 2)
+    with pytest.raises(ValueError):  # raised by the payload, after the header
+        save_cache(path, unwritable)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.dsc"]
 
 
 @pytest.mark.parametrize("n, dim", [(2, 0), (0, -1)])

@@ -301,5 +301,6 @@ def _blas_run(tmp_path, name, blas_threads):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     default = _blas_run(tmp_path, "default", None)
-    assert len(default) == 15  # four runs' three files, records.jsonl, two demo reports
+    # four runs' three files, records.jsonl, two demo reports, the data split's two files
+    assert len(default) == 17
     assert _blas_run(tmp_path, "one", "1") == default
