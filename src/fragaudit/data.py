@@ -5,14 +5,15 @@ chain is recorded in provenance so any dataset can be replayed bit-exactly.
 """
 
 import json
-import os
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidDataset, InvalidPermutation, InvalidSize, InvalidSplit
-from .persist import TOOL_VERSION, config_hash, read_header
+from .errors import ConfigError, FormatError, InvalidDataset, InvalidPermutation, \
+    InvalidSize, InvalidSplit
+from .persist import TOOL_VERSION, config_hash, read_payload, write_payload
 from .rng import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -50,56 +51,42 @@ def _check(ds: Dataset) -> Dataset:
 
 # --- IDX ingestion ----------------------------------------------------------
 
-def _read_idx_images(blob: bytes, path: str) -> np.ndarray:
+def _read_idx(blob: bytes, path: str, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file of the given magic as (n, values per
+    item); the magic's last byte is the number of dimension fields."""
     if len(blob) < 4:
         raise FormatError(f"{path}: truncated magic", offset=len(blob))
-    magic = int.from_bytes(blob[0:4], "big")
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"{path}: bad images magic 0x{magic:08x}", offset=0)
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated dimension fields", offset=len(blob))
-    n, rows, cols = (int.from_bytes(blob[o : o + 4], "big") for o in (4, 8, 12))
-    need = 16 + n * rows * cols
-    if len(blob) != need:
-        raise FormatError(
-            f"{path}: payload length {len(blob) - 16} != {n * rows * cols}",
-            offset=min(len(blob), need),
-        )
-    data = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    return data.reshape(n, rows * cols)
-
-
-def _read_idx_labels(blob: bytes, path: str) -> np.ndarray:
-    if len(blob) < 4:
-        raise FormatError(f"{path}: truncated magic", offset=len(blob))
-    magic = int.from_bytes(blob[0:4], "big")
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"{path}: bad labels magic 0x{magic:08x}", offset=0)
-    if len(blob) < 8:
-        raise FormatError(f"{path}: truncated dimension field", offset=len(blob))
-    n = int.from_bytes(blob[4:8], "big")
-    if len(blob) != 8 + n:
-        raise FormatError(f"{path}: payload length {len(blob) - 8} != {n}",
-                          offset=min(len(blob), 8 + n))
-    return np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
+    found = int.from_bytes(blob[0:4], "big")
+    if found != magic:
+        raise FormatError(f"{path}: bad {what} magic 0x{found:08x}", offset=0)
+    ndim = magic & 0xFF
+    start = 4 + 4 * ndim
+    if len(blob) < start:
+        raise FormatError(f"{path}: truncated dimension field{'s' * (ndim > 1)}",
+                          offset=len(blob))
+    dims = [int.from_bytes(blob[o : o + 4], "big") for o in range(4, start, 4)]
+    size = math.prod(dims)
+    if len(blob) != start + size:
+        raise FormatError(f"{path}: payload length {len(blob) - start} != {size}",
+                          offset=min(len(blob), start + size))
+    data = np.frombuffer(blob, dtype=np.uint8, offset=start)
+    return data.reshape(dims[0], math.prod(dims[1:]))
 
 
 def load_idx(images_path, labels_path, num_classes=None) -> Dataset:
     """Parse an IDX image/label pair; pixels are divided by 255."""
     with open(images_path, "rb") as fh:
-        images = _read_idx_images(fh.read(), str(images_path))
+        images = _read_idx(fh.read(), str(images_path), IDX_IMAGES_MAGIC, "images")
     with open(labels_path, "rb") as fh:
-        labels = _read_idx_labels(fh.read(), str(labels_path))
+        labels = _read_idx(fh.read(), str(labels_path), IDX_LABELS_MAGIC, "labels")[:, 0]
     if images.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels",
-            offset=0,
-        )
+        raise FormatError(f"count mismatch: {images.shape[0]} images vs "
+                          f"{labels.shape[0]} labels", offset=0)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if len(labels) else 0
     return _check(Dataset(
         features=images.astype(np.float64) / 255.0,
-        labels=labels,
+        labels=labels.astype(np.int64),
         num_classes=num_classes,
         provenance={"chain": [{"op": "load_idx", "images": str(images_path),
                                "labels": str(labels_path)}]},
@@ -113,15 +100,13 @@ def write_idx(images_path, labels_path, features01: np.ndarray, labels: np.ndarr
     if d != rows * cols:
         raise InvalidSize(f"dim {d} != {rows}x{cols}")
     pixels = np.clip(np.rint(features01 * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(IDX_IMAGES_MAGIC.to_bytes(4, "big"))
-        for v in (n, rows, cols):
-            fh.write(int(v).to_bytes(4, "big"))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(IDX_LABELS_MAGIC.to_bytes(4, "big"))
-        fh.write(int(n).to_bytes(4, "big"))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+    for path, magic, dims, payload in (
+            (images_path, IDX_IMAGES_MAGIC, (n, rows, cols), pixels),
+            (labels_path, IDX_LABELS_MAGIC, (n,), np.asarray(labels, dtype=np.uint8))):
+        with open(path, "wb") as fh:
+            for v in (magic, *dims):
+                fh.write(int(v).to_bytes(4, "big"))
+            fh.write(payload.tobytes())
 
 
 # --- transforms -------------------------------------------------------------
@@ -321,13 +306,8 @@ _CACHE_FORMAT = "fragaudit-dataset-v1"
 
 
 def save_cache(path, ds: Dataset, key=None) -> None:
-    """JSON header line + little-endian float64 feature matrix; the header
-    holds key when one is given.
-
-    The file is written under a name of this process beside path and then
-    renamed over path, so an interrupted write, or two commands writing at
-    once, never leaves a part-written file at path.
-    """
+    """JSON header line + little-endian float64 feature matrix, written by
+    persist.write_payload; the header holds key when one is given."""
     header = {
         "format": _CACHE_FORMAT,
         "n": ds.n,
@@ -338,15 +318,7 @@ def save_cache(path, ds: Dataset, key=None) -> None:
     }
     if key is not None:
         header["key"] = key
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(np.ascontiguousarray(ds.features, dtype="<f8"))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_payload(path, header, [ds.features])
 
 
 def load_cache(path, key=None) -> Dataset:
@@ -355,33 +327,26 @@ def load_cache(path, key=None) -> Dataset:
     A malformed or truncated file, or one whose header key is not key when key
     is given, raises FormatError naming path.
     """
-    with open(path, "rb") as fh:
-        try:
-            header, start = read_header(fh.readline(), _CACHE_FORMAT, "dataset cache", {
-                "n": int, "dim": int, "num_classes": int, "labels": list,
-                "provenance": dict})
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    def words(header):
         n, d, labels = header["n"], header["dim"], header["labels"]
         if d < 1:
-            raise FormatError(f"{path}: dataset cache dim {d} < 1", offset=0)
+            raise FormatError(f"dataset cache dim {d} < 1", offset=0)
         if len(labels) != n:
-            raise FormatError(f"{path}: {len(labels)} labels for n = {n}", offset=0)
+            raise FormatError(f"{len(labels)} labels for n = {n}", offset=0)
         if not all(type(v) is int and 0 <= v < header["num_classes"] for v in labels):
-            raise FormatError(f"{path}: labels must be integers in "
-                              f"[0, {header['num_classes']})", offset=0)
+            raise FormatError(f"labels must be integers in [0, {header['num_classes']})",
+                              offset=0)
         if key is not None and header.get("key") != key:
-            raise FormatError(f"{path}: header key {header.get('key')!r} is not the "
-                              f"file's key {key!r}", offset=0)
-        size, need = os.fstat(fh.fileno()).st_size - start, n * d * 8
-        if size != need:
-            raise FormatError(f"{path}: payload length {size} != {need}", offset=start)
-        features = np.empty((n, d), dtype="<f8")
-        if fh.readinto(features) != need:  # the file shrank while it was read
-            raise FormatError(f"{path}: payload shorter than {need}", offset=start)
+            raise FormatError(f"header key {header.get('key')!r} is not the file's key "
+                              f"{key!r}", offset=0)
+        return n * d
+
+    header, features = read_payload(path, _CACHE_FORMAT, "dataset cache", {
+        "n": int, "dim": int, "num_classes": int, "labels": list, "provenance": dict},
+        words)
     return _check(Dataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
+        features=features.reshape(header["n"], header["dim"]),
+        labels=np.array(header["labels"], dtype=np.int64),
         num_classes=header["num_classes"],
         provenance=header["provenance"],
     ))
@@ -424,7 +389,11 @@ def build_split(section: dict, cache_dir: Path):
             return tuple(load_cache(path, path.stem) for path in paths)
         except FileNotFoundError:
             pass  # not built yet, or deleted: build it
-    ds = apply_ops(globals()[fn](**fields), section["transforms"])
+    try:
+        ds = globals()[fn](**fields)
+    except OSError as exc:  # the file of an idx or cache source
+        raise ConfigError(f"cannot read data source: {exc}")
+    ds = apply_ops(ds, section["transforms"])
     train, test = split_train_test(ds, **section["split"])
     mode = section["permute"]["mode"]
     if mode != "none":

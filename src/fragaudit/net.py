@@ -5,15 +5,13 @@ norm, no epsilon) to make the network scale invariant in its trainable
 weights; that mode requires a frozen readout and no biases.
 """
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidDataset, NormalizationSingularity
-from .persist import read_header
+from .persist import config_hash, read_payload, write_payload
 from .rng import gaussian_rows
 
 ACTIVATIONS = ("relu", "identity")
@@ -70,8 +68,7 @@ class NetSpec:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return config_hash(self.to_dict())
 
 
 @dataclass
@@ -433,6 +430,7 @@ _CKPT_PAYLOAD = "binary-le-f64"
 
 
 def save_checkpoint(path, spec: NetSpec, ckpt: Checkpoint) -> None:
+    """Write ckpt to path whole or not at all (persist.write_payload)."""
     header = {
         "format": _CKPT_FORMAT,
         "spec": spec.to_dict(),
@@ -440,20 +438,13 @@ def save_checkpoint(path, spec: NetSpec, ckpt: Checkpoint) -> None:
         "meta": ckpt.meta,
         "payload": _CKPT_PAYLOAD,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for a in (list(ckpt.weights) + list(ckpt.biases)
-                  + list(ckpt.init_weights) + list(ckpt.init_biases)):
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    write_payload(path, header, [*ckpt.weights, *ckpt.biases, *ckpt.init_weights,
+                                 *ckpt.init_biases])
 
 
-def load_checkpoint(path):
-    """Returns (spec, checkpoint); a malformed file raises FormatError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header, start = read_header(blob, _CKPT_FORMAT, "checkpoint",
-                                {"spec": dict, "shapes": list, "meta": dict,
-                                 "payload": str})
+def _layout(header: dict):
+    """(spec, shapes of the payload's arrays in order) of a checkpoint header;
+    FormatError if the header is not a net's."""
     if header["payload"] != _CKPT_PAYLOAD:
         raise FormatError(f"unknown checkpoint payload {header['payload']!r}", offset=0)
     try:
@@ -463,19 +454,24 @@ def load_checkpoint(path):
     shapes = [(spec.layer_dims[i + 1], spec.layer_dims[i]) for i in range(spec.num_layers)]
     if header["shapes"] != [list(s) for s in shapes]:
         raise FormatError("checkpoint shapes do not match spec")
-    nb = spec.num_layers if spec.bias_enabled else 0
-    bias_shapes = [(s[0],) for s in shapes[:nb]]
-    layout = (shapes + bias_shapes) * 2
-    need = sum(math.prod(s) for s in layout) * 8
-    if len(blob) - start != need:
-        raise FormatError(f"payload length {len(blob) - start} != expected {need}",
-                          offset=start)
-    flat = np.frombuffer(blob, dtype="<f8", offset=start).astype(np.float64)
-    arrays, pos = [], 0
-    for s in layout:
-        arrays.append(flat[pos : pos + math.prod(s)].reshape(s))
-        pos += math.prod(s)
+    bias_shapes = [(s[0],) for s in shapes] if spec.bias_enabled else []
+    return spec, (shapes + bias_shapes) * 2
+
+
+def load_checkpoint(path):
+    """(spec, checkpoint) of a save_checkpoint file, every array a view of one
+    payload buffer. A missing, unreadable or malformed file raises FormatError
+    naming path."""
+    try:
+        header, flat = read_payload(
+            path, _CKPT_FORMAT, "checkpoint",
+            {"spec": dict, "shapes": list, "meta": dict, "payload": str},
+            lambda h: sum(math.prod(s) for s in _layout(h)[1]))
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
+    spec, layout = _layout(header)
+    ends = np.cumsum([math.prod(s) for s in layout])
+    arrays = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), layout)]
+    now, init = arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :]
     n = spec.num_layers
-    weights, biases = arrays[:n], arrays[n : n + nb]
-    init_weights, init_biases = arrays[n + nb : 2 * n + nb], arrays[2 * n + nb :]
-    return spec, Checkpoint(weights, init_weights, biases, init_biases, header["meta"])
+    return spec, Checkpoint(now[:n], init[:n], now[n:], init[n:], header["meta"])

@@ -1,4 +1,5 @@
-"""Canonical serialization: byte-stable JSON/JSONL/CSV and config hashing.
+"""Canonical serialization: byte-stable JSON/JSONL/CSV, the binary files of a
+JSON header line and a float64 payload, and config hashing.
 
 Floats render as shortest round-trip text (Python repr), keys are sorted, and
 no output contains wall-clock state, so rerunning a command with the same
@@ -8,7 +9,11 @@ config reproduces every file byte for byte.
 import hashlib
 import json
 import math
+import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -83,27 +88,56 @@ def read_jsonl(path, convert=None):
     return out
 
 
-def read_header(blob: bytes, fmt: str, what: str, keys: dict):
-    """(header, payload offset) of a file made of one JSON header line and a
-    binary payload: the checkpoint and dataset cache formats.
-
-    The header must be an object whose "format" is fmt and which holds each
-    key of keys with a value of that key's type; otherwise FormatError.
+def read_payload(path, fmt: str, what: str, keys: dict, words):
+    """(header, payload) of a write_payload file, the payload one float64 array
+    of words(header) values. The header must be an object whose "format" is fmt
+    and which holds each key of keys with a value of that key's type; words
+    raises FormatError for a header inconsistent otherwise. Every FormatError
+    starts with path; an OSError, such as FileNotFoundError, passes through.
     """
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise FormatError(f"missing {what} header", offset=0)
+    with open(path, "rb") as fh:
+        try:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise FormatError(f"missing {what} header", offset=0)
+            try:
+                header = json.loads(line)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise FormatError(f"unreadable {what} header: {exc}", offset=0)
+            if not isinstance(header, dict) or header.get("format") != fmt:
+                raise FormatError(f"not a fragaudit {what}", offset=0)
+            for key, kind in keys.items():
+                if type(header.get(key)) is not kind:  # a JSON true is no int
+                    raise FormatError(f"{what} header needs {key!r} of type "
+                                      f"{kind.__name__}", offset=0)
+            start, need = len(line), words(header) * 8
+            size = os.fstat(fh.fileno()).st_size - start
+            if size != need:
+                raise FormatError(f"payload length {size} != {need}", offset=start)
+            payload = np.empty(need // 8, dtype="<f8")
+            if fh.readinto(payload) != need:  # the file shrank while it was read
+                raise FormatError(f"payload shorter than {need}", offset=start)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    return header, payload
+
+
+def write_payload(path, header: dict, arrays) -> None:
+    """Write path as one JSON header line and each array's little-endian float64
+    buffer in turn (the checkpoint and dataset cache formats) under a name of
+    this process beside path, then rename it over path: an interrupted write,
+    or two commands writing at once, never leaves a part-written file at path.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        header = json.loads(blob[:nl])
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise FormatError(f"unreadable {what} header: {exc}", offset=0)
-    if not isinstance(header, dict) or header.get("format") != fmt:
-        raise FormatError(f"not a fragaudit {what}", offset=0)
-    for key, kind in keys.items():
-        if type(header.get(key)) is not kind:  # a JSON true is no int
-            raise FormatError(f"{what} header needs {key!r} of type {kind.__name__}",
-                              offset=0)
-    return header, nl + 1
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            for a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def fmt_cell(v) -> str:

@@ -630,6 +630,36 @@ def test_a_kept_split_equals_a_fresh_build(tmp_path, monkeypatch, name):
         assert a.provenance == b.provenance
 
 
+# sha256 of the (train, test) files of a kept split, by persist.TOOL_VERSION.
+# A change to the bytes a generator or transform gives fails this test: bump
+# TOOL_VERSION, which is part of every split's key, so that no output directory
+# loads a split the old code built, and pin the new version's bytes here.
+# Taken with numpy 2.4.6 on x86-64 with AVX-512: the Box-Muller draws go
+# through numpy's float64 log, sin and cos.
+KEPT_SPLIT_SHA256 = {"0.1.0": {
+    "blobs": ("504e058382ff8a921c202bd73bf590073f4bb0c51cc968356184371ec494d454",
+              "50e7be968530dcb183031eede1b92e678e382e49d6f0312116f8b8e2ab016b0f"),
+    "images-independent-permute-train-test-transforms": (
+        "7f473cf490d94d94946c9c7a2cfca2b1044410899c85f99c3af9d26609a123ad",
+        "55991bfe30fdea754f1f0ca7d0f7071db2ab9742d873582f04249e9ecb28123e"),
+}}
+
+
+@pytest.mark.parametrize("name", ["blobs",
+                                  "images-independent-permute-train-test-transforms"])
+def test_kept_split_bytes_are_pinned_by_the_tool_version(tmp_path, name):
+    import hashlib
+
+    from fragaudit import cli
+    from fragaudit.persist import TOOL_VERSION
+
+    cli._build_data(dict(base_config(tmp_path), data=SPLIT_CONFIGS[name]), tmp_path)
+    (train,), (test,) = ((tmp_path / "data").glob(f"*-{part}.dsc")
+                         for part in ("train", "test"))
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (train, test))
+    assert got == KEPT_SPLIT_SHA256[TOOL_VERSION][name]
+
+
 def test_editing_any_data_key_writes_a_new_pair_of_files(tmp_path):
     from fragaudit import cli
 
@@ -672,6 +702,25 @@ def test_file_backed_sources_are_read_each_time_and_never_kept(tmp_path):
             builds.append(cli._build_data(cfg, out)[0].features)
         assert not np.array_equal(*builds), source["kind"]
         assert not (out / "data").exists()
+
+
+@pytest.mark.parametrize("missing", ["images.idx", "labels.idx", "cache.dsc"])
+def test_a_missing_source_file_is_a_config_error_naming_it(tmp_path, capsys, missing):
+    from fragaudit.data import synth_images, write_idx
+
+    ds = synth_images(30, 3, seed=1, side=4, active_pixels=3)
+    write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", ds.features, ds.labels,
+              4, 4)
+    (tmp_path / missing).unlink(missing_ok=True)  # cache.dsc is never written
+    source = ({"kind": "cache", "path": str(tmp_path / missing)} if missing == "cache.dsc"
+              else {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                    "labels": str(tmp_path / "labels.idx"), "num_classes": 3})
+    cfg = base_config(tmp_path)
+    cfg["data"] = {"source": source, "split": {"n_train": 20, "seed": 2}}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(tmp_path / missing) in err["message"]
+    assert sorted(os.listdir(tmp_path / "out")) == []
 
 
 def _swap(train, test):
@@ -1454,8 +1503,9 @@ def test_measure_block_runs_match_compute_all_alone(tmp_path):
             assert diag[key] == alone.diagnostics[key], (rec["run_id"], key)
 
 
+@pytest.mark.parametrize("damage", ["garbage", "deleted"])
 def test_measure_stops_at_a_bad_checkpoint_after_the_runs_before_it(
-        tmp_path, monkeypatch):
+        tmp_path, capsys, monkeypatch, damage):
     import shutil
     from pathlib import Path
 
@@ -1468,11 +1518,18 @@ def test_measure_stops_at_a_bad_checkpoint_after_the_runs_before_it(
     measured = _measure_outputs(clean)
     listed = read_jsonl(records)
     bad = listed[3]  # the middle of the narrow runs' block
-    (out / "runs" / bad["group"] / bad["run_id"] / "ckpt.bin").write_bytes(b"garbage")
+    ckpt = out / "runs" / bad["group"] / bad["run_id"] / "ckpt.bin"
+    if damage == "garbage":
+        ckpt.write_bytes(b"garbage")
+    else:
+        ckpt.unlink()
     before = _measure_outputs(out)
     monkeypatch.setattr(cli, "NOISE_BUDGET", 1 << 30)
+    capsys.readouterr()
     assert main(["measure", "--config", cp, "--out", str(out),
                  "--records", str(records)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FormatError" and err["message"].startswith(f"{ckpt}: ")
     after = _measure_outputs(out)
     assert after["records.jsonl"] == before["records.jsonl"]
     for i, rec in enumerate(listed):
@@ -1502,7 +1559,8 @@ def test_measure_stops_at_a_malformed_checkpoint_header_after_the_runs_before_it
     capsys.readouterr()
     _workers(monkeypatch, 1)
     assert main(_measure_cmd(cp, out, records)) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FormatError" and err["message"].startswith(f"{path}: ")
     after = _measure_outputs(out)
     assert after["records.jsonl"] == before["records.jsonl"]
     for i, rec in enumerate(listed):

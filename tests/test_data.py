@@ -1,6 +1,7 @@
 """Dataset ingestion and transform tests, IDX fixture bytes written by hand."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fragaudit.data import Dataset, binarize, corrupt_labels, load_cache, load_i
     make_permutation, permutation_pair, permute_pixels, save_cache, split_train_test, \
     subsample, synth_blobs, synth_images, write_idx
 from fragaudit.errors import FormatError, InvalidPermutation, InvalidSize, InvalidSplit
-from fragaudit.net import NetSpec, forward_batch, init_checkpoint
+from fragaudit.net import NetSpec, forward_batch, init_checkpoint, save_checkpoint
 from fragaudit.rng import Rng
 
 
@@ -329,16 +330,34 @@ def test_cache_truncated_or_of_another_key_is_format_error(tmp_path, saved_key, 
         load_cache(path, "k")
 
 
-def test_save_cache_replaces_the_file_whole_or_not_at_all(tmp_path):
-    path = tmp_path / "ds.dsc"
+def _cache_saves(path):
+    """(a save_cache of path, one that fails in its payload)."""
     ds = synth_blobs(4, 3, 2, 2.0, seed=26)
-    save_cache(path, ds)
-    before = path.read_bytes()
     unwritable = Dataset(np.full((4, 3), "x", dtype=object), ds.labels, 2)
+    return lambda: save_cache(path, ds), lambda: save_cache(path, unwritable)
+
+
+def _checkpoint_saves(path):
+    """(a save_checkpoint of path, one that fails in its payload's last arrays)."""
+    spec = NetSpec((3, 4, 2))
+    ck = init_checkpoint(spec, Rng(1).spawn_key("init"))
+    unwritable = replace(ck, init_weights=[np.full(w.shape, "x", dtype=object)
+                                           for w in ck.init_weights])
+    return lambda: save_checkpoint(path, spec, ck), \
+        lambda: save_checkpoint(path, spec, unwritable)
+
+
+@pytest.mark.parametrize("saves", [_cache_saves, _checkpoint_saves],
+                         ids=["save_cache", "save_checkpoint"])
+def test_save_cache_replaces_the_file_whole_or_not_at_all(tmp_path, saves):
+    path = tmp_path / "saved.bin"
+    save, fail = saves(path)
+    save()
+    before = path.read_bytes()
     with pytest.raises(ValueError):  # raised by the payload, after the header
-        save_cache(path, unwritable)
+        fail()
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["ds.dsc"]
+    assert [p.name for p in tmp_path.iterdir()] == ["saved.bin"]
 
 
 @pytest.mark.parametrize("n, dim", [(2, 0), (0, -1)])

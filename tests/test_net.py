@@ -1,5 +1,7 @@
 """Network core: forward/backward oracles, scale invariance, margins, files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -449,7 +451,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_bad_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"\x00\x01\x02 not a checkpoint")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
         load_checkpoint(path)
 
 
@@ -478,12 +480,13 @@ def _with_header(tmp_path, edit):
 ], ids=["no-spec", "no-payload", "no-shapes", "spec-not-object", "dims-not-a-list",
         "dim-zero", "shapes-not-pairs", "inline-payload", "not-an-object"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, edit):
-    with pytest.raises(FormatError):
-        load_checkpoint(_with_header(tmp_path, edit))
+    path = _with_header(tmp_path, edit)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+        load_checkpoint(path)
 
 
 def test_checkpoint_header_not_utf8_is_format_error(tmp_path):
     path = tmp_path / "ck.bin"
     path.write_bytes(b"\xff{}\n")  # json.loads raises UnicodeDecodeError
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
         load_checkpoint(path)
