@@ -418,14 +418,7 @@ def cmd_audit(cfg, out, args):
         for ext, emit in (("csv", frag.emit_table_csv), ("txt", frag.emit_table_text)):
             persist.write_text(rdir / f"{stem}.{ext}",
                                emit(aggregates, groups, measures, delta), cfg_hash)
-    cells = {
-        f"{m}|{delta!r}": {
-            "cms_med": agg.cms_med, "ecms_med": agg.ecms_med,
-            "cms_coverage": agg.cms_coverage, "ecms_coverage": agg.ecms_coverage,
-            "per_group": {g: asdict(c) for g, c in agg.per_group.items()},
-        }
-        for (m, delta), agg in sorted(aggregates.items())
-    }
+    cells = {f"{m}|{delta!r}": asdict(agg) for (m, delta), agg in sorted(aggregates.items())}
     persist.write_json(rdir / "audit.json",
                        {"groups": groups, "cells": cells}, cfg_hash)
     pairs = sum(c.n_pairs for agg in aggregates.values() for c in agg.per_group.values())

@@ -378,17 +378,24 @@ def build_split(section: dict, cache_dir: Path):
     writes it as cache_dir/<key>-train.dsc and <key>-test.dsc, key the config
     hash of the section and TOOL_VERSION, each file's header keyed by its name
     without the suffix, and each later call loads those files. A file there
-    that does not load, or whose header key is not its name's (a stale or
-    swapped file), raises FormatError: the split is never built again over it.
+    that cannot be read or does not load, or whose header key is not its
+    name's (a stale or swapped file), raises FormatError naming it: the split
+    is never built again over it.
     """
     fn, fields = section["source"]
     if fn in _SYNTHETIC:
         key = config_hash({"data": section, "tool_version": TOOL_VERSION})
         paths = [cache_dir / f"{key}-{part}.dsc" for part in ("train", "test")]
-        try:
-            return tuple(load_cache(path, path.stem) for path in paths)
-        except FileNotFoundError:
-            pass  # not built yet, or deleted: build it
+        kept = []
+        for path in paths:
+            try:
+                kept.append(load_cache(path, path.stem))
+            except FileNotFoundError:
+                break  # not built yet, or deleted: build it
+            except OSError as exc:  # a directory, say, in the file's place
+                raise FormatError(f"{path}: cannot read the kept split: {exc}") from None
+        else:
+            return tuple(kept)
     try:
         ds = globals()[fn](**fields)
     except OSError as exc:  # the file of an idx or cache source

@@ -12,8 +12,10 @@ import io
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
-from .rng import Rng
+from .rng import SORT_IN_PYTHON, choose_rows, key_seed, stream_words
 
 UNDEFINED = None  # rendered as "Undefined" in reports
 
@@ -43,16 +45,6 @@ class FragilityConfig:
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
 
-def _eligible(records, measure):
-    """Records carrying a positive finite value of the measure."""
-    out = []
-    for r in records:
-        v = r.measures.get(measure)
-        if v is not None and v > 0 and v == v and v != float("inf"):
-            out.append(r)
-    return out
-
-
 @dataclass
 class CellScore:
     cms: float = UNDEFINED
@@ -66,6 +58,160 @@ class CellScore:
     n_runs_excluded: int = 0
 
 
+# score_group draws the subsample words of at most BLOCK // pair_budget lists
+# (at least one) in one fill, resolves their picks CHUNK words at a time, and
+# takes the spreads of at most BLOCK pairs of the unsampled lists at a time
+# (at least one list's). On blobs_audit (139 lists of 100) that is one fill.
+BLOCK = 1 << 16
+CHUNK = 1 << 10
+
+# pair class -> (its CellScore count field, its CellScore median field)
+CLASSES = {"all": ("n_pairs", "cms"), "seed": ("n_seed_pairs", "cms_seed"),
+           "inter": ("n_inter_pairs", "cms_inter")}
+
+# The arrays keep to numpy loops that the stages before the audit already run
+# (float compares, integer arithmetic, gathers, 1-D count_nonzero): a new loop
+# maps 64-256 KiB of numpy's code into the process, more than the arrays of a
+# group of tens of runs. So the config and seed ids are compared as floats.
+
+
+def _table(records, measures):
+    """(errs, configs, seeds, values, used) of one group's records.
+
+    The rows are the runs with a positive finite value of any measure, in scan
+    order: by (test error, run id). configs and seeds are integer ids held as
+    floats, values is the run x measure matrix with NaN wherever a value is
+    missing or not positive and finite, and used counts each measure's runs
+    with such a value.
+    """
+    values = np.array([[r.measures.get(m) for m in measures] for r in records],
+                      dtype=float).reshape(len(records), len(measures))
+    ok = (values > 0) & (values < math.inf)
+    values[~ok] = math.nan
+    keep = ok.any(axis=1)
+    rows = sorted((i for i in range(len(records)) if keep[i]),
+                  key=lambda i: (records[i].test_error, records[i].run_id))
+    config_ids, seed_ids = {}, {}
+    configs = [config_ids.setdefault(records[i].h_key(), len(config_ids)) for i in rows]
+    seeds = [seed_ids.setdefault(records[i].seed, len(seed_ids)) for i in rows]
+    errs = np.array([records[i].test_error for i in rows], dtype=float)
+    return (errs, np.array(configs, dtype=float), np.array(seeds, dtype=float),
+            values[rows], [int(np.count_nonzero(col)) for col in ok.T])
+
+
+def _close_pairs(errs, delta):
+    """(a, b): every pair a < b of the sorted errs with errs[b] - errs[a] <= delta,
+    in scan order (by a, then b).
+
+    These are the pairs of the scan that visits b = a + 1, a + 2, ... until
+    errs[b] - errs[a] > delta: that difference rounds monotonically in errs[b],
+    so the scan keeps exactly the b > a that pass its predicate. The predicate
+    is evaluated for all b at once, BLOCK pairs at a time.
+    """
+    n = len(errs)
+    ids = np.arange(n, dtype=float)
+    step = BLOCK // max(n, 1) or 1
+    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, n, step):
+        rows, cols = np.nonzero((errs - errs[lo : lo + step, None] <= delta)
+                                & (ids[lo : lo + step, None] < ids))
+        a.append(rows + lo)
+        b.append(cols)
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _pairs(table, delta):
+    """(a, b, classes): the close-error pairs of one delta, and for each pair
+    class a mask of its pairs, None for all of them."""
+    errs, configs, seeds = table[:3]
+    a, b = _close_pairs(errs, delta)
+    inter = configs[a] != configs[b]
+    return a, b, {"all": None, "seed": ~inter & (seeds[a] != seeds[b]), "inter": inter}
+
+
+def _ratios(va, vb, out=None):
+    """max / min of each pair of values; va is overwritten."""
+    hi = np.maximum(va, vb, out=out)
+    return np.divide(hi, np.minimum(va, vb, out=va), out=hi)
+
+
+def _medians(ratios, counts) -> list:
+    """The median spread math.log(ratio) of each list, UNDEFINED for an empty
+    one; list i is the next counts[i] ratios. Each spread is a math.log call:
+    np.log may round it differently. A list of SORT_IN_PYTHON spreads or more
+    is sorted by numpy first, which leaves median's own sort one linear pass."""
+    out, lo = [], 0
+    for n in counts:
+        spreads = np.fromiter(map(math.log, ratios[lo : lo + n].tolist()), float, n)
+        if n >= SORT_IN_PYTHON:
+            spreads.sort()
+        out.append(median(spreads.tolist()) if n else UNDEFINED)
+        lo += n
+    return out
+
+
+def _score_lists(out, table, found, measures, delta, budget) -> list:
+    """Set the pair counts of every cell of delta, and the medians of the lists
+    within the budget; return (delta, class, column, length) of the others."""
+    values = table[3]
+    a, b, classes = _pairs(table, delta)
+    both = found[a] & found[b]  # pair x measure: in that measure's scan
+    drawn = []
+    for cls, (count_field, field_name) in CLASSES.items():
+        member = both if classes[cls] is None else both & classes[cls][:, None]
+        counts = [int(np.count_nonzero(col)) for col in member.T]
+        full, size = [[]], 0
+        for col, m in enumerate(measures):
+            setattr(out[(m, delta)], count_field, counts[col])
+            if budget and counts[col] > budget:
+                drawn.append((delta, cls, col, counts[col]))
+            else:
+                if full[-1] and size + counts[col] > BLOCK:
+                    full.append([])
+                    size = 0
+                full[-1].append(col)
+                size += counts[col]
+        for block in full:
+            cols = np.array(block, dtype=np.intp)
+            ids, pairs = np.nonzero(member[:, cols].T)  # by column, in scan order
+            ratios = _ratios(values[a[pairs], cols[ids]], values[b[pairs], cols[ids]])
+            medians = _medians(ratios, [counts[col] for col in block])
+            for col, med in zip(block, medians):
+                setattr(out[(measures[col], delta)], field_name, med)
+    return drawn
+
+
+def _score_drawn(out, table, found, measures, drawn, group, config) -> None:
+    """Set the medians of the lists over the budget: budget pairs of each,
+    picked by position in scan order from its own stream."""
+    if not drawn:
+        return
+    values, budget = table[3], config.pair_budget
+    pairs = (None,)
+    per_fill, per_chunk = BLOCK // budget or 1, CHUNK // budget or 1
+    for lo in range(0, len(drawn), per_fill):
+        block = drawn[lo : lo + per_fill]
+        words = stream_words(
+            [key_seed(config.subsample_seed, f"{group}|{measures[col]}|{delta!r}|{cls}")
+             for delta, cls, col, _ in block], budget)
+        for start in range(0, len(block), per_chunk):
+            chunk = block[start : start + per_chunk]
+            picks = choose_rows(words[start : start + per_chunk], [n for *_, n in chunk])
+            ratios = np.empty(picks.shape)
+            for row, (delta, cls, col, _) in enumerate(chunk):
+                if pairs[0] != delta:
+                    pairs = (delta, *_pairs(table, delta))
+                _, a, b, classes = pairs
+                member = found[a, col] & found[b, col]
+                if classes[cls] is not None:
+                    member = member & classes[cls]
+                kept = np.flatnonzero(member)[picks[row]]
+                _ratios(values[a[kept], col], values[b[kept], col], ratios[row])
+            medians = _medians(ratios.reshape(-1), [budget] * len(chunk))
+            for (delta, cls, col, _), med in zip(chunk, medians):
+                setattr(out[(measures[col], delta)], CLASSES[cls][1], med)
+
+
 def score_group(group: str, records, measures, config: FragilityConfig) -> dict:
     """CellScore per (measure, delta) for one group's records.
 
@@ -77,49 +223,25 @@ def score_group(group: str, records, measures, config: FragilityConfig) -> dict:
     config); a pair with the same config and the same seed is in neither. With
     a pair budget, a longer list is subsampled by position in scan order from
     its own stream, root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}").
+
+    Every measure reads one table of the group's runs and one pair list per
+    delta: a measure's scan is the group's scan restricted to its runs, which
+    keeps both the pairs and their order. The subsampled lists draw their
+    words in one fill, and spreads are taken of the kept pairs only.
     """
-    root = Rng(config.subsample_seed)
-    budget = config.pair_budget
-    out = {}
-    for measure in measures:
-        rows = sorted(_eligible(records, measure),
-                      key=lambda r: (r.test_error, r.run_id))
-        n = len(rows)
-        errs = [r.test_error for r in rows]
-        vals = [r.measures[measure] for r in rows]
-        config_ids = {}
-        configs = [config_ids.setdefault(r.h_key(), len(config_ids)) for r in rows]
-        seeds = [r.seed for r in rows]
-        for delta in config.deltas:
-            all_s, seed_s, inter_s = [], [], []
-            for a in range(n):
-                err_a, val_a, config_a, seed_a = errs[a], vals[a], configs[a], seeds[a]
-                for b in range(a + 1, n):
-                    if errs[b] - err_a > delta:
-                        break
-                    val_b = vals[b]
-                    # |log C_a - log C_b| as log(max/min): orientation-free in floats
-                    v = math.log(val_a / val_b) if val_a >= val_b else \
-                        math.log(val_b / val_a)
-                    all_s.append(v)
-                    if configs[b] != config_a:
-                        inter_s.append(v)
-                    elif seeds[b] != seed_a:
-                        seed_s.append(v)
-            cell = CellScore(n_pairs=len(all_s), n_seed_pairs=len(seed_s),
-                             n_inter_pairs=len(inter_s), n_runs_used=n,
-                             n_runs_excluded=len(records) - n)
-            for cls, field_name, spreads in (("all", "cms", all_s),
-                                             ("seed", "cms_seed", seed_s),
-                                             ("inter", "cms_inter", inter_s)):
-                if budget and len(spreads) > budget:
-                    stream = root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}")
-                    spreads = [spreads[k] for k in stream.choose(len(spreads), budget)]
-                if spreads:
-                    setattr(cell, field_name, median(spreads))
-            if cell.cms_seed is not UNDEFINED and cell.cms_inter is not UNDEFINED:
-                cell.ecms = max(0.0, cell.cms_inter - cell.cms_seed)
-            out[(measure, delta)] = cell
+    measures = list(measures)
+    table = _table(records, measures)
+    found, used = ~np.isnan(table[3]), table[4]
+    out = {(m, delta): CellScore(n_runs_used=used[col],
+                                 n_runs_excluded=len(records) - used[col])
+           for delta in config.deltas for col, m in enumerate(measures)}
+    drawn = []
+    for delta in config.deltas:
+        drawn += _score_lists(out, table, found, measures, delta, config.pair_budget)
+    _score_drawn(out, table, found, measures, drawn, group, config)
+    for cell in out.values():
+        if cell.cms_seed is not UNDEFINED and cell.cms_inter is not UNDEFINED:
+            cell.ecms = max(0.0, cell.cms_inter - cell.cms_seed)
     return out
 
 

@@ -15,6 +15,8 @@ lambda columns and their own t=0 buffers.
 
 import hashlib
 import json
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,8 +32,8 @@ from .workers import ordered_map
 STOP_RULES = ("train_acc_100", "train_ce_below", "max_epochs")
 
 # A sweep stack holds at most BUDGET // (batch rows x widest layer) runs, which
-# bounds the (K, rows, width) activations of one stacked step.
-BUDGET = 1 << 14
+# bounds the (K, rows, width) activations of one stacked step to 512 KiB.
+BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,6 @@ class OptState:
     adam_m: np.ndarray = None
     adam_v: np.ndarray = None
     diverged: np.ndarray = None  # (K,) after a step: rows with a non-finite iterate
-
-    @classmethod
-    def fresh(cls, theta: np.ndarray, lr: float) -> "OptState":
-        return cls(theta.copy(), theta.copy(), lr, lr, 0,
-                   np.zeros_like(theta), np.zeros_like(theta))
 
 
 def _checked(state: OptState) -> OptState:
@@ -452,22 +449,27 @@ def sweep_grid(cfg: SweepConfig):
                         yield lr, opt, rule, thresh, n, seed
 
 
-def _sweep_stacks(spec: NetSpec, cfg: SweepConfig, subsets: dict) -> list:
+def _sweep_stacks(spec: NetSpec, cfg: SweepConfig, subsets: dict, workers: int) -> list:
     """The grid cut into lockstep stacks of (subset size, grid items).
 
-    Runs that share the subset and the optimizer are stacked in grid order, at
-    most BUDGET // (batch rows x widest layer) at a time.
+    Runs that share the subset and the optimizer are stacked in grid order, in
+    near-equal stacks: as few as keep each within BUDGET // (batch rows x
+    widest layer) runs, but at least the group's share of the workers, so
+    every worker gets a stack.
     """
     groups = {}
     for item in sweep_grid(cfg):
         groups.setdefault((item[4], item[1]), []).append(item)
+    total = sum(map(len, groups.values()))
     stacks = []
     for (n, _), items in groups.items():
         rows = subsets[n].n
         if 0 < cfg.batch_size < rows:
             rows = cfg.batch_size
         size = max(1, BUDGET // (rows * max(spec.layer_dims)))
-        stacks += [(n, items[lo : lo + size]) for lo in range(0, len(items), size)]
+        parts = min(len(items), max(-(-len(items) // size), -(-workers * len(items) // total)))
+        cuts = [len(items) * k // parts for k in range(parts + 1)]
+        stacks += [(n, items[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     return stacks
 
 
@@ -503,6 +505,22 @@ def _sweep_stack(spec, subsets, ds_test, cfg, stack) -> list:
             res = _error_result(runs[slot].H, runs[slot].seed, res)
         out.append(res)
     return out
+
+
+def _pickled_stack(*args) -> list:
+    """_sweep_stack's results, each pickled on its own, last first. The parent
+    unpickles a result only when it takes it, so it never holds a whole
+    stack's traces unpickled: for a stack of 28 blobs_audit runs they take
+    about four times the memory of their pickles."""
+    return [pickle.dumps(res, pickle.HIGHEST_PROTOCOL) for res in _sweep_stack(*args)][::-1]
+
+
+def _unpickled(parts):
+    """The results of each _pickled_stack list in parts, in stack order; each
+    pickle is dropped as its result is taken."""
+    for part in parts:
+        while part:
+            yield pickle.loads(part.pop())
 
 
 def _error_result(H, seed, exc) -> TrainResult:
@@ -544,16 +562,18 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     if not cfg.lrs:
         raise ConfigError("sweep grid is empty")
     subsets = train_subsets(base_train, cfg.train_sizes or (0,), cfg.subsample_seed)
-    stacks = _sweep_stacks(spec, cfg, subsets)
+    # the CPUs this process may run on, as ordered_map counts them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+        os.cpu_count() or 1
+    stacks = _sweep_stacks(spec, cfg, subsets, min(jobs or cpus, cpus))
     shared = (spec, subsets, ds_test, cfg)
     results = []
     limit = min(jobs or len(stacks), len(stacks))
-    with ordered_map(_sweep_stack, shared, stacks, limit) as parts:
-        for part in parts:
-            for res in part:
-                if on_result is not None:
-                    on_result(res)
-                results.append(res)
+    with ordered_map(_pickled_stack, shared, stacks, limit) as parts:
+        for res in _unpickled(parts):
+            if on_result is not None:
+                on_result(res)
+            results.append(res)
     results.sort(key=lambda r: r.record.run_id)
     return results
 

@@ -12,7 +12,10 @@ Stream derivation rules (documented so audits can be replayed elsewhere):
   vectorizable; used for per-draw Monte Carlo streams)
 - bounded integers use the 128-bit multiply-shift reduction of one uint64;
   shuffle/permutation/choose draw all their words in one block, in the order
-  the per-index loop consumes them
+  the per-index loop consumes them. choose_rows resolves the swaps of many
+  streams' partial Fisher-Yates at once as arrays. A single Rng.choose runs
+  the per-index loop: the array path maps numpy code that a dataset build
+  does not otherwise run (on images_si it raised peak RSS by 0.16 MiB).
 - gaussians use Box-Muller on consecutive uint64 pairs; each call consumes
   2*ceil(n/2) words (odd tails discard the trailing partner variate). The
   transform runs over the words in fixed blocks of whole pairs; a variate
@@ -130,6 +133,99 @@ def gaussian_matrix(seeds: np.ndarray, m: int) -> np.ndarray:
     return gaussian_rows(states_from_seeds(seeds), m)
 
 
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhi(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(w * m) >> 64 of uint64 arrays, exactly, from products of 32-bit halves."""
+    wl, wh, ml, mh = w & _LOW32, w >> _32, m & _LOW32, m >> _32
+    lh, hl = wl * mh, wh * ml
+    wl *= ml
+    wl >>= _32
+    wl += lh & _LOW32
+    wl += hl & _LOW32
+    wl >>= _32  # the carry out of the low 64 bits
+    wh *= mh
+    wh += lh >> _32
+    wh += hl >> _32
+    wh += wl
+    return wh
+
+
+# choose_rows sorts rows shorter than this in Python. Both sorts are stable, so
+# they agree; numpy's maps about 128 KiB of its sort code into the process,
+# more than the arrays of a short row.
+SORT_IN_PYTHON = 1 << 12
+
+
+def choose_rows(words: np.ndarray, ns) -> np.ndarray:
+    """Rng.choose(ns[r], k) of a stream whose next k words are words[r], for
+    every row r of words (R, k) at once, as an (R, k) int64 array; Rng.choose
+    is its oracle.
+
+    Step i of the partial Fisher-Yates swaps positions i and
+    j_i = i + ((w_i * (n - i)) >> 64) >= i, and never touches position i
+    again, so out[i] is the value at j_i just before step i: that is j_i if
+    no earlier step targeted j_i, and otherwise the value position t held
+    before step t, t the last such step. That value is t unless an earlier step
+    targeted t, and so on down the chain, which pointer jumping resolves in
+    log2(k) passes. Targets are compared as float64, exact below 2^53.
+    """
+    R, k = words.shape
+    if k == 0:
+        return np.empty((R, 0), dtype=np.int64)
+    if any(n > 1 << 53 for n in ns):
+        raise ValueError("choose needs n <= 2**53")
+    steps = np.arange(k, dtype=np.uint64)
+    j = _mulhi(words, np.asarray(ns, dtype=np.uint64).reshape(R, 1) - steps)
+    j += steps
+    jf = j.astype(np.float64)
+    j = j.view(np.int64)
+    # Steps by flat id r * k + i; each row's grouped by target, in step order.
+    ids = np.arange(R * k, dtype=np.int64)
+    base = ids[::k, None]
+    if k < SORT_IN_PYTHON:
+        order = np.array([sorted(range(k), key=row.__getitem__) for row in j.tolist()],
+                         dtype=np.int64).reshape(R, k)
+    else:
+        order = np.argsort(j, axis=1, kind="stable")
+    order += base
+    targets = jf.take(order)
+    same = targets[:, 1:] == targets[:, :-1]
+    later = order[:, 1:][same]  # each step that an earlier step shares a target with
+    prev = ids.copy()  # that earlier step, else the step itself
+    prev[later] = order[:, :-1][same]
+    alone = np.ones(R * k, dtype=bool)
+    alone[later] = False
+    # Position t < k links to the last step that targeted it: a step s < t, or
+    # t itself, which no chain reaches; an untargeted t links to itself.
+    last = np.ones((R, k), dtype=bool)
+    last[:, :-1] = ~same
+    last[targets >= k] = False
+    root = ids.copy()
+    root[(j.take(order) + base)[last]] = order[last]
+    for _ in range(k.bit_length()):  # every chain is shorter than k
+        root = root[root]
+    out = (root - base.repeat(k)).take(prev)  # the value at position t before step t
+    out[alone] = j.reshape(-1)[alone]
+    return out.reshape(R, k)
+
+
+def stream_words(seeds, m: int) -> np.ndarray:
+    """The next m words of each stream Rng(seed), as the rows of one
+    (len(seeds), m) array filled in one call."""
+    out = np.empty((len(seeds), m), dtype=np.uint64)
+    _kernels.fill_u64_multi(states_from_seeds(np.array(seeds, dtype=np.uint64)), out)
+    return out
+
+
+def key_seed(seed: int, key: str) -> int:
+    """The seed of Rng(seed).spawn_key(key)."""
+    digest = hashlib.sha256(
+        (seed & _MASK).to_bytes(8, "little") + b"/" + key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 class Rng:
     """One xoshiro256** stream with deterministic spawning."""
 
@@ -193,10 +289,7 @@ class Rng:
         return arr[:k]
 
     def spawn_key(self, key: str) -> "Rng":
-        digest = hashlib.sha256(
-            self.seed.to_bytes(8, "little") + b"/" + key.encode("utf-8")
-        ).digest()
-        return Rng(int.from_bytes(digest[:8], "little"))
+        return Rng(key_seed(self.seed, key))
 
     def spawn_index(self, i: int) -> "Rng":
         return Rng(mix64(self.seed + (i + 1) * GOLDEN))

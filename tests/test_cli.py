@@ -734,7 +734,9 @@ def _swap(train, test):
     lambda train, test, other: test.write_bytes(test.read_bytes()[:-1]),
     lambda train, test, other: shutil.copyfile(other, train),
     lambda train, test, other: _swap(train, test),
-], ids=["train-truncated", "test-truncated", "another-sections-file", "train-test-swapped"])
+    lambda train, test, other: (train.unlink(), train.mkdir()),
+], ids=["train-truncated", "test-truncated", "another-sections-file", "train-test-swapped",
+        "train-a-directory"])
 def test_measure_on_a_tampered_data_file_exits_1_naming_it(tmp_path, capsys, tamper):
     from fragaudit import cli
 
@@ -1028,7 +1030,9 @@ def test_sweep_defaults_to_one_worker_per_cpu(tmp_path, monkeypatch, pools_made,
 
 def test_sweep_of_one_stack_or_jobs_1_forks_nothing(tmp_path, monkeypatch, pools_made):
     _workers(monkeypatch, 2)
-    one_stack = write_config(tmp_path, base_config(tmp_path), "one.json")
+    cfg = base_config(tmp_path)
+    cfg["sweep"].update(lrs=[0.1], seeds=[0])  # one run: one stack
+    one_stack = write_config(tmp_path, cfg, "one.json")
     assert main(["sweep", "--config", one_stack, "--out", str(tmp_path / "a")]) == 0
     two_stacks = _stacked_sweep_config(tmp_path, [128])
     assert main(["sweep", "--config", two_stacks, "--out", str(tmp_path / "b"),
@@ -1404,7 +1408,7 @@ def _mixed_width_runs(tmp_path, order):
     for tag, dims in (("narrow", [2, 6, 2]), ("wide", [2, 16, 2])):
         cfg["net"] = {"layer_dims": dims, "bias_enabled": True, "tag": tag}
         cp = write_config(tmp_path, cfg)
-        assert main(["sweep", "--config", cp]) == 0
+        assert main(["sweep", "--config", cp, "--jobs", "1"]) == 0  # forks nothing
         by_width.append(read_jsonl(out / "records.jsonl"))
     narrow, wide = by_width
     assert len(narrow) == len(wide) == 6
@@ -1657,7 +1661,7 @@ def test_measure_bug_in_a_worker_matches_in_process(tmp_path, monkeypatch, pools
 def test_measure_of_one_block_forks_nothing(tmp_path, monkeypatch, pools_made):
     cp = write_config(tmp_path, base_config(tmp_path))  # six P = 32 runs: one block
     _workers(monkeypatch, 2)
-    assert main(["sweep", "--config", cp]) == 0
+    assert main(["sweep", "--config", cp, "--jobs", "1"]) == 0
     assert main(["measure", "--config", cp]) == 0
     assert pools_made == []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragaudit import fragility, rng
 from fragaudit.fragility import FragilityConfig, aggregate_groups, emit_table_csv, \
     emit_table_text, median, score_group, score_records
 from fragaudit.records import RunRecord
@@ -234,6 +235,63 @@ def test_oracle_equivalence_budgeted(seed):
         assert _fields(scores[("M", delta)]) == want
     # at the widest delta the budget engages in every pair class
     assert min(want["n_seed_pairs"], want["n_inter_pairs"]) > budget
+
+
+def _three_measure_records(seed, n_runs):
+    """_random_records with two more measures: N, with holes (missing, zero,
+    NaN), and P, a power of two per run."""
+    records = _random_records(seed, n_runs)
+    for i, r in enumerate(records):
+        r.measures["N"] = (None, 0.0, math.nan, 3.0 + i)[i % 4] if i % 3 else 1.5 ** i
+        r.measures["P"] = 2.0 ** (i % 7)
+    return records
+
+
+@pytest.mark.parametrize("block, chunk, sort_in_python", [
+    (1 << 16, 1 << 10, 1 << 12), (7, 5, 0), (40, 12, 1 << 30), (1, 1, 1)])
+@pytest.mark.parametrize("budget", [0, 5, 40])
+def test_blocks_chunks_and_sorts_change_no_bit(monkeypatch, block, chunk, sort_in_python,
+                                               budget):
+    # BLOCK 7 with 45 runs scans one row of pairs at a time, fills one list's
+    # words at a time and splits the unsampled lists into blocks of columns
+    monkeypatch.setattr(fragility, "BLOCK", block)
+    monkeypatch.setattr(fragility, "CHUNK", chunk)
+    monkeypatch.setattr(rng, "SORT_IN_PYTHON", sort_in_python)
+    monkeypatch.setattr(fragility, "SORT_IN_PYTHON", sort_in_python)
+    records = _three_measure_records(5, 45)
+    cfg = FragilityConfig(deltas=(0.02, 0.05), pair_budget=budget, subsample_seed=8)
+    scores = score_group("g", records, ("M", "N", "P"), cfg)
+    for m in ("M", "N", "P"):
+        for delta in cfg.deltas:
+            want = _brute_force(records, m, delta, budget, 8)
+            assert _fields(scores[(m, delta)]) == want, (m, delta)
+            assert scores[(m, delta)].n_runs_excluded == len(records) - want["n_runs_used"]
+
+
+def _rounding_disagreements(delta):
+    """(a, b) with a < b where the scan's test b - a > delta and the window
+    search's b > a + delta disagree, split by which one keeps the pair."""
+    scan_keeps, search_keeps = [], []
+    for i in range(1, 1000):
+        a = i / 1009
+        s = a + delta
+        for b in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)):
+            if (b - a > delta) != (b > s):
+                (search_keeps if b - a > delta else scan_keeps).append((a, b))
+    return scan_keeps, search_keeps
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.02, 0.05])
+def test_pairs_follow_the_scan_where_a_window_search_would_round_otherwise(delta):
+    scan_keeps, search_keeps = _rounding_disagreements(delta)
+    assert search_keeps  # b - a rounds above delta, a + delta rounds above b
+    for keeps, pairs in ((1, scan_keeps[:15]), (0, search_keeps[:15])):
+        for a, b in pairs:
+            records = [rec(0, a, 2.0, seed=0), rec(1, b, 8.0, seed=1),
+                       rec(2, b + 0.5, 1.0, seed=2)]
+            c = cell(records, delta)
+            assert c.n_pairs == keeps, (a, b)
+            assert _fields(c) == _brute_force(records, "M", delta)
 
 
 def test_budgeted_subsampling_reproducible():

@@ -18,8 +18,14 @@ from fragaudit.records import H_FIELDS, RunRecord, TrainTrace, detect_T_int, \
 from fragaudit.rng import Rng
 
 
+def fresh_state(theta, lr):
+    """Optimizer buffers at t = 0: theta_prev = theta and zero Adam moments."""
+    return OptState(theta.copy(), theta.copy(), lr, lr, 0,
+                    np.zeros_like(theta), np.zeros_like(theta))
+
+
 def scalar_state(theta, lr):
-    return OptState.fresh(np.array([theta]), lr)
+    return fresh_state(np.array([theta]), lr)
 
 
 def test_sgdm_hand_iteration_fixture():
@@ -135,7 +141,7 @@ def test_stacked_step_marks_only_non_finite_rows(optimizer):
             return sgdm_step(state, g, 0.9, 0.0, 0.1)
         return adam_step(state, g, 0.1)
 
-    out = step(OptState.fresh(np.ones((3, 4)), np.full((3, 1), 0.1)), grad)
+    out = step(fresh_state(np.ones((3, 4)), np.full((3, 1), 0.1)), grad)
     assert out.diverged.tolist() == [False, True, False]
     assert np.isfinite(out.theta_curr[[0, 2]]).all()
 
@@ -366,7 +372,7 @@ def test_sweep_jobs_1_one_stack_or_a_running_thread_starts_no_process(monkeypatc
     two_stacks = replace(_tiny_sweep_config(), optimizers=("sgdm", "adam"))
     _workers(monkeypatch, 2)
     first = sweep(spec, tr, te, two_stacks, jobs=1)
-    sweep(spec, tr, te, _tiny_sweep_config(), jobs=2)
+    sweep(spec, tr, te, replace(_tiny_sweep_config(), seeds=(0,)), jobs=2)
     # fork is unsafe while another thread may hold a lock
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -449,27 +455,49 @@ def test_labels_wider_than_net_outputs_raise_config_error():
         sweep(spec, tr, te, _tiny_sweep_config())
 
 
-def test_sweep_stack_sizes_follow_the_activation_budget():
+def test_sweep_stack_sizes_follow_the_activation_budget(monkeypatch):
     from types import SimpleNamespace
 
     cfg = SweepConfig(lrs=(0.1, 0.2, 0.3), optimizers=("adam", "sgdm"),
                       seeds=(0, 1, 2), train_sizes=(64, 128))
     subsets = {64: SimpleNamespace(n=64), 128: SimpleNamespace(n=128)}
-    stacks = optim._sweep_stacks(NetSpec((8, 16, 2), bias_enabled=True), cfg, subsets)
-    # 2**14 // (128 rows x 16 wide) = 8 runs; 2**14 // (64 x 16) = 16 runs
-    assert [(n, len(items)) for n, items in stacks] == \
-        [(64, 9), (128, 8), (128, 1), (64, 9), (128, 8), (128, 1)]
-    for n, items in stacks:
-        assert {(it[4], it[1]) for it in items} == {(n, items[0][1])}
-    grid = list(optim.sweep_grid(cfg))
-    assert sorted(it for _, items in stacks for it in items) == sorted(grid)
-    for _, items in stacks:
-        assert items == sorted(items, key=grid.index)
+    spec = NetSpec((8, 16, 2), bias_enabled=True)
+
+    def sizes(workers):
+        stacks = optim._sweep_stacks(spec, cfg, subsets, workers)
+        grid = list(optim.sweep_grid(cfg))
+        assert sorted(it for _, items in stacks for it in items) == sorted(grid)
+        for n, items in stacks:
+            assert {(it[4], it[1]) for it in items} == {(n, items[0][1])}
+            assert items == sorted(items, key=grid.index)
+        return [(n, len(items)) for n, items in stacks]
+
+    # one worker: 2**16 // (128 rows x 16 wide) = 32 runs, 2**16 // (64 x 16) = 64
+    assert sizes(1) == [(64, 9), (128, 9), (64, 9), (128, 9)]
+    # 2**14 // (128 x 16) = 8 runs: two near-equal stacks of the 9
+    monkeypatch.setattr(optim, "BUDGET", 1 << 14)
+    assert sizes(1) == [(64, 9), (128, 4), (128, 5), (64, 9), (128, 4), (128, 5)]
+    monkeypatch.setattr(optim, "BUDGET", 1 << 16)
+    # 8 workers: each group of 9 of the 36 runs takes 2 of them
+    assert sizes(8) == [(64, 4), (64, 5), (128, 4), (128, 5)] * 2
+    assert sizes(3) == sizes(4) == sizes(1)
     # a 64-row minibatch of 784-pixel images: one run per stack
     images = SweepConfig(lrs=(0.1, 0.2), seeds=(0, 1), batch_size=64)
     spec = NetSpec((784, 32, 32, 10), normalize_hidden=True, frozen_readout=True)
     assert [len(items) for _, items in
-            optim._sweep_stacks(spec, images, {0: SimpleNamespace(n=256)})] == [1] * 4
+            optim._sweep_stacks(spec, images, {0: SimpleNamespace(n=256)}, 2)] == [1] * 4
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8])
+def test_a_one_optimizer_grid_gives_every_worker_a_stack(workers):
+    from types import SimpleNamespace
+
+    cfg = SweepConfig(lrs=(0.1, 0.2, 0.3), seeds=(0, 1))
+    stacks = optim._sweep_stacks(NetSpec((8, 16, 2)), cfg, {0: SimpleNamespace(n=128)},
+                                 workers)
+    assert len(stacks) == min(workers, 6)
+    assert [it for _, items in stacks for it in items] == list(optim.sweep_grid(cfg))
+    assert max(map(len, (items for _, items in stacks))) == -(-6 // len(stacks))
 
 
 def test_full_batch_epoch_runs_one_train_forward(monkeypatch):

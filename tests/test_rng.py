@@ -235,11 +235,13 @@ def test_threads_filling_from_cold_power_table_match_serial(monkeypatch):
 
 
 def _below_loop_choose(rng, n, k):
-    arr = list(range(n))
+    """The scalar partial Fisher-Yates, one below() per step; the positions it
+    has swapped are kept in a dict, so n may be near 2**32 or beyond."""
+    arr = {}
     for i in range(k):
         j = i + rng.below(n - i)
-        arr[i], arr[j] = arr[j], arr[i]
-    return arr[:k]
+        arr[i], arr[j] = arr.get(j, j), arr.get(i, i)
+    return [arr[i] for i in range(k)]
 
 
 def _below_loop_permutation(rng, n):
@@ -255,6 +257,48 @@ def test_choose_matches_per_word_below_loop(n, k):
     got, ref = Rng(21), Rng(21)
     assert got.choose(n, k) == _below_loop_choose(ref, n, k)
     assert got.next_u64() == ref.next_u64()
+
+
+def _random_choose_cases(count):
+    gen = np.random.default_rng(26)
+    cases = [(0, 0), (1, 0), (1, 1), (2, 2), (7, 7), (5000, 0), (2 ** 32 - 1, 5),
+             (2 ** 32, 3), (2 ** 32 + 1, 40), (2 ** 40 + 17, 9), (2 ** 53, 4)]
+    while len(cases) < count:
+        kind = gen.integers(4)
+        n = (int(gen.integers(1, 5)) if kind == 0 else
+             int(gen.integers(2 ** 32 - 300, 2 ** 32 + 300)) if kind == 1 else
+             int(gen.integers(1, 3000)))
+        k = (n if n <= 64 and gen.integers(4) == 0 else
+             int(gen.integers(0, min(n, 64) + 1)))
+        cases.append((n, k))
+    return cases
+
+
+@pytest.mark.parametrize("sort_in_python", [1 << 30, 0], ids=["python-sort", "numpy-sort"])
+def test_choose_rows_matches_the_scalar_loop_on_random_cases(monkeypatch, sort_in_python):
+    monkeypatch.setattr(rng_mod, "SORT_IN_PYTHON", sort_in_python)
+    for case, (n, k) in enumerate(_random_choose_cases(3000)):
+        got, ref = Rng(case), Rng(case)
+        assert rng_mod.choose_rows(got.u64_block(k)[None], [n])[0].tolist() \
+            == _below_loop_choose(ref, n, k), (n, k)
+        assert got.next_u64() == ref.next_u64(), (n, k)
+
+
+def test_choose_rows_of_one_fill_match_one_rng_per_row():
+    seeds = [int(s) for s in child_seeds(77, 0, 40)]
+    ns = [int(n) for n in np.random.default_rng(3).integers(24, 5000, len(seeds))]
+    words = rng_mod.stream_words(seeds, 24)
+    rows = rng_mod.choose_rows(words, ns)
+    assert rows.dtype == np.int64 and rows.shape == (40, 24)
+    assert rows.tolist() == [Rng(s).choose(n, 24) for s, n in zip(seeds, ns)]
+    for start in (0, 13, 39):  # a row's picks do not depend on the rows beside it
+        assert rng_mod.choose_rows(words[start:start + 1], ns[start:start + 1]).tolist() \
+            == rows[start:start + 1].tolist()
+
+
+def test_choose_rows_past_2_53_is_refused():
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        rng_mod.choose_rows(Rng(1).u64_block(3)[None], [2 ** 53 + 1])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 5000])
