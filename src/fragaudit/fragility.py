@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .rng import SORT_IN_PYTHON, choose_rows, key_seed, stream_words
+from .rng import choose_rows, key_seed, stream_words
 
 UNDEFINED = None  # rendered as "Undefined" in reports
 
@@ -58,10 +58,8 @@ class CellScore:
     n_runs_excluded: int = 0
 
 
-# score_group draws the subsample words of at most BLOCK // pair_budget lists
-# (at least one) in one fill, resolves their picks CHUNK words at a time, and
-# takes the spreads of at most BLOCK pairs of the unsampled lists at a time
-# (at least one list's). On blobs_audit (139 lists of 100) that is one fill.
+# Memory bounds of score_group: pairs per scan block and per spread pass, and
+# subsample words per fill (BLOCK) and per choose_rows call (CHUNK).
 BLOCK = 1 << 16
 CHUNK = 1 << 10
 
@@ -69,21 +67,15 @@ CHUNK = 1 << 10
 CLASSES = {"all": ("n_pairs", "cms"), "seed": ("n_seed_pairs", "cms_seed"),
            "inter": ("n_inter_pairs", "cms_inter")}
 
-# The arrays keep to numpy loops that the stages before the audit already run
-# (float compares, integer arithmetic, gathers, 1-D count_nonzero): a new loop
-# maps 64-256 KiB of numpy's code into the process, more than the arrays of a
-# group of tens of runs. So the config and seed ids are compared as floats.
+# The audit keeps to numpy loops that earlier stages already run (a new loop
+# maps 64-256 KiB of numpy's code), so config and seed ids are compared as floats.
 
 
 def _table(records, measures):
-    """(errs, configs, seeds, values, used) of one group's records.
-
-    The rows are the runs with a positive finite value of any measure, in scan
-    order: by (test error, run id). configs and seeds are integer ids held as
-    floats, values is the run x measure matrix with NaN wherever a value is
-    missing or not positive and finite, and used counts each measure's runs
-    with such a value.
-    """
+    """(errs, configs, seeds, values, used): the runs with any eligible
+    (positive, finite) value in scan order, by (test error, run id); config
+    and seed ids as floats; the run x measure values, NaN where ineligible;
+    and each measure's count of eligible runs."""
     values = np.array([[r.measures.get(m) for m in measures] for r in records],
                       dtype=float).reshape(len(records), len(measures))
     ok = (values > 0) & (values < math.inf)
@@ -100,14 +92,10 @@ def _table(records, measures):
 
 
 def _close_pairs(errs, delta):
-    """(a, b): every pair a < b of the sorted errs with errs[b] - errs[a] <= delta,
-    in scan order (by a, then b).
-
-    These are the pairs of the scan that visits b = a + 1, a + 2, ... until
-    errs[b] - errs[a] > delta: that difference rounds monotonically in errs[b],
-    so the scan keeps exactly the b > a that pass its predicate. The predicate
-    is evaluated for all b at once, BLOCK pairs at a time.
-    """
+    """(a, b): the pairs a < b of the sorted errs with errs[b] - errs[a] <= delta,
+    in scan order. errs[b] - errs[a] rounds monotonically in errs[b], so the
+    scan's own predicate, evaluated for all pairs at once, keeps exactly the
+    scan's pairs."""
     n = len(errs)
     ids = np.arange(n, dtype=float)
     step = BLOCK // max(n, 1) or 1
@@ -121,8 +109,8 @@ def _close_pairs(errs, delta):
 
 
 def _pairs(table, delta):
-    """(a, b, classes): the close-error pairs of one delta, and for each pair
-    class a mask of its pairs, None for all of them."""
+    """(a, b, classes): delta's close-error pairs, and a mask per pair class
+    (None for "all")."""
     errs, configs, seeds = table[:3]
     a, b = _close_pairs(errs, delta)
     inter = configs[a] != configs[b]
@@ -136,23 +124,18 @@ def _ratios(va, vb, out=None):
 
 
 def _medians(ratios, counts) -> list:
-    """The median spread math.log(ratio) of each list, UNDEFINED for an empty
-    one; list i is the next counts[i] ratios. Each spread is a math.log call:
-    np.log may round it differently. A list of SORT_IN_PYTHON spreads or more
-    is sorted by numpy first, which leaves median's own sort one linear pass."""
+    """The median math.log(ratio) of each list of counts[i] ratios, or
+    UNDEFINED; math.log, since np.log may round differently."""
     out, lo = [], 0
     for n in counts:
-        spreads = np.fromiter(map(math.log, ratios[lo : lo + n].tolist()), float, n)
-        if n >= SORT_IN_PYTHON:
-            spreads.sort()
-        out.append(median(spreads.tolist()) if n else UNDEFINED)
+        out.append(median(map(math.log, ratios[lo : lo + n].tolist())) if n else UNDEFINED)
         lo += n
     return out
 
 
 def _score_lists(out, table, found, measures, delta, budget) -> list:
-    """Set the pair counts of every cell of delta, and the medians of the lists
-    within the budget; return (delta, class, column, length) of the others."""
+    """Set delta's pair counts and the medians of the lists within the budget;
+    return (delta, class, column, length) of the others."""
     values = table[3]
     a, b, classes = _pairs(table, delta)
     both = found[a] & found[b]  # pair x measure: in that measure's scan
@@ -182,8 +165,8 @@ def _score_lists(out, table, found, measures, delta, budget) -> list:
 
 
 def _score_drawn(out, table, found, measures, drawn, group, config) -> None:
-    """Set the medians of the lists over the budget: budget pairs of each,
-    picked by position in scan order from its own stream."""
+    """Set the medians of the lists over the budget from budget pairs each,
+    picked by scan position from the list's own stream."""
     if not drawn:
         return
     values, budget = table[3], config.pair_budget
@@ -224,10 +207,8 @@ def score_group(group: str, records, measures, config: FragilityConfig) -> dict:
     a pair budget, a longer list is subsampled by position in scan order from
     its own stream, root.spawn_key(f"{group}|{measure}|{delta!r}|{cls}").
 
-    Every measure reads one table of the group's runs and one pair list per
-    delta: a measure's scan is the group's scan restricted to its runs, which
-    keeps both the pairs and their order. The subsampled lists draw their
-    words in one fill, and spreads are taken of the kept pairs only.
+    A measure's scan is the group's scan restricted to its runs, which keeps
+    the pairs and their order, so all measures share one pair list per delta.
     """
     measures = list(measures)
     table = _table(records, measures)

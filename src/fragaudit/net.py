@@ -291,8 +291,8 @@ def backward_batch(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray,
         if i == 0:
             break
         dA = dZ @ weights[i]
-        if spec.activation == "relu":
-            dA = dA * ((norm[0] if norm is not None else A) > 0.0)
+        if spec.activation == "relu":  # dA is fresh: the mask applies in place
+            dA *= (norm[0] if norm is not None else A) > 0.0
         if norm is not None:
             zhat, r = norm
             dA = (dA - zhat * (dA * zhat).sum(axis=-1, keepdims=True)) / r

@@ -15,8 +15,6 @@ lambda columns and their own t=0 buffers.
 
 import hashlib
 import json
-import os
-import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +25,7 @@ from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
     flatten_params, init_checkpoint, param_views, unflatten_params
 from .records import H_FIELDS, RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
-from .workers import ordered_map
+from .workers import ordered_map, pool_size
 
 STOP_RULES = ("train_acc_100", "train_ce_below", "max_epochs")
 
@@ -507,22 +505,6 @@ def _sweep_stack(spec, subsets, ds_test, cfg, stack) -> list:
     return out
 
 
-def _pickled_stack(*args) -> list:
-    """_sweep_stack's results, each pickled on its own, last first. The parent
-    unpickles a result only when it takes it, so it never holds a whole
-    stack's traces unpickled: for a stack of 28 blobs_audit runs they take
-    about four times the memory of their pickles."""
-    return [pickle.dumps(res, pickle.HIGHEST_PROTOCOL) for res in _sweep_stack(*args)][::-1]
-
-
-def _unpickled(parts):
-    """The results of each _pickled_stack list in parts, in stack order; each
-    pickle is dropped as its result is taken."""
-    for part in parts:
-        while part:
-            yield pickle.loads(part.pop())
-
-
 def _error_result(H, seed, exc) -> TrainResult:
     rid = make_run_id(H, seed)
     return TrainResult(_record(H, rid, seed, f"error:{type(exc).__name__}"), None,
@@ -562,18 +544,16 @@ def sweep(spec: NetSpec, base_train: Dataset, ds_test: Dataset, cfg: SweepConfig
     if not cfg.lrs:
         raise ConfigError("sweep grid is empty")
     subsets = train_subsets(base_train, cfg.train_sizes or (0,), cfg.subsample_seed)
-    # the CPUs this process may run on, as ordered_map counts them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
-        os.cpu_count() or 1
-    stacks = _sweep_stacks(spec, cfg, subsets, min(jobs or cpus, cpus))
+    stacks = _sweep_stacks(spec, cfg, subsets, pool_size(jobs or None))
     shared = (spec, subsets, ds_test, cfg)
     results = []
     limit = min(jobs or len(stacks), len(stacks))
-    with ordered_map(_pickled_stack, shared, stacks, limit) as parts:
-        for res in _unpickled(parts):
-            if on_result is not None:
-                on_result(res)
-            results.append(res)
+    with ordered_map(_sweep_stack, shared, stacks, limit) as parts:
+        for part in parts:
+            for res in part:
+                if on_result is not None:
+                    on_result(res)
+                results.append(res)
     results.sort(key=lambda r: r.record.run_id)
     return results
 

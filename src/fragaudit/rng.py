@@ -13,9 +13,8 @@ Stream derivation rules (documented so audits can be replayed elsewhere):
 - bounded integers use the 128-bit multiply-shift reduction of one uint64;
   shuffle/permutation/choose draw all their words in one block, in the order
   the per-index loop consumes them. choose_rows resolves the swaps of many
-  streams' partial Fisher-Yates at once as arrays. A single Rng.choose runs
-  the per-index loop: the array path maps numpy code that a dataset build
-  does not otherwise run (on images_si it raised peak RSS by 0.16 MiB).
+  streams' partial Fisher-Yates at once as arrays; Rng.choose is its one-row
+  case.
 - gaussians use Box-Muller on consecutive uint64 pairs; each call consumes
   2*ceil(n/2) words (odd tails discard the trailing partner variate). The
   transform runs over the words in fixed blocks of whole pairs; a variate
@@ -71,8 +70,8 @@ def states_from_seeds(seeds: np.ndarray) -> np.ndarray:
     seeds = seeds.astype(np.uint64, copy=False)
     counters = (np.arange(1, 5, dtype=np.uint64) * np.uint64(GOLDEN))[None, :]
     states = _mix64_np(seeds[:, None] + counters)
-    dead = ~states.any(axis=1)
-    if dead.any():  # all-zero state is invalid for xoshiro; effectively unreachable
+    dead = ~states.any(axis=1)  # an all-zero state is invalid for xoshiro; unreachable
+    if np.count_nonzero(dead):  # dead.any() on many rows maps 64 KiB more numpy code
         states[dead, 0] = np.uint64(GOLDEN)
     return np.ascontiguousarray(states)
 
@@ -152,24 +151,17 @@ def _mulhi(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return wh
 
 
-# choose_rows sorts rows shorter than this in Python. Both sorts are stable, so
-# they agree; numpy's maps about 128 KiB of its sort code into the process,
-# more than the arrays of a short row.
-SORT_IN_PYTHON = 1 << 12
-
-
 def choose_rows(words: np.ndarray, ns) -> np.ndarray:
-    """Rng.choose(ns[r], k) of a stream whose next k words are words[r], for
-    every row r of words (R, k) at once, as an (R, k) int64 array; Rng.choose
-    is its oracle.
+    """Rng.choose(ns[r], k) for each row r of words (R, k), the stream's next
+    k words, as an (R, k) int64 array.
 
-    Step i of the partial Fisher-Yates swaps positions i and
-    j_i = i + ((w_i * (n - i)) >> 64) >= i, and never touches position i
-    again, so out[i] is the value at j_i just before step i: that is j_i if
-    no earlier step targeted j_i, and otherwise the value position t held
-    before step t, t the last such step. That value is t unless an earlier step
-    targeted t, and so on down the chain, which pointer jumping resolves in
-    log2(k) passes. Targets are compared as float64, exact below 2^53.
+    Step i swaps positions i and j_i = i + ((w_i * (n - i)) >> 64), so out[i]
+    is j_i unless an earlier step targeted j_i; then it is what position t,
+    the last such step, held before step t, and so on down a chain that
+    pointer jumping resolves in log2(k) passes. Targets are compared as
+    float64, exact below 2^53. Python's stable sort groups the steps by
+    target: a numpy sort maps 128-192 KiB of code the earlier stages never
+    run, more than the arrays of a pair-budget row.
     """
     R, k = words.shape
     if k == 0:
@@ -181,14 +173,11 @@ def choose_rows(words: np.ndarray, ns) -> np.ndarray:
     j += steps
     jf = j.astype(np.float64)
     j = j.view(np.int64)
-    # Steps by flat id r * k + i; each row's grouped by target, in step order.
+    # steps by flat id r * k + i, each row's grouped by target in step order
     ids = np.arange(R * k, dtype=np.int64)
     base = ids[::k, None]
-    if k < SORT_IN_PYTHON:
-        order = np.array([sorted(range(k), key=row.__getitem__) for row in j.tolist()],
-                         dtype=np.int64).reshape(R, k)
-    else:
-        order = np.argsort(j, axis=1, kind="stable")
+    order = np.array([sorted(range(k), key=row.__getitem__) for row in j.tolist()],
+                     dtype=np.int64).reshape(R, k)
     order += base
     targets = jf.take(order)
     same = targets[:, 1:] == targets[:, :-1]
@@ -197,11 +186,10 @@ def choose_rows(words: np.ndarray, ns) -> np.ndarray:
     prev[later] = order[:, :-1][same]
     alone = np.ones(R * k, dtype=bool)
     alone[later] = False
-    # Position t < k links to the last step that targeted it: a step s < t, or
-    # t itself, which no chain reaches; an untargeted t links to itself.
+    # position t < k links to the last step that targeted it, else to itself
     last = np.ones((R, k), dtype=bool)
     last[:, :-1] = ~same
-    last[targets >= k] = False
+    last &= targets < k
     root = ids.copy()
     root[(j.take(order) + base)[last]] = order[last]
     for _ in range(k.bit_length()):  # every chain is shorter than k
@@ -282,11 +270,7 @@ class Rng:
         """k distinct indices from range(n), in selection order."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        arr = list(range(n))
-        for i, w in enumerate(self.u64_block(k).tolist()):
-            j = i + ((w * (n - i)) >> 64)
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr[:k]
+        return choose_rows(self.u64_block(k)[None], [n])[0].tolist()
 
     def spawn_key(self, key: str) -> "Rng":
         return Rng(key_seed(self.seed, key))

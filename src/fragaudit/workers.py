@@ -27,9 +27,16 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def pool_size(limit=None) -> int:
+    """The workers ordered_map starts for this limit (None: no limit): at most one per CPU."""
+    cpus = cpu_count()
+    return cpus if limit is None else min(limit, cpus)
+
+
 @contextlib.contextmanager
 def ordered_map(fn, shared, tasks, limit: int):
-    """An iterator of fn(*shared, task) for each task, in task order.
+    """An iterator of fn(*shared, task) for each task, in task order; from a
+    worker, a list result comes as an iterator of its items.
 
     The tasks run on min(limit, CPUs) forked workers, which inherit fn, shared
     and the tasks through the fork, so only a task's index and its result cross
@@ -44,7 +51,7 @@ def ordered_map(fn, shared, tasks, limit: int):
     further task, closes the pipes and reaps every worker, after the tasks
     already running; on an interrupt such as Ctrl-C it signals the workers first.
     """
-    count = min(limit, cpu_count())
+    count = pool_size(limit)
     if not _in_worker and count >= 2 and hasattr(os, "fork") \
             and threading.active_count() == 1:
         pool = _Pool(list(tasks))
@@ -119,7 +126,10 @@ class _Pool:
         self.poller.register(w.outbox)
 
     def results(self):
-        """The results in task order; a task's error is raised at its turn."""
+        """The results in task order; a task's error is raised at its turn.
+
+        A list result comes as an iterator that unpickles its items as they
+        are taken, so the parent never holds all of them unpickled at once."""
         done = {}  # task index -> (ok, value), read ahead of its turn
         for i in range(len(self.tasks)):
             self._receive(done, 0)  # hand the idle workers their next tasks
@@ -129,7 +139,7 @@ class _Pool:
             if not ok:
                 exc, tb = value
                 raise exc from (tb and _Traceback(tb))
-            yield value
+            yield _unpickled(value) if type(value) is _Items else value
 
     def _receive(self, done, timeout):
         """Read every result that is ready into done, waiting up to timeout ms for one."""
@@ -183,6 +193,17 @@ class _Pool:
         w.inbox = w.outbox = None
 
 
+class _Items(list):
+    """A task's list result as its items' pickles."""
+
+
+def _unpickled(items):
+    """The items of an _Items list, unpickled one at a time as they are taken."""
+    items.reverse()
+    while items:
+        yield pickle.loads(items.pop())
+
+
 def _read(fd, size) -> bytes:
     """size bytes from fd, or fewer where it reaches EOF first."""
     parts = []
@@ -215,7 +236,10 @@ def _serve(fn, shared, tasks, inbox, outbox, parent_ends):
         while index := os.read(inbox, 8):
             i = int.from_bytes(index, "little")
             try:
-                data = pickle.dumps((i, True, call(tasks[i])), pickle.HIGHEST_PROTOCOL)
+                value = call(tasks[i])
+                if type(value) is list:  # its items cross one by one (see _Pool.results)
+                    value = _Items(pickle.dumps(x, pickle.HIGHEST_PROTOCOL) for x in value)
+                data = pickle.dumps((i, True, value), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
                 data = _failure(i, exc)
             _write(outbox, len(data).to_bytes(8, "little"))

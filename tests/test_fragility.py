@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragaudit import fragility, rng
+from fragaudit import fragility
 from fragaudit.fragility import FragilityConfig, aggregate_groups, emit_table_csv, \
     emit_table_text, median, score_group, score_records
 from fragaudit.records import RunRecord
@@ -247,17 +247,13 @@ def _three_measure_records(seed, n_runs):
     return records
 
 
-@pytest.mark.parametrize("block, chunk, sort_in_python", [
-    (1 << 16, 1 << 10, 1 << 12), (7, 5, 0), (40, 12, 1 << 30), (1, 1, 1)])
+@pytest.mark.parametrize("block, chunk", [(1 << 16, 1 << 10), (7, 5), (40, 12), (1, 1)])
 @pytest.mark.parametrize("budget", [0, 5, 40])
-def test_blocks_chunks_and_sorts_change_no_bit(monkeypatch, block, chunk, sort_in_python,
-                                               budget):
+def test_blocks_and_chunks_change_no_bit(monkeypatch, block, chunk, budget):
     # BLOCK 7 with 45 runs scans one row of pairs at a time, fills one list's
     # words at a time and splits the unsampled lists into blocks of columns
     monkeypatch.setattr(fragility, "BLOCK", block)
     monkeypatch.setattr(fragility, "CHUNK", chunk)
-    monkeypatch.setattr(rng, "SORT_IN_PYTHON", sort_in_python)
-    monkeypatch.setattr(fragility, "SORT_IN_PYTHON", sort_in_python)
     records = _three_measure_records(5, 45)
     cfg = FragilityConfig(deltas=(0.02, 0.05), pair_budget=budget, subsample_seed=8)
     scores = score_group("g", records, ("M", "N", "P"), cfg)

@@ -274,13 +274,10 @@ def _random_choose_cases(count):
     return cases
 
 
-@pytest.mark.parametrize("sort_in_python", [1 << 30, 0], ids=["python-sort", "numpy-sort"])
-def test_choose_rows_matches_the_scalar_loop_on_random_cases(monkeypatch, sort_in_python):
-    monkeypatch.setattr(rng_mod, "SORT_IN_PYTHON", sort_in_python)
+def test_choose_matches_the_scalar_loop_on_random_cases():
     for case, (n, k) in enumerate(_random_choose_cases(3000)):
         got, ref = Rng(case), Rng(case)
-        assert rng_mod.choose_rows(got.u64_block(k)[None], [n])[0].tolist() \
-            == _below_loop_choose(ref, n, k), (n, k)
+        assert got.choose(n, k) == _below_loop_choose(ref, n, k), (n, k)
         assert got.next_u64() == ref.next_u64(), (n, k)
 
 
@@ -296,9 +293,9 @@ def test_choose_rows_of_one_fill_match_one_rng_per_row():
             == rows[start:start + 1].tolist()
 
 
-def test_choose_rows_past_2_53_is_refused():
+def test_choose_past_2_53_is_refused():
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        rng_mod.choose_rows(Rng(1).u64_block(3)[None], [2 ** 53 + 1])
+        Rng(1).choose(2 ** 53 + 1, 3)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 5000])

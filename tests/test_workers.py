@@ -178,6 +178,22 @@ def test_more_workers_than_cpus_return_every_result_in_task_order(monkeypatch, p
     assert len({pid for _, pid in got}) > 1 and os.getpid() not in {pid for _, pid in got}
 
 
+def _items(x):
+    return [x, {"x": x}, [x] * x] if x != 3 else [x, threading.Lock()]
+
+
+def test_a_list_result_from_a_worker_is_an_iterator_of_its_items(monkeypatch, pools_made):
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    got = []
+    with _within(20), pytest.raises(TypeError, match="lock"):
+        with workers.ordered_map(_items, (), range(5), 2) as results:
+            for part in results:
+                assert not isinstance(part, list)
+                got.append(list(part))
+    assert pools_made == [2]
+    assert got == [_items(x) for x in range(3)]  # task 3's lock cannot cross
+
+
 def _end_own_worker(how, x):
     if x == 1:
         if how == "kill":
@@ -262,7 +278,7 @@ def test_ordered_map_is_the_only_way_into_the_pool():
             assert module.split(".")[0] != "multiprocessing", (path.name, module)
             assert (module, name) != ("os", "fork"), path.name
             if module.rsplit(".", 1)[-1] == "workers":
-                assert name == "ordered_map", (path.name, module, name)
+                assert name in ("ordered_map", "pool_size"), (path.name, module, name)
                 users.add(path.stem)
         if path.name != "workers.py":
             assert _forks(path) == [], path.name
