@@ -105,14 +105,11 @@ _SOURCE = {"kind": {
                     "active_pixels": int, "noise": float}, "synth_images"),
     "idx": _Obj({"images": (str, "images_path"), "labels": (str, "labels_path"),
                  "num_classes": int}, "load_idx"),
-    "cache": _Obj({"path": str}, "load_cache"),
 }}
-_CORRUPT, _PERMUTE = _Obj({"p": float, "seed": int}, "corrupt_labels"), \
-    _Obj({"seed": int}, "make_permutation")
 _OP = {"op": {
     "binarize": _Obj({"positive": ([int], "positive_classes")}, "binarize"),
-    "corrupt": _CORRUPT, "corrupt_labels": _CORRUPT,
-    "permute": _PERMUTE, "permute_pixels": _PERMUTE,
+    "corrupt_labels": _Obj({"p": float, "seed": int}, "corrupt_labels"),
+    "permute_pixels": _Obj({"seed": int}, "make_permutation"),
     "subsample": _Obj({"m": int, "seed": int}, "subsample"),
 }}
 _TRAIN = _Obj({"optimizer": str, "lr": float, "momentum": float, "weight_decay": float,
@@ -156,8 +153,6 @@ SCHEMA = {
                       "delta": (float, "delta_conf"), "gamma": (float, "gamma_conf"),
                       "corruptions": [float], "max_attempts": int, "seed": int},
                      ev.EvidenceTask, net=None, seed=0),
-    "transform": _Obj({"input": _SOURCE, "ops": [_OP], "output": str},
-                      ops=(), output="dataset.dsc"),
 }
 _DOC = _Obj(SCHEMA, **dict.fromkeys(SCHEMA))
 
@@ -579,18 +574,6 @@ def cmd_evidence(cfg, out, args):
     return 0
 
 
-def cmd_transform(cfg, out, args):
-    t = _section(cfg, "transform")
-    fn, fields = t["input"]
-    ds = datakit.apply_ops(getattr(datakit, fn)(**fields), t["ops"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / t["output"]
-    datakit.save_cache(path, ds)
-    print(f"dataset cache -> {path} (n={ds.n}, dim={ds.dim}, "
-          f"classes={ds.num_classes})")
-    return 0
-
-
 COMMANDS = {
     "train": cmd_train,
     "sweep": cmd_sweep,
@@ -600,7 +583,6 @@ COMMANDS = {
     "hysteresis": cmd_hysteresis,
     "exppp": cmd_exppp,
     "evidence": cmd_evidence,
-    "transform": cmd_transform,
 }
 
 

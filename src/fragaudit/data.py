@@ -93,22 +93,6 @@ def load_idx(images_path, labels_path, num_classes=None) -> Dataset:
     ))
 
 
-def write_idx(images_path, labels_path, features01: np.ndarray, labels: np.ndarray,
-              rows: int, cols: int) -> None:
-    """Quantize [0,1] features to bytes and emit an IDX pair (fixtures, exports)."""
-    n, d = features01.shape
-    if d != rows * cols:
-        raise InvalidSize(f"dim {d} != {rows}x{cols}")
-    pixels = np.clip(np.rint(features01 * 255.0), 0, 255).astype(np.uint8)
-    for path, magic, dims, payload in (
-            (images_path, IDX_IMAGES_MAGIC, (n, rows, cols), pixels),
-            (labels_path, IDX_LABELS_MAGIC, (n,), np.asarray(labels, dtype=np.uint8))):
-        with open(path, "wb") as fh:
-            for v in (magic, *dims):
-                fh.write(int(v).to_bytes(4, "big"))
-            fh.write(payload.tobytes())
-
-
 # --- transforms -------------------------------------------------------------
 
 def binarize(ds: Dataset, positive_classes=None) -> Dataset:
@@ -305,9 +289,9 @@ def synth_images(n: int, num_classes: int, seed: int, side: int = 28,
 _CACHE_FORMAT = "fragaudit-dataset-v1"
 
 
-def save_cache(path, ds: Dataset, key=None) -> None:
-    """JSON header line + little-endian float64 feature matrix, written by
-    persist.write_payload; the header holds key when one is given."""
+def save_cache(path, ds: Dataset, key: str) -> None:
+    """JSON header line, holding key, + little-endian float64 feature matrix,
+    written by persist.write_payload."""
     header = {
         "format": _CACHE_FORMAT,
         "n": ds.n,
@@ -315,17 +299,16 @@ def save_cache(path, ds: Dataset, key=None) -> None:
         "num_classes": ds.num_classes,
         "labels": ds.labels.tolist(),
         "provenance": ds.provenance,
+        "key": key,
     }
-    if key is not None:
-        header["key"] = key
     write_payload(path, header, [ds.features])
 
 
-def load_cache(path, key=None) -> Dataset:
+def load_cache(path, key: str) -> Dataset:
     """The dataset of a save_cache file.
 
-    A malformed or truncated file, or one whose header key is not key when key
-    is given, raises FormatError naming path.
+    A malformed or truncated file, or one whose header key is not key, raises
+    FormatError naming path.
     """
     def words(header):
         n, d, labels = header["n"], header["dim"], header["labels"]
@@ -336,14 +319,14 @@ def load_cache(path, key=None) -> Dataset:
         if not all(type(v) is int and 0 <= v < header["num_classes"] for v in labels):
             raise FormatError(f"labels must be integers in [0, {header['num_classes']})",
                               offset=0)
-        if key is not None and header.get("key") != key:
-            raise FormatError(f"header key {header.get('key')!r} is not the file's key "
+        if header["key"] != key:
+            raise FormatError(f"header key {header['key']!r} is not the file's key "
                               f"{key!r}", offset=0)
         return n * d
 
     header, features = read_payload(path, _CACHE_FORMAT, "dataset cache", {
-        "n": int, "dim": int, "num_classes": int, "labels": list, "provenance": dict},
-        words)
+        "n": int, "dim": int, "num_classes": int, "labels": list, "provenance": dict,
+        "key": str}, words)
     return _check(Dataset(
         features=features.reshape(header["n"], header["dim"]),
         labels=np.array(header["labels"], dtype=np.int64),
@@ -398,7 +381,7 @@ def build_split(section: dict, cache_dir: Path):
             return tuple(kept)
     try:
         ds = globals()[fn](**fields)
-    except OSError as exc:  # the file of an idx or cache source
+    except OSError as exc:  # the file of an idx source
         raise ConfigError(f"cannot read data source: {exc}")
     ds = apply_ops(ds, section["transforms"])
     train, test = split_train_test(ds, **section["split"])

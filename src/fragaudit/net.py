@@ -390,11 +390,6 @@ def evaluate_wb(spec: NetSpec, weights, biases, X: np.ndarray, y: np.ndarray):
     return acc, ce
 
 
-def evaluate(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray, y: np.ndarray):
-    """(accuracy, mean cross-entropy) on (X, y)."""
-    return evaluate_wb(spec, ckpt.weights, ckpt.biases, X, y)
-
-
 def margins(spec: NetSpec, ckpt: Checkpoint, X: np.ndarray, y: np.ndarray,
             percentile: float = 0.10, num_classes=None) -> MarginStats:
     """Per-example margins f(x)[y] - max_{j!=y} f(x)[j] and their percentile gamma.

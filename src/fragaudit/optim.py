@@ -13,8 +13,7 @@ drive sgdm_step themselves, as a stack of two with time-varying eta and
 lambda columns and their own t=0 buffers.
 """
 
-import hashlib
-import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from .data import Dataset, subsample
 from .errors import ConfigError, FragAuditError, IncompatibleCheckpoint
 from .net import Checkpoint, NetSpec, accuracy, accuracy_wb, evaluate_wb, \
     flatten_params, init_checkpoint, param_views, unflatten_params
+from .persist import config_hash
 from .records import H_FIELDS, RunRecord, TrainResult, TrainTrace, detect_T_int
 from .rng import Rng
 from .workers import ordered_map, pool_size
@@ -52,6 +52,10 @@ class Hyperparams:
     arch: str = ""
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "stop_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         if self.optimizer not in ("sgdm", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -131,11 +135,8 @@ def adam_step(state: OptState, grad: np.ndarray, lr: float, beta1: float = 0.9,
 def make_run_id(H: Hyperparams, seed: int, parent: str = "") -> str:
     """16 hex digits of the sha256 of the run's group, config identity, seed and
     parent run id: the config's settings alone name the run."""
-    blob = json.dumps(
-        {"group": H.group, "h": H.h_fields(), "seed": seed, "parent": parent},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return config_hash({"group": H.group, "h": H.h_fields(), "seed": seed,
+                        "parent": parent})
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
 
@@ -44,3 +45,26 @@ def pools_made(monkeypatch):
 
     monkeypatch.setattr(workers._Pool, "fork", spy)
     return made
+
+
+def _write_idx(images_path, labels_path, features01, labels, rows: int, cols: int) -> None:
+    """Quantize [0,1] features to bytes and write them and labels as an IDX pair."""
+    from fragaudit.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+
+    n, d = features01.shape
+    assert d == rows * cols, f"dim {d} != {rows}x{cols}"
+    pixels = np.clip(np.rint(features01 * 255.0), 0, 255).astype(np.uint8)
+    for path, magic, dims, payload in (
+            (images_path, IDX_IMAGES_MAGIC, (n, rows, cols), pixels),
+            (labels_path, IDX_LABELS_MAGIC, (n,), np.asarray(labels, dtype=np.uint8))):
+        with open(path, "wb") as fh:
+            for v in (magic, *dims):
+                fh.write(int(v).to_bytes(4, "big"))
+            fh.write(payload.tobytes())
+
+
+@pytest.fixture
+def write_idx():
+    """A writer of IDX fixture files: (images path, labels path, [0,1] features,
+    labels, rows, cols)."""
+    return _write_idx

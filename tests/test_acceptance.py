@@ -15,7 +15,7 @@ import pytest
 
 from fragaudit.cli import main as cli_main
 from fragaudit.data import binarize, load_idx, permutation_pair, permute_pixels, \
-    split_train_test, subsample, synth_blobs, synth_images, write_idx
+    split_train_test, subsample, synth_blobs, synth_images
 from fragaudit.evidence import BoundInput, EvidenceTask, bound_vs_error_experiment, \
     ml_pacbayes_bound
 from fragaudit.exppp import ExpPPParams, derive, inflation_demo, schedule, \
@@ -329,7 +329,7 @@ def test_criterion_09_ml_pacbayes():
         assert report["violation_rate"] <= 0.05
 
 
-def test_criterion_10_data_complexity_analogue(tmp_path):
+def test_criterion_10_data_complexity_analogue(tmp_path, write_idx):
     with criterion(10, "Pixel-permutation data-complexity analogue"):
         raw = synth_images(2400, 10, seed=17, active_pixels=392, noise=0.3)
         write_idx(tmp_path / "i.idx", tmp_path / "l.idx", raw.features, raw.labels,

@@ -557,36 +557,35 @@ _BLOBS = {"kind": "blobs", "n": 20, "dim": 2, "num_classes": 2, "separation": 2.
 ])
 def test_transform_of_a_bad_synthetic_size_is_a_typed_error(tmp_path, capsys, source,
                                                             message):
+    # the data section's build of the source into a split, before any split is kept
     cfg = base_config(tmp_path)
-    cfg["transform"] = {"input": source, "ops": [], "output": "transformed.dsc"}
-    cp = write_config(tmp_path, cfg)
-    assert main(["transform", "--config", cp]) == 1
+    cfg["data"]["source"] = source
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "InvalidSize", "message": message}
-    assert not (tmp_path / "out" / "transformed.dsc").exists()
+    assert list((tmp_path / "out").glob("data/*.dsc")) == []
 
 
-def test_transform_command(tmp_path):
+def test_data_section_provenance_names_each_op(tmp_path):
+    from fragaudit import cli
+
     cfg = base_config(tmp_path)
-    cfg["transform"] = {
-        "input": {"kind": "blobs", "n": 40, "dim": 3, "num_classes": 4,
-                  "separation": 2.0, "seed": 3},
-        "ops": [{"op": "binarize", "positive": [0, 1]},
-                {"op": "corrupt", "p": 0.25, "seed": 4},
-                {"op": "subsample", "m": 20, "seed": 5},
-                {"op": "permute", "seed": 6}],
-        "output": "transformed.dsc",
+    cfg["data"] = {
+        "source": {"kind": "blobs", "n": 40, "dim": 3, "num_classes": 4,
+                   "separation": 2.0, "seed": 3},
+        "transforms": [{"op": "binarize", "positive": [0, 1]},
+                       {"op": "corrupt_labels", "p": 0.25, "seed": 4},
+                       {"op": "subsample", "m": 20, "seed": 5},
+                       {"op": "permute_pixels", "seed": 6}],
+        "split": {"n_train": 15, "seed": 7},
     }
-    cp = write_config(tmp_path, cfg)
-    assert main(["transform", "--config", cp]) == 0
-    from fragaudit.data import load_cache
-
-    ds = load_cache(tmp_path / "out" / "transformed.dsc")
-    assert ds.n == 20
-    assert ds.num_classes == 2
-    ops = [c["op"] for c in ds.provenance["chain"]]
-    assert ops == ["synth_blobs", "binarize", "corrupt_labels", "subsample",
-                   "permute_pixels"]
+    train_ds, test_ds = cli._build_data(cfg, tmp_path / "out")
+    assert (train_ds.n, test_ds.n) == (15, 5)
+    for ds in (train_ds, test_ds):
+        assert ds.num_classes == 2
+        ops = [c["op"] for c in ds.provenance["chain"]]
+        assert ops == ["synth_blobs", "binarize", "corrupt_labels", "subsample",
+                       "permute_pixels", "split"]
 
 
 # --- one dataset build per output directory -----------------------------------
@@ -594,7 +593,7 @@ def test_transform_command(tmp_path):
 _IMAGES_DATA = {"source": {"kind": "images", "n": 60, "num_classes": 4, "seed": 2,
                            "side": 6, "active_pixels": 5},
                 "transforms": [{"op": "binarize", "positive": [0, 1]},
-                               {"op": "corrupt", "p": 0.1, "seed": 3}],
+                               {"op": "corrupt_labels", "p": 0.1, "seed": 3}],
                 "split": {"n_train": 40, "seed": 4}}
 SPLIT_CONFIGS = {
     "blobs": base_config(Path("."))["data"],
@@ -603,7 +602,8 @@ SPLIT_CONFIGS = {
     "images-independent-permute-train-test-transforms": dict(
         _IMAGES_DATA, permute={"mode": "independent", "seed": 5},
         train_transforms=[{"op": "subsample", "m": 30, "seed": 6}],
-        test_transforms=[{"op": "corrupt", "p": 0.2, "seed": 7}, {"op": "permute", "seed": 8}],
+        test_transforms=[{"op": "corrupt_labels", "p": 0.2, "seed": 7},
+                         {"op": "permute_pixels", "seed": 8}],
         tag="images"),
 }
 
@@ -682,39 +682,35 @@ def test_editing_any_data_key_writes_a_new_pair_of_files(tmp_path):
     assert len(os.listdir(out / "data")) == 2 * (len(edits) + 1)
 
 
-def test_file_backed_sources_are_read_each_time_and_never_kept(tmp_path):
+def test_file_backed_sources_are_read_each_time_and_never_kept(tmp_path, write_idx):
     from fragaudit import cli
-    from fragaudit.data import save_cache, synth_images, write_idx
+    from fragaudit.data import synth_images
 
-    ds = synth_images(30, 3, seed=1, side=4, active_pixels=3)
-    write_idx(tmp_path / "i.idx", tmp_path / "l.idx", ds.features, ds.labels, 4, 4)
     out = tmp_path / "out"
-    for source in ({"kind": "idx", "images": str(tmp_path / "i.idx"),
-                    "labels": str(tmp_path / "l.idx"), "num_classes": 3},
-                   {"kind": "cache", "path": str(tmp_path / "c.dsc")}):
-        cfg = dict(base_config(tmp_path), data={"source": source,
-                                                "split": {"n_train": 20, "seed": 2}})
-        builds = []
-        for seed in (1, 2):  # the same config, the source file's bytes changed
-            ds = synth_images(30, 3, seed=seed, side=4, active_pixels=3)
-            write_idx(tmp_path / "i.idx", tmp_path / "l.idx", ds.features, ds.labels, 4, 4)
-            save_cache(tmp_path / "c.dsc", ds)
-            builds.append(cli._build_data(cfg, out)[0].features)
-        assert not np.array_equal(*builds), source["kind"]
-        assert not (out / "data").exists()
+    source = {"kind": "idx", "images": str(tmp_path / "i.idx"),
+              "labels": str(tmp_path / "l.idx"), "num_classes": 3}
+    cfg = dict(base_config(tmp_path), data={"source": source,
+                                            "split": {"n_train": 20, "seed": 2}})
+    builds = []
+    for seed in (1, 2):  # the same config, the source file's bytes changed
+        ds = synth_images(30, 3, seed=seed, side=4, active_pixels=3)
+        write_idx(tmp_path / "i.idx", tmp_path / "l.idx", ds.features, ds.labels, 4, 4)
+        builds.append(cli._build_data(cfg, out)[0].features)
+    assert not np.array_equal(*builds)
+    assert not (out / "data").exists()
 
 
-@pytest.mark.parametrize("missing", ["images.idx", "labels.idx", "cache.dsc"])
-def test_a_missing_source_file_is_a_config_error_naming_it(tmp_path, capsys, missing):
-    from fragaudit.data import synth_images, write_idx
+@pytest.mark.parametrize("missing", ["images.idx", "labels.idx"])
+def test_a_missing_source_file_is_a_config_error_naming_it(tmp_path, capsys, write_idx,
+                                                           missing):
+    from fragaudit.data import synth_images
 
     ds = synth_images(30, 3, seed=1, side=4, active_pixels=3)
     write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", ds.features, ds.labels,
               4, 4)
-    (tmp_path / missing).unlink(missing_ok=True)  # cache.dsc is never written
-    source = ({"kind": "cache", "path": str(tmp_path / missing)} if missing == "cache.dsc"
-              else {"kind": "idx", "images": str(tmp_path / "images.idx"),
-                    "labels": str(tmp_path / "labels.idx"), "num_classes": 3})
+    (tmp_path / missing).unlink()
+    source = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+              "labels": str(tmp_path / "labels.idx"), "num_classes": 3}
     cfg = base_config(tmp_path)
     cfg["data"] = {"source": source, "split": {"n_train": 20, "seed": 2}}
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
@@ -1181,6 +1177,34 @@ def test_config_schema_errors_name_the_json_path(tmp_path, capsys, command, key,
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError" and path in err["message"], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("section, key, value, path", [
+    (None, "transform", {"input": _BLOBS, "ops": []}, "transform"),
+    ("data", "source", {"kind": "cache", "path": "dataset.dsc"}, "data.source.kind"),
+    ("data", "transforms", [{"op": "corrupt", "p": 0.1, "seed": 1}],
+     "data.transforms[0].op"),
+    ("data", "transforms", [{"op": "permute", "seed": 1}], "data.transforms[0].op"),
+], ids=["transform-section", "cache-source", "corrupt-op", "permute-op"])
+def test_a_removed_section_kind_or_op_is_a_config_error(tmp_path, capsys, command,
+                                                        section, key, value, path):
+    cfg = base_config(tmp_path)
+    (cfg if section is None else cfg[section])[key] = value
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command in ("exppp", "evidence"):
+        argv += ["--mode", "verify" if command == "exppp" else "bound"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and path in err["message"], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_there_is_no_transform_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--config", write_config(tmp_path, base_config(tmp_path))])
+    assert exc.value.code == 2
+    assert "invalid choice: 'transform'" in capsys.readouterr().err
 
 
 def test_config_float_keys_read_json_integers_as_floats(tmp_path):

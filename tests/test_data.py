@@ -8,7 +8,7 @@ import pytest
 
 from fragaudit.data import Dataset, binarize, corrupt_labels, load_cache, load_idx, \
     make_permutation, permutation_pair, permute_pixels, save_cache, split_train_test, \
-    subsample, synth_blobs, synth_images, write_idx
+    subsample, synth_blobs, synth_images
 from fragaudit.errors import FormatError, InvalidPermutation, InvalidSize, InvalidSplit
 from fragaudit.net import NetSpec, forward_batch, init_checkpoint, save_checkpoint
 from fragaudit.rng import Rng
@@ -70,7 +70,7 @@ def test_load_idx_count_mismatch(tmp_path):
         load_idx(ip, lab3)
 
 
-def test_write_idx_roundtrip(tmp_path):
+def test_write_idx_roundtrip(tmp_path, write_idx):
     ds = synth_images(6, 3, seed=4, side=8, active_pixels=5, noise=0.3)
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     write_idx(ip, lp, ds.features, ds.labels, 8, 8)
@@ -306,17 +306,18 @@ def test_synth_images_match_the_fresh_array_expression(n, side):
     lambda h: dict(h, labels=[0.5, 1.7]),  # np.asarray(..., int64) reads [0, 1]
     lambda h: dict(h, labels=[True, 0]),  # and [1, 0]
     lambda h: dict(h, provenance=[]),  # Dataset.with_chain needs a dict
+    lambda h: {k: v for k, v in h.items() if k != "key"},
 ], ids=["no-n", "no-labels", "n-2-one-label", "dim-not-int", "not-an-object",
-        "float-labels", "bool-label", "provenance-list"])
+        "float-labels", "bool-label", "provenance-list", "no-key"])
 def test_cache_malformed_header_is_format_error(tmp_path, edit):
     import json
 
     path = tmp_path / "ds.dsc"
-    save_cache(path, synth_blobs(2, 3, 2, 2.0, seed=26))
+    save_cache(path, synth_blobs(2, 3, 2, 2.0, seed=26), "k")
     head, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
     with pytest.raises(FormatError, match=re.escape(str(path))):
-        load_cache(path)
+        load_cache(path, "k")
 
 
 @pytest.mark.parametrize("saved_key, cut", [("k", 8), ("k", 1), ("other", 0), (None, 0)],
@@ -334,7 +335,7 @@ def _cache_saves(path):
     """(a save_cache of path, one that fails in its payload)."""
     ds = synth_blobs(4, 3, 2, 2.0, seed=26)
     unwritable = Dataset(np.full((4, 3), "x", dtype=object), ds.labels, 2)
-    return lambda: save_cache(path, ds), lambda: save_cache(path, unwritable)
+    return lambda: save_cache(path, ds, "k"), lambda: save_cache(path, unwritable, "k")
 
 
 def _checkpoint_saves(path):
@@ -365,18 +366,18 @@ def test_cache_dim_below_one_is_format_error(tmp_path, n, dim):
     import json
 
     header = {"format": "fragaudit-dataset-v1", "n": n, "dim": dim, "num_classes": 2,
-              "labels": [0] * n}
+              "labels": [0] * n, "provenance": {}, "key": "k"}
     path = tmp_path / "ds.dsc"
     path.write_bytes(json.dumps(header).encode() + b"\n")  # n * dim * 8 == 0 bytes
-    with pytest.raises(FormatError):
-        load_cache(path)
+    with pytest.raises(FormatError, match=f"dim {dim} < 1"):
+        load_cache(path, "k")
 
 
 def test_cache_roundtrip(tmp_path):
     ds = corrupt_labels(synth_blobs(15, 3, 2, 2.0, seed=26), 0.2, seed=27)
     path = tmp_path / "ds.dsc"
-    save_cache(path, ds)
-    back = load_cache(path)
+    save_cache(path, ds, "k")
+    back = load_cache(path, "k")
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
     assert back.num_classes == ds.num_classes

@@ -9,7 +9,7 @@ import pytest
 from fragaudit.errors import ConfigError, FormatError, InvalidDataset, \
     NormalizationSingularity
 from fragaudit.net import _COLUMN_CLASSES, Checkpoint, NetSpec, _class_argmax, _class_max, \
-    _class_sum, accuracy_wb, backward_batch, evaluate, evaluate_wb, flatten_params, forward, \
+    _class_sum, accuracy_wb, backward_batch, evaluate_wb, flatten_params, forward, \
     forward_batch, init_checkpoint, load_checkpoint, margins, param_views, \
     save_checkpoint, scale_checkpoint, unflatten_params
 from fragaudit.rng import Rng
@@ -416,7 +416,7 @@ def test_interpolating_classifier_has_positive_margins():
     ck = Checkpoint([W.copy()], [W.copy()])
     X = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]])
     y = np.array([0, 1, 0])
-    acc, _ = evaluate(spec, ck, X, y)
+    acc, _ = evaluate_wb(spec, ck.weights, ck.biases, X, y)
     assert acc == 1.0
     assert np.all(margins(spec, ck, X, y).margins > 0)
 

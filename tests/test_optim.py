@@ -267,6 +267,14 @@ def test_run_ids_are_pinned():
     assert optim.make_run_id(H, 3, "abc") == "b20636fd309eecc6"
 
 
+@pytest.mark.parametrize("name", ["lr", "weight_decay", "stop_threshold"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_a_non_finite_value(name, value):
+    # a run id is the hash of canonical JSON, which has no form for these
+    with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+        Hyperparams(**{name: value})
+
+
 def test_stop_rule_ce_threshold():
     tr, te = _blob_task(n=32)
     spec = NetSpec((2, 8, 2))

@@ -49,3 +49,13 @@ def test_readme_measure_table_is_the_code_table():
              for name, family, _, formula, source in MEASURES]
     table = [line for line in section.splitlines() if line.startswith("|")]
     assert table == rows
+
+
+def test_readme_cli_and_config_keys_name_the_code_ones():
+    from fragaudit.cli import COMMANDS, SCHEMA
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\n## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    assert [line.split()[1] for line in block.splitlines()] == list(COMMANDS)
+    keys = re.search(r"\n### Config keys\n(.*?)\n## ", readme, re.S).group(1)
+    assert re.findall(r"^- (?:top level: )?`(\w+)`", keys, re.M) == list(SCHEMA)
